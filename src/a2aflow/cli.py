@@ -74,7 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version",
                     version=f"%(prog)s {__version__}")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--workers", type=int, default=None)
     ap.add_argument("--solver", default="external",
                     choices=("external", "reference"))
     sub = ap.add_subparsers(dest="command", required=True)
@@ -198,7 +197,7 @@ def _cmd_solve(args) -> list[str]:
         sol = mcf.mcf_link(g, options=opts, force=args.force)
         print(f"F = {sol.F:.9g}")
     elif args.algo == "decomp":
-        sol = mcf.mcf_decomposed(g, workers=args.workers, options=opts)
+        sol = mcf.mcf_decomposed(g, options=opts)
         print(f"F = {sol.F:.9g}")
     elif args.algo == "ts":
         lmax = args.lmax if args.lmax else diameter(g)
@@ -231,7 +230,7 @@ def _cmd_routes(args) -> list[str]:
     opts = _lp_options(args)
     algo = args.algo
     if algo == "extp":
-        sol = mcf.mcf_decomposed(g, workers=args.workers, options=opts)
+        sol = mcf.mcf_decomposed(g, options=opts)
         out = paths.extract_widest_paths(g, sol)
     elif algo == "pmcf":
         _, out = mcf.mcf_path(g, paths.disjoint_paths(g), options=opts)
@@ -390,7 +389,6 @@ def _cmd_compare(args) -> list[str]:
             except GraphError as ex:
                 print(f"skipping {topo} n={n}: {ex}", file=sys.stderr)
     reports = compare_topologies(entries, d=args.d, algo=args.algo,
-                                 workers=args.workers,
                                  options=_lp_options(args))
     return _emit_rows([r.as_dict() for r in reports], args.format, args.out)
 
@@ -399,7 +397,7 @@ def _cmd_bench(args) -> list[str]:
     from .evaluate import bench_runtimes
 
     rows = bench_runtimes(args.n_range, args.d, args.algos.split(","),
-                          workers=args.workers, timeout_s=args.timeout)
+                          timeout_s=args.timeout)
     return _emit_rows(rows, args.format, args.out)
 
 

@@ -32,9 +32,6 @@ class ChannelDependencyGraph:
     num_links: int
     arcs: set[tuple[int, int]] = field(default_factory=set)
 
-    def successors(self, e: int):
-        return [b for a, b in self.arcs if a == e]
-
 
 @dataclass
 class LayerAssignment:

@@ -6,9 +6,10 @@ all-to-all time against the analytical lower bound.
 """
 from __future__ import annotations
 
+import multiprocessing
+import queue
 import time
 from collections import defaultdict
-from concurrent.futures import ProcessPoolExecutor, TimeoutError as FuturesTimeout
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -139,15 +140,14 @@ def eval_path_alltoall(g: Digraph, wps, m: float = 1.0,
     return max_load * m / b
 
 
-def _solve_time(g: Digraph, algo: str, workers=None,
+def _solve_time(g: Digraph, algo: str,
                 options: LpOptions | None = None) -> tuple[float, float]:
     """(alltoall time 1/F or max load, F or None) for one algorithm."""
     from .mcf import mcf_decomposed, mcf_link, mcf_path
     from .paths import disjoint_paths, eval_link_load, sssp_routes
 
     if algo == "decomp":
-        F = mcf_decomposed(g, workers=workers, options=options,
-                           want_flows=False).F
+        F = mcf_decomposed(g, options=options, want_flows=False).F
         return 1.0 / F, F
     if algo == "link":
         F = mcf_link(g, options=options, force=True).F
@@ -165,7 +165,6 @@ def compare_topologies(
     entries: list[tuple[str, Digraph]],
     d: int,
     algo: str = "decomp",
-    workers=None,
     options: LpOptions | None = None,
 ) -> list[EvalReport]:
     """All-to-all time and bound ratio per labelled topology.
@@ -177,7 +176,7 @@ def compare_topologies(
     for label, g in entries:
         t0 = time.perf_counter()
         try:
-            tval, F = _solve_time(g, algo, workers=workers, options=options)
+            tval, F = _solve_time(g, algo, options=options)
         except Exception as ex:   # noqa: BLE001 - sweep must survive
             reports.append(EvalReport(label=label, n=g.n, algo=algo,
                                       alltoall_time=float("nan"),
@@ -204,7 +203,7 @@ def _bench_task(algo: str, n: int, d: int) -> float:
     if algo == "link":
         mcf_link(g, force=True)
     elif algo == "decomp":
-        mcf_decomposed(g, workers=1)
+        mcf_decomposed(g)
     elif algo == "pmcf-disjoint":
         mcf_path(g, disjoint_paths(g))
     elif algo == "sssp":
@@ -216,34 +215,45 @@ def _bench_task(algo: str, n: int, d: int) -> float:
     return time.perf_counter() - t0
 
 
+def _bench_child(results, algo: str, n: int, d: int) -> None:
+    try:
+        results.put(("ok", _bench_task(algo, n, d)))
+    except Exception as ex:   # noqa: BLE001 - reported in the parent
+        results.put(("error", str(ex)))
+
+
 def bench_runtimes(
     n_list: list[int],
     d: int,
     algos: list[str],
-    workers: int | None = None,
     timeout_s: float = 600.0,
 ) -> list[dict]:
     """Wall-clock per (algo, n) on generalized Kautz graphs.
 
-    Each run executes in a worker process so timeouts can be enforced;
+    Each run executes in its own process so timeouts can be enforced;
     timed-out runs are recorded with runtime None.
     """
     rows = []
     for algo in algos:
         for n in n_list:
-            with ProcessPoolExecutor(max_workers=1) as pool:
-                fut = pool.submit(_bench_task, algo, n, d)
-                try:
-                    rt = fut.result(timeout=timeout_s)
-                    rows.append({"algo": algo, "n": n, "d": d,
-                                 "runtime_s": rt, "timeout": False})
-                except FuturesTimeout:
-                    for p in pool._processes.values():
-                        p.terminate()
-                    rows.append({"algo": algo, "n": n, "d": d,
-                                 "runtime_s": None, "timeout": True})
-                except Exception as ex:   # noqa: BLE001
-                    rows.append({"algo": algo, "n": n, "d": d,
-                                 "runtime_s": None, "timeout": False,
-                                 "error": str(ex)})
+            row = {"algo": algo, "n": n, "d": d}
+            results = multiprocessing.Queue()
+            proc = multiprocessing.Process(target=_bench_child,
+                                           args=(results, algo, n, d))
+            proc.start()
+            proc.join(timeout_s)
+            if proc.is_alive():
+                proc.terminate()
+                proc.join()
+                rows.append({**row, "runtime_s": None, "timeout": True})
+                continue
+            try:
+                kind, value = results.get(timeout=1.0)
+            except queue.Empty:
+                kind, value = "error", f"worker exited with code {proc.exitcode}"
+            if kind == "ok":
+                rows.append({**row, "runtime_s": value, "timeout": False})
+            else:
+                rows.append({**row, "runtime_s": None, "timeout": False,
+                             "error": value})
     return rows

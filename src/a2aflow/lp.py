@@ -25,7 +25,6 @@ __all__ = [
     "solve_ilp",
     "register_backend",
     "available_backends",
-    "dump_lp",
 ]
 
 OPTIMAL = "optimal"
@@ -99,7 +98,6 @@ class LpOptions:
     solver: str = "external"
     feas_tol: float = 1e-9
     opt_tol: float = 1e-9
-    compare_tol: float = 1e-6      # acceptance-comparison tolerance
     max_iter: int = 200_000
     refactor_every: int = 100
     node_limit: int = 200_000
@@ -366,7 +364,6 @@ def _solve_reference(model: LpModel, options: LpOptions) -> LpSolution:
 
 register_backend("reference", _solve_reference)
 register_backend("external", _solve_highs)
-register_backend("highs", _solve_highs)
 
 
 # ---------------------------------------------------------------------------
@@ -480,29 +477,3 @@ def _gap_closed(incumbent_obj, bound, sign, alpha):
     if sign > 0:  # minimization: incumbent >= bound
         return incumbent_obj <= bound * (1 + alpha) + 1e-9
     return incumbent_obj >= bound / (1 + alpha) - 1e-9
-
-
-# ---------------------------------------------------------------------------
-# debugging dump
-
-def dump_lp(model: LpModel, path: str) -> None:
-    """Plain-text dump: objective, rows, bounds. Debugging aid only."""
-    with open(path, "w") as fh:
-        fh.write(f"{model.sense}\n")
-        terms = " + ".join(
-            f"{model.c[j]:g} x{j}" for j in np.nonzero(model.c)[0]
-        )
-        fh.write(f"obj: {terms or '0'}\n")
-        for a, b, rel in ((model.a_ub, model.b_ub, "<="),
-                          (model.a_eq, model.b_eq, "==")):
-            if a is None:
-                continue
-            acoo = a.tocoo()
-            rows: dict[int, list[str]] = {}
-            for i, j, v in zip(acoo.row, acoo.col, acoo.data):
-                rows.setdefault(int(i), []).append(f"{v:g} x{j}")
-            for i in range(a.shape[0]):
-                lhs = " + ".join(rows.get(i, ["0"]))
-                fh.write(f"r{i}: {lhs} {rel} {b[i]:g}\n")
-        for j in range(model.n_vars):
-            fh.write(f"x{j} in [{model.lb[j]:g}, {model.ub[j]:g}]\n")

@@ -1,6 +1,7 @@
 """Max-concurrent multi-commodity flow formulations over a Digraph.
 
-Four formulations: link-based, source-decomposed (master + N child LPs),
+Four formulations: link-based, source-decomposed (one master LP whose
+per-source flows are split into per-commodity flows by flow decomposition),
 time-stepped on the time-expanded graph, and path-based. All assemble
 sparse models directly in matrix form and decode the solver output into
 flow solutions with exactly conserved per-commodity flows.
@@ -10,7 +11,6 @@ from __future__ import annotations
 import json
 import warnings
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -138,8 +138,9 @@ def mcf_link(
     """Optimal concurrent rate F and per-commodity link flows.
 
     Conservation is modeled as an inequality (received >= sent at
-    intermediates) and tightened afterwards by a per-commodity trimming pass
-    so the returned flows conserve exactly and deliver exactly F * demand.
+    intermediates) and tightened afterwards by peeling each commodity's flow
+    (``_peel``), so the returned flows conserve exactly and deliver exactly
+    F * demand.
     """
     _check_size(g, force)
     comms = commodities if commodities is not None else all_to_all_commodities(range(g.n))
@@ -154,8 +155,8 @@ def mcf_link(
     flows = {}
     for ci, com in enumerate(comms):
         raw = {e: sol.x[ci * E + e] for e in range(E) if sol.x[ci * E + e] > FLOW_EPS}
-        trimmed = _trim_flow(g, raw, com.src, com.dst, F * com.demand)
-        for e, v in trimmed.items():
+        peeled = _peel(g, raw, com.src, [com.dst], F * com.demand)[com.dst]
+        for e, v in peeled.items():
             if v > FLOW_EPS:
                 flows[(ci, e)] = v
     return LinkFlowSolution(F=F, commodities=list(comms), flows=flows, graph=g)
@@ -219,68 +220,57 @@ def _build_link_model(g: Digraph, comms: list[Commodity]) -> LpModel:
     return LpModel(c=c_obj, sense="max", a_ub=a_ub, b_ub=b_ub, ub=ub)
 
 
-def _trim_flow(g: Digraph, raw: dict[int, float], s: int, d: int,
-               target: float) -> dict[int, float]:
-    """Exact-conservation repair: keep only flow that reaches d.
+def _peel(g: Digraph, x: dict[int, float], s: int, dests: list[int],
+          amount: float) -> dict[int, dict[int, float]]:
+    """Split a single-source flow into per-destination flows of ``amount``.
 
-    Runs a max-flow (shortest augmenting paths) on the flow-induced subgraph
-    with a sink edge of capacity `target`; the result conserves exactly,
-    contains no cycles, and delivers exactly `target` (within solver slack).
+    ``x`` maps edge index -> rate of a flow out of ``s`` in which every other
+    node absorbs >= 0. For each destination in turn, shortest s->d paths in
+    the remaining support are peeled off until d has ``amount``. Removing an
+    s->d path leaves every other node's net inflow unchanged, so each later
+    destination stays reachable and the split is exact (flow decomposition,
+    Ahuja-Magnanti-Orlin ch. 3). Each returned flow conserves exactly and
+    contains no flow into s.
     """
-    if target <= FLOW_EPS:
-        return {}
-    # residual adjacency over edges with positive raw flow
-    arcs = []   # (u, v, cap, eidx)
-    for e, v in raw.items():
-        u, w, _ = g.edges[e]
-        if u != w:
-            arcs.append([u, w, v, e])
-    nbr: dict[int, list[int]] = {}
-    caps = []
-    to = []
-    frm = []
-    for k, (u, w, cap, _) in enumerate(arcs):
-        nbr.setdefault(u, []).append(2 * k)
-        nbr.setdefault(w, []).append(2 * k + 1)
-        frm.extend([u, w])
-        to.extend([w, u])
-        caps.extend([cap, 0.0])
-    remaining = target
-    flow = np.zeros(len(arcs))
-    while remaining > 1e-11:
-        # BFS for shortest augmenting path s -> d
-        prev = {s: -1}
-        dq = deque([s])
-        while dq and d not in prev:
-            u = dq.popleft()
-            for a in nbr.get(u, ()):
-                w = to[a]
-                if w not in prev and caps[a] > 1e-12:
-                    prev[w] = a
-                    dq.append(w)
-        if d not in prev:
-            break
-        # bottleneck
-        push = remaining
-        node = d
-        while node != s:
-            a = prev[node]
-            push = min(push, caps[a])
-            node = frm[a]
-        node = d
-        while node != s:
-            a = prev[node]
-            caps[a] -= push
-            caps[a ^ 1] += push
-            flow[a // 2] += push if a % 2 == 0 else -push
-            node = frm[a]
-        remaining -= push
-    if remaining > 1e-6 * max(target, 1.0):
-        raise McfError(
-            f"conservation repair for commodity ({s},{d}) recovered only "
-            f"{target - remaining:.9g} of {target:.9g}"
-        )
-    return {arcs[k][3]: flow[k] for k in range(len(arcs)) if flow[k] > FLOW_EPS}
+    rest = dict(x)
+    out: dict[int, list[int]] = {}
+    for e, v in x.items():
+        if v > FLOW_EPS:
+            out.setdefault(g.edges[e][0], []).append(e)
+    result = {}
+    for d in dests:
+        need = amount
+        flow: dict[int, float] = {}
+        while need > 1e-11:
+            # BFS for a shortest s -> d path over arcs still carrying flow
+            prev = {s: -1}
+            dq = deque([s])
+            while dq and d not in prev:
+                u = dq.popleft()
+                for e in out.get(u, ()):
+                    w = g.edges[e][1]
+                    if w not in prev and rest[e] > FLOW_EPS:
+                        prev[w] = e
+                        dq.append(w)
+            if d not in prev:
+                break
+            path = []
+            node = d
+            while node != s:
+                path.append(prev[node])
+                node = g.edges[prev[node]][0]
+            push = min(need, min(rest[e] for e in path))
+            for e in path:
+                rest[e] -= push
+                flow[e] = flow.get(e, 0.0) + push
+            need -= push
+        if need > 1e-6 * max(amount, 1.0):
+            raise McfError(
+                f"flow decomposition for commodity ({s},{d}) recovered only "
+                f"{amount - need:.9g} of {amount:.9g}"
+            )
+        result[d] = flow
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -353,106 +343,31 @@ def solve_master(
     return SourceFlowSolution(F=F, sources=sources, flows=flows, graph=g)
 
 
-def _child_model(g: Digraph, caps: np.ndarray, dests: list[int], F: float,
-                 src: int) -> LpModel:
-    """Min-total-flow recovery LP for one source on master-capacity edges."""
-    E, D = g.num_edges, len(dests)
-    n_vars = D * E
-    tails, heads = _node_edge_templates(g)
-    eidx = np.arange(E, dtype=np.int64)
-    rows_list, cols_list, vals_list = [], [], []
-    cap_cols = (np.arange(D)[:, None] * E + eidx[None, :]).ravel()
-    rows_list.append(np.tile(eidx, D))
-    cols_list.append(cap_cols)
-    vals_list.append(np.ones(D * E))
-    b_parts = [caps * (1 + 1e-9) + 1e-12]
-
-    cons_base = E
-    for di, d in enumerate(dests):
-        keep_out = (tails != src) & (tails != d)
-        keep_in = (heads != src) & (heads != d)
-        r = np.concatenate([tails[keep_out], heads[keep_in]]) + cons_base + di * g.n
-        c = np.concatenate([eidx[keep_out], eidx[keep_in]]) + di * E
-        v = np.concatenate([np.ones(keep_out.sum()), -np.ones(keep_in.sum())])
-        rows_list.append(r)
-        cols_list.append(c)
-        vals_list.append(v)
-    b_parts.append(np.zeros(D * g.n))
-
-    dem_base = E + D * g.n
-    for di, d in enumerate(dests):
-        into_d = eidx[heads == d]
-        rows_list.append(np.full(into_d.size, dem_base + di))
-        cols_list.append(into_d + di * E)
-        vals_list.append(-np.ones(into_d.size))
-    b_parts.append(np.full(D, -(F - 1e-9 * max(F, 1.0))))
-
-    a_ub = sp.csr_matrix(
-        (np.concatenate(vals_list),
-         (np.concatenate(rows_list), np.concatenate(cols_list))),
-        shape=(dem_base + D, n_vars),
-    )
-    ub = np.full(n_vars, np.inf)
-    for di, d in enumerate(dests):
-        ub[di * E + eidx[heads == src]] = 0.0
-        ub[di * E + eidx[tails == d]] = 0.0
-    return LpModel(c=np.ones(n_vars), sense="min", a_ub=a_ub,
-                   b_ub=np.concatenate(b_parts), ub=ub)
-
-
-def _solve_child(args):
-    g, caps, dests, F, src, options = args
-    model = _child_model(g, caps, dests, F, src)
-    sol = solve_lp(model, options)
-    if not sol.optimal:
-        raise McfError(
-            f"child LP for source {src} returned {sol.status}; the master "
-            "solution guarantees feasibility, so this is a solver bug"
-        )
-    E = g.num_edges
-    out = {}
-    for di, d in enumerate(dests):
-        raw = {e: sol.x[di * E + e] for e in range(E) if sol.x[di * E + e] > FLOW_EPS}
-        out[d] = _trim_flow(g, raw, src, d, F)
-    return src, out
-
-
 def mcf_decomposed(
     g: Digraph,
     commodities: list[Commodity] | None = None,
-    workers: int | None = None,
     options: LpOptions | None = None,
     want_flows: bool = True,
 ) -> LinkFlowSolution:
-    """Master LP over source-grouped flows + N parallel child LPs.
+    """Master LP over source-grouped flows + per-source flow decomposition.
 
-    Returns the same F as mcf_link; the children recover per-commodity flows
-    under the master's per-source capacities with a min-total-flow objective
-    (suppresses gratuitous cycles). ``want_flows=False`` skips the children
-    when only F is needed (topology studies).
+    Returns the same F as mcf_link. Per-commodity flows are recovered by
+    peeling each source's master flow into its destinations (``_peel``), with
+    no further LP. ``want_flows=False`` skips the recovery when only F is
+    needed (topology studies).
     """
     comms = commodities if commodities is not None else all_to_all_commodities(range(g.n))
     master = solve_master(g, comms, options)
     if not want_flows:
         return LinkFlowSolution(F=master.F, commodities=list(comms), flows={},
                                 graph=g)
-    E = g.num_edges
-    dests = {s: sorted({c.dst for c in comms if c.src == s}) for s in master.sources}
-    jobs = []
+    per_source: dict[int, dict[int, float]] = {}
+    for (si, e), v in master.flows.items():
+        per_source.setdefault(si, {})[e] = v
+    results = {}
     for si, s in enumerate(master.sources):
-        caps = np.zeros(E)
-        for e in range(E):
-            caps[e] = master.flows.get((si, e), 0.0)
-        jobs.append((g, caps, dests[s], master.F, s, options))
-    results: dict[int, dict] = {}
-    if workers is None or workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for src, out in pool.map(_solve_child, jobs):
-                results[src] = out
-    else:
-        for job in jobs:
-            src, out = _solve_child(job)
-            results[src] = out
+        dests = sorted({c.dst for c in comms if c.src == s})
+        results[s] = _peel(g, per_source.get(si, {}), s, dests, master.F)
     flows = {}
     for ci, com in enumerate(comms):
         for e, v in results[com.src][com.dst].items():

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import pytest
 
-from a2aflow.evaluate import (EvalError, compare_topologies,
+from a2aflow.evaluate import (EvalError, bench_runtimes, compare_topologies,
                               eval_path_alltoall, replay_timestep_schedule)
 from a2aflow.graphs import gen_gen_kautz, gen_torus
 from a2aflow.mcf import mcf_link, mcf_timestepped
@@ -112,3 +112,16 @@ class TestCompare:
         (r,) = compare_topologies([("t9", g)], d=4)
         assert r.throughput(m=1.0, b=1.0) \
             <= (g.n - 1) * r.F * 1.0 + 1e-6
+
+
+class TestBench:
+    def test_rows_for_result_and_error(self):
+        ok, bad = bench_runtimes([8], 2, ["sssp", "nope"], timeout_s=120)
+        assert ok["runtime_s"] >= 0 and ok["timeout"] is False
+        assert bad["runtime_s"] is None and bad["timeout"] is False
+        assert "unknown algorithm" in bad["error"]
+
+    def test_timeout_terminates_run(self):
+        (row,) = bench_runtimes([64], 4, ["decomp"], timeout_s=0.01)
+        assert row == {"algo": "decomp", "n": 64, "d": 4,
+                       "runtime_s": None, "timeout": True}

@@ -3,11 +3,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from a2aflow.graphs import (Digraph, augment_host_bottleneck,
                             gen_complete_bipartite, gen_de_bruijn,
-                            gen_hypercube, gen_torus)
-from a2aflow.mcf import (Commodity, McfError, all_to_all_commodities,
+                            gen_hypercube, gen_random_regular, gen_torus,
+                            puncture)
+from a2aflow.mcf import (Commodity, McfError, _peel, all_to_all_commodities,
                          flow_scale_check, load_solution, mcf_decomposed,
                          mcf_link, mcf_path, mcf_timestepped, save_solution,
                          solve_master)
@@ -75,7 +78,7 @@ class TestDecomposed:
     def test_matches_link_and_conserves(self):
         g = gen_complete_bipartite(4)
         lk = mcf_link(g)
-        dc = mcf_decomposed(g, workers=1)
+        dc = mcf_decomposed(g)
         assert dc.F == pytest.approx(lk.F, abs=1e-6)
         check_conservation(g, dc, tol=1e-6)
 
@@ -85,14 +88,6 @@ class TestDecomposed:
         assert dc.F == pytest.approx(1 / 3, abs=1e-6)
         assert dc.flows == {}
 
-    def test_parallel_children_match_serial(self):
-        g = gen_torus([3, 3])
-        a = mcf_decomposed(g, workers=1)
-        b = mcf_decomposed(g, workers=2)
-        assert a.F == pytest.approx(b.F, abs=1e-9)
-        check_conservation(g, a, tol=1e-6)
-        check_conservation(g, b, tol=1e-6)
-
     def test_master_solution_covers_per_source_flows(self):
         g = gen_torus([3, 3])
         master = solve_master(g)
@@ -101,6 +96,62 @@ class TestDecomposed:
         for (_, e), v in master.flows.items():
             load[e] += v
         assert (load <= np.asarray(g.capacities) + 1e-8).all()
+
+
+    def test_gk64_extraction_quantizes_exactly(self, suite, decomp_solutions):
+        from a2aflow.paths import extract_widest_paths
+        from a2aflow.schedule import DEFAULT_Q_MAX, compile_path_schedule
+
+        g = dict((name, g) for name, g, _ in suite)["genkautz64"]
+        wps = extract_widest_paths(g, decomp_solutions["genkautz64"])
+        _, sched = compile_path_schedule(g, wps)
+        # peeled flows are exact fractions of the master flow, so the
+        # weights share a small common denominator and need no fallback
+        assert sched.Q < DEFAULT_Q_MAX
+
+
+class TestPeel:
+    @settings(max_examples=20, deadline=None)
+    @given(kind=st.sampled_from(["rrg", "punctured"]),
+           seed=st.integers(0, 10_000), k=st.integers(1, 4))
+    def test_exact_split_of_master_flow(self, kind, seed, k):
+        if kind == "rrg":
+            g = gen_random_regular(6 + seed % 5, 2 + seed % 2, seed=seed)
+        else:
+            g = puncture(gen_torus([3, 3, 3]), "edges", k, seed=seed)
+        master = solve_master(g)
+        for si, s in enumerate(master.sources):
+            x = {e: v for (i, e), v in master.flows.items() if i == si}
+            dests = [d for d in range(g.n) if d != s]
+            split = _peel(g, x, s, dests, master.F)
+            total = np.zeros(g.num_edges)
+            for d, flow in split.items():
+                bal = np.zeros(g.n)
+                for e, v in flow.items():
+                    u, w, _ = g.edges[e]
+                    bal[u] += v
+                    bal[w] -= v
+                    total[e] += v
+                assert -bal[d] == pytest.approx(master.F, abs=1e-9)
+                assert bal[s] == pytest.approx(master.F, abs=1e-9)
+                others = [bal[u] for u in range(g.n) if u not in (s, d)]
+                assert max(map(abs, others), default=0.0) <= 1e-12
+            for e in range(g.num_edges):
+                assert total[e] <= x.get(e, 0.0) + 1e-12
+
+    def test_short_flow_rejected(self):
+        g = gen_torus([3], bidirectional=False)
+        x = {g.edge_index[(0, 1)]: 0.5}
+        with pytest.raises(McfError):
+            _peel(g, x, 0, [1], 1.0)
+
+    def test_cycle_left_behind(self):
+        # 0 -> 1 -> 2 plus a circulation 1 -> 2 -> 1; only the path is kept
+        g = Digraph.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0), (2, 1, 1.0)])
+        ei = g.edge_index
+        x = {ei[(0, 1)]: 1.0, ei[(1, 2)]: 1.5, ei[(2, 1)]: 0.5}
+        split = _peel(g, x, 0, [2], 1.0)
+        assert split[2] == {ei[(0, 1)]: 1.0, ei[(1, 2)]: 1.0}
 
 
 class TestHostBottleneck:
