@@ -6,6 +6,7 @@ all-to-all time against the analytical lower bound.
 """
 from __future__ import annotations
 
+import bisect
 import multiprocessing
 import queue
 import time
@@ -54,6 +55,22 @@ class EvalReport:
                 "runtime_s": self.runtime_s, "F": self.F, **self.extra}
 
 
+def _add_range(bounds: list[int], c0: int, c1: int) -> None:
+    """Merge [c0, c1) into ``bounds``, the flattened ends of sorted, disjoint
+    half-open intervals [b0, b1), [b2, b3), ...; touching intervals join."""
+    lo = bisect.bisect_left(bounds, c0)
+    hi = bisect.bisect_right(bounds, c1)
+    bounds[lo:hi] = ([c0] if lo % 2 == 0 else []) + ([c1] if hi % 2 == 0 else [])
+
+
+def _first_missing(bounds: list[int], c0: int, c1: int) -> int | None:
+    """First chunk of [c0, c1) outside the intervals in ``bounds``."""
+    i = bisect.bisect_right(bounds, c0)
+    if i % 2 == 0:
+        return c0
+    return bounds[i] if bounds[i] < c1 else None
+
+
 def replay_timestep_schedule(
     g: Digraph,
     sched,
@@ -66,20 +83,16 @@ def replay_timestep_schedule(
     Store-and-forward: a step costs max over links of bytes/(cap*b), plus
     sync_latency. Verifies that every chunk sent is present at its source at
     the start of the step and that each shard arrives at its destination
-    exactly once.
+    exactly once. Holdings are tracked as chunk intervals per (node, shard);
+    a shard's source holds all of [0, Q).
     """
     if sched.mode != "ts":
         raise EvalError("replay_timestep_schedule expects a ts-mode schedule")
     if g.n != sched.n:
         raise EvalError(f"graph has {g.n} nodes, schedule says {sched.n}")
     chunk_bytes = m / sched.Q
-    # holdings[node][(s,d)] = set of chunk ids present
-    holdings = [defaultdict(set) for _ in range(g.n)]
-    for s in range(g.n):
-        for d in range(g.n):
-            if s != d:
-                holdings[s][(s, d)] = set(range(sched.Q))
-    arrivals: dict[tuple[int, int, int], int] = defaultdict(int)
+    holdings: dict[tuple[int, int, int], list[int]] = defaultdict(list)
+    arrivals: dict[tuple[int, int], list[tuple[int, int]]] = defaultdict(list)
     by_step = defaultdict(list)
     for ins in sched.instructions:
         by_step[ins.t].append(ins)
@@ -91,12 +104,12 @@ def replay_timestep_schedule(
         for ins in by_step.get(t, ()):
             if (ins.src, ins.dst) not in eidx:
                 raise EvalError(f"step {t}: no link {ins.src}->{ins.dst}")
-            chunks = range(ins.c0, ins.c1)
-            have = holdings[ins.src][(ins.s, ins.d)]
-            missing = [c for c in chunks if c not in have]
-            if missing:
+            have = ([0, sched.Q] if ins.src == ins.s != ins.d
+                    else holdings[(ins.src, ins.s, ins.d)])
+            missing = _first_missing(have, ins.c0, ins.c1)
+            if missing is not None:
                 raise EvalError(
-                    f"step {t}: node {ins.src} sends chunk {missing[0]} of "
+                    f"step {t}: node {ins.src} sends chunk {missing} of "
                     f"shard ({ins.s},{ins.d}) it does not hold"
                 )
             link_bytes[(ins.src, ins.dst)] += (ins.c1 - ins.c0) * chunk_bytes
@@ -107,24 +120,24 @@ def replay_timestep_schedule(
             step_time = max(step_time, bts / (cap * b))
         T += step_time + sync_latency
         for ins in incoming:
-            tgt = holdings[ins.dst][(ins.s, ins.d)]
-            for c in range(ins.c0, ins.c1):
-                tgt.add(c)
-                if ins.dst == ins.d:
-                    arrivals[(ins.s, ins.d, c)] += 1
-    # transpose check: every chunk of every shard at its destination, once
+            _add_range(holdings[(ins.dst, ins.s, ins.d)], ins.c0, ins.c1)
+            if ins.dst == ins.d:
+                arrivals[(ins.s, ins.d)].append((ins.c0, ins.c1))
+    # transpose check: the arrivals of every shard tile [0, Q) exactly
     for s in range(g.n):
         for d in range(g.n):
             if s == d:
                 continue
-            for c in range(sched.Q):
-                got = arrivals[(s, d, c)]
-                if got == 0:
+            end = 0
+            for c0, c1 in sorted(arrivals.get((s, d), ())):
+                if c0 < end:
                     raise EvalError(
-                        f"shard ({s},{d}) chunk {c} never delivered")
-                if got > 1:
-                    raise EvalError(
-                        f"shard ({s},{d}) chunk {c} delivered {got} times")
+                        f"shard ({s},{d}) chunk {c0} delivered more than once")
+                if c0 > end:
+                    break
+                end = c1
+            if end < sched.Q:
+                raise EvalError(f"shard ({s},{d}) chunk {end} never delivered")
     return T, True
 
 

@@ -4,7 +4,8 @@ branch-and-bound layer for integer models, and a pluggable backend registry.
 The reference solver exists as an independently-written engine for
 cross-checking and for small models; the registered ``external`` backend
 (scipy/HiGHS) is the default engine for production-size flow LPs.
-Both honor the same statuses and tolerances.
+Both report the same statuses. Only the reference solver reads
+``feas_tol``, ``opt_tol`` and ``max_iter``; HiGHS runs with its own defaults.
 """
 from __future__ import annotations
 
@@ -31,6 +32,7 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 ITERATION_LIMIT = "iteration-limit"
+NUMERICAL = "numerical-difficulties"
 
 
 class LpError(RuntimeError):
@@ -144,9 +146,9 @@ def _solve_highs(model: LpModel, options: LpOptions) -> LpSolution:
         bounds=np.column_stack([model.lb, model.ub]),
         method=method,
     )
-    status = {0: OPTIMAL, 1: ITERATION_LIMIT, 2: INFEASIBLE, 3: UNBOUNDED}.get(
-        res.status, INFEASIBLE
-    )
+    # an unknown code is not evidence of infeasibility; report it as is
+    status = {0: OPTIMAL, 1: ITERATION_LIMIT, 2: INFEASIBLE, 3: UNBOUNDED,
+              4: NUMERICAL}.get(res.status, f"highs-status-{res.status}")
     x = np.asarray(res.x) if res.x is not None else None
     obj = float(model.c @ x) if (x is not None and status == OPTIMAL) else math.nan
     duals_ub = duals_eq = None

@@ -1,10 +1,12 @@
 """Max-concurrent multi-commodity flow formulations over a Digraph.
 
 Four formulations: link-based, source-decomposed (one master LP whose
-per-source flows are split into per-commodity flows by flow decomposition),
-time-stepped on the time-expanded graph, and path-based. All assemble
-sparse models directly in matrix form and decode the solver output into
-flow solutions with exactly conserved per-commodity flows.
+per-source flows are split into per-commodity flows), time-stepped (one flow
+per source on the time-expanded graph with holdover arcs for buffering), and
+path-based. All assemble sparse models directly in matrix form. The link,
+source-decomposed and time-stepped models recover per-commodity flows with
+one shared flow decomposition (``_peel``), so those flows conserve exactly
+and deliver exactly their demand.
 """
 from __future__ import annotations
 
@@ -152,11 +154,12 @@ def mcf_link(
         raise McfError(f"link MCF LP did not solve: {sol.status} {sol.message}")
     E = g.num_edges
     F = float(sol.x[-1])
+    tails, heads = (t.tolist() for t in _node_edge_templates(g))
     flows = {}
     for ci, com in enumerate(comms):
         raw = {e: sol.x[ci * E + e] for e in range(E) if sol.x[ci * E + e] > FLOW_EPS}
-        peeled = _peel(g, raw, com.src, [com.dst], F * com.demand)[com.dst]
-        for e, v in peeled.items():
+        (paths,) = _peel(tails, heads, raw, com.src, [(com.dst, F * com.demand)])
+        for e, v in _path_sum(paths).items():
             if v > FLOW_EPS:
                 flows[(ci, e)] = v
     return LinkFlowSolution(F=F, commodities=list(comms), flows=flows, graph=g)
@@ -220,37 +223,38 @@ def _build_link_model(g: Digraph, comms: list[Commodity]) -> LpModel:
     return LpModel(c=c_obj, sense="max", a_ub=a_ub, b_ub=b_ub, ub=ub)
 
 
-def _peel(g: Digraph, x: dict[int, float], s: int, dests: list[int],
-          amount: float) -> dict[int, dict[int, float]]:
-    """Split a single-source flow into per-destination flows of ``amount``.
+def _peel(tails, heads, x: dict[int, float], s: int,
+          targets: list[tuple[int, float]]) -> list[list[tuple[list[int], float]]]:
+    """Split a single-source flow into weighted paths, one list per target.
 
-    ``x`` maps edge index -> rate of a flow out of ``s`` in which every other
-    node absorbs >= 0. For each destination in turn, shortest s->d paths in
-    the remaining support are peeled off until d has ``amount``. Removing an
+    Arc ``a`` runs from ``tails[a]`` to ``heads[a]``; ``x`` maps arc index ->
+    rate of a flow out of ``s`` in which every other node absorbs >= 0. For
+    each (d, amount) in ``targets`` in turn, shortest s->d paths in the
+    remaining support are peeled off until they carry ``amount``. Removing an
     s->d path leaves every other node's net inflow unchanged, so each later
-    destination stays reachable and the split is exact (flow decomposition,
-    Ahuja-Magnanti-Orlin ch. 3). Each returned flow conserves exactly and
-    contains no flow into s.
+    target stays reachable and the split is exact (flow decomposition,
+    Ahuja-Magnanti-Orlin ch. 3). Returns, per target, (arc list, rate) pairs
+    whose paths never re-enter s.
     """
     rest = dict(x)
     out: dict[int, list[int]] = {}
-    for e, v in x.items():
+    for a, v in x.items():
         if v > FLOW_EPS:
-            out.setdefault(g.edges[e][0], []).append(e)
-    result = {}
-    for d in dests:
+            out.setdefault(tails[a], []).append(a)
+    result = []
+    for d, amount in targets:
         need = amount
-        flow: dict[int, float] = {}
+        paths = []
         while need > 1e-11:
             # BFS for a shortest s -> d path over arcs still carrying flow
             prev = {s: -1}
             dq = deque([s])
             while dq and d not in prev:
                 u = dq.popleft()
-                for e in out.get(u, ()):
-                    w = g.edges[e][1]
-                    if w not in prev and rest[e] > FLOW_EPS:
-                        prev[w] = e
+                for a in out.get(u, ()):
+                    w = heads[a]
+                    if w not in prev and rest[a] > FLOW_EPS:
+                        prev[w] = a
                         dq.append(w)
             if d not in prev:
                 break
@@ -258,19 +262,29 @@ def _peel(g: Digraph, x: dict[int, float], s: int, dests: list[int],
             node = d
             while node != s:
                 path.append(prev[node])
-                node = g.edges[prev[node]][0]
-            push = min(need, min(rest[e] for e in path))
-            for e in path:
-                rest[e] -= push
-                flow[e] = flow.get(e, 0.0) + push
+                node = tails[prev[node]]
+            path.reverse()
+            push = min(need, min(rest[a] for a in path))
+            for a in path:
+                rest[a] -= push
+            paths.append((path, push))
             need -= push
         if need > 1e-6 * max(amount, 1.0):
             raise McfError(
-                f"flow decomposition for commodity ({s},{d}) recovered only "
-                f"{amount - need:.9g} of {amount:.9g}"
+                f"flow decomposition from node {s} to node {d} recovered "
+                f"only {amount - need:.9g} of {amount:.9g}"
             )
-        result[d] = flow
+        result.append(paths)
     return result
+
+
+def _path_sum(paths: list[tuple[list[int], float]]) -> dict[int, float]:
+    """Arc rates of a weighted path list."""
+    flow: dict[int, float] = {}
+    for arcs, w in paths:
+        for a in arcs:
+            flow[a] = flow.get(a, 0.0) + w
+    return flow
 
 
 # ---------------------------------------------------------------------------
@@ -364,10 +378,13 @@ def mcf_decomposed(
     per_source: dict[int, dict[int, float]] = {}
     for (si, e), v in master.flows.items():
         per_source.setdefault(si, {})[e] = v
+    tails, heads = (t.tolist() for t in _node_edge_templates(g))
     results = {}
     for si, s in enumerate(master.sources):
         dests = sorted({c.dst for c in comms if c.src == s})
-        results[s] = _peel(g, per_source.get(si, {}), s, dests, master.F)
+        peeled = _peel(tails, heads, per_source.get(si, {}), s,
+                       [(d, master.F) for d in dests])
+        results[s] = {d: _path_sum(paths) for d, paths in zip(dests, peeled)}
     flows = {}
     for ci, com in enumerate(comms):
         for e, v in results[com.src][com.dst].items():
@@ -386,125 +403,73 @@ def mcf_timestepped(
     commodities: list[Commodity] | None = None,
     options: LpOptions | None = None,
 ) -> TimeExpandedSolution:
-    """Minimal total per-step utilization delivering one unit per commodity.
+    """Minimal total per-step utilization delivering every commodity's demand.
 
-    Flows live on the time-expanded graph; buffering at a node is implicit in
-    the cumulative conservation constraints (sent-by-t <= received-before-t).
+    One flow per source on the time-expanded DAG: nodes (u, k) for
+    k = 0..l_max, a transport arc (u, k) -> (v, k+1) per edge and step, and a
+    holdover arc (u, k) -> (u, k+1) per node and step that models buffering.
+    Source s supplies its total demand at (s, 0) and each destination d
+    absorbs demand(s, d) at (d, l_max); per step k, the sources together may
+    use at most cap_e * U_k of edge e, and the LP minimizes sum U_k.
+    Per-commodity trajectories are peeled from each source's flow
+    (``_peel``) and cut at their first arrival at the destination.
     Infeasible when l_max < diameter.
     """
     if l_max < 1:
         raise McfError("l_max must be >= 1")
     comms = commodities if commodities is not None else all_to_all_commodities(range(g.n))
-    E, C, T = g.num_edges, len(comms), l_max
+    if not comms:
+        raise McfError("no commodities")
+    N, E, T = g.n, g.num_edges, l_max
+    sources = sorted({c.src for c in comms})
+    S = len(sources)
     tails, heads = _node_edge_templates(g)
-    eidx = np.arange(E, dtype=np.int64)
 
-    # variable layout: f[c,e,t] = ((c*E)+e)*T + t ; U_t at C*E*T + t
-    nf = C * E * T
-    n_vars = nf + T
+    # TE node (u, k) is k*N + u. Arcs: transport k*E + e, then holdover
+    # E*T + k*N + u. Variables: source block si*A + arc, then U_k at S*A + k.
+    NT, A = N * (T + 1), (E + N) * T
+    steps = np.arange(T)
+    arc_tail = np.concatenate([(steps[:, None] * N + tails).ravel(),
+                               (steps[:, None] * N + np.arange(N)).ravel()])
+    arc_head = arc_tail + N
+    arc_head[:E * T] = ((steps[:, None] + 1) * N + heads).ravel()
+    n_vars = S * A + T
 
-    def var(ci, e, t):
-        return (ci * E + e) * T + t
-
-    rows_list, cols_list, vals_list = [], [], []
-    ub_b = []
-    row = 0
-
-    # capacity: sum_c f[c,e,t] - cap_e * U_t <= 0
-    for t in range(T):
-        for e in range(E):
-            cols = (np.arange(C) * E + e) * T + t
-            rows_list.append(np.full(C + 1, row))
-            cols_list.append(np.concatenate([cols, [nf + t]]))
-            vals_list.append(np.concatenate([np.ones(C), [-g.capacities[e]]]))
-            ub_b.append(0.0)
-            row += 1
-
-    out_edges = [np.asarray([e for e in range(E) if tails[e] == u], dtype=np.int64)
-                 for u in range(g.n)]
-    in_edges = [np.asarray([e for e in range(E) if heads[e] == u], dtype=np.int64)
-                for u in range(g.n)]
-
-    # cumulative conservation at intermediates, every step
-    for ci, com in enumerate(comms):
-        for u in range(g.n):
-            if u in (com.src, com.dst):
-                continue
-            oe, ie = out_edges[u], in_edges[u]
-            if oe.size == 0 and ie.size == 0:
-                continue
-            for t in range(T):
-                cols = [var(ci, e, tp) for e in oe for tp in range(t + 1)]
-                vals = [1.0] * len(cols)
-                cols += [var(ci, e, tp) for e in ie for tp in range(t)]
-                vals += [-1.0] * (len(cols) - len(vals))
-                rows_list.append(np.full(len(cols), row))
-                cols_list.append(np.asarray(cols))
-                vals_list.append(np.asarray(vals))
-                ub_b.append(0.0)
-                row += 1
-
-    a_ub = sp.csr_matrix(
-        (np.concatenate(vals_list),
-         (np.concatenate(rows_list), np.concatenate(cols_list))),
-        shape=(row, n_vars),
-    )
-    b_ub = np.asarray(ub_b)
-
-    eq_rows, eq_cols, eq_vals, eq_b = [], [], [], []
-    erow = 0
-    for ci, com in enumerate(comms):
-        # totals balance at intermediates
-        for u in range(g.n):
-            if u in (com.src, com.dst):
-                continue
-            oe, ie = out_edges[u], in_edges[u]
-            if oe.size == 0 and ie.size == 0:
-                continue
-            cols = [var(ci, e, t) for e in oe for t in range(T)]
-            vals = [1.0] * len(cols)
-            cols += [var(ci, e, t) for e in ie for t in range(T)]
-            vals += [-1.0] * (len(cols) - len(vals))
-            eq_rows.append(np.full(len(cols), erow))
-            eq_cols.append(np.asarray(cols))
-            eq_vals.append(np.asarray(vals))
-            eq_b.append(0.0)
-            erow += 1
-        # unit demand: source sends 1, destination receives 1
-        cols = [var(ci, e, t) for e in out_edges[com.src] for t in range(T)]
-        eq_rows.append(np.full(len(cols), erow))
-        eq_cols.append(np.asarray(cols))
-        eq_vals.append(np.ones(len(cols)))
-        eq_b.append(com.demand)
-        erow += 1
-        cols = [var(ci, e, t) for e in in_edges[com.dst] for t in range(T)]
-        eq_rows.append(np.full(len(cols), erow))
-        eq_cols.append(np.asarray(cols))
-        eq_vals.append(np.ones(len(cols)))
-        eq_b.append(com.demand)
-        erow += 1
-
+    # balance per (s, u, k): out - in = supply at (s, 0), -demand at (d, T)
+    blk_rows = np.arange(S)[:, None] * NT
+    blk_cols = np.arange(S)[:, None] * A + np.arange(A)
     a_eq = sp.csr_matrix(
-        (np.concatenate(eq_vals),
-         (np.concatenate(eq_rows), np.concatenate(eq_cols))),
-        shape=(erow, n_vars),
+        (np.concatenate([np.ones(S * A), -np.ones(S * A)]),
+         (np.concatenate([(blk_rows + arc_tail).ravel(),
+                          (blk_rows + arc_head).ravel()]),
+          np.concatenate([blk_cols.ravel(), blk_cols.ravel()]))),
+        shape=(S * NT, n_vars),
     )
-    b_eq = np.asarray(eq_b)
+    sidx = {s: si for si, s in enumerate(sources)}
+    row0, src, dst = np.array([(sidx[c.src] * NT, c.src, c.dst) for c in comms]).T
+    demand = np.array([c.demand for c in comms])
+    b_eq = np.zeros(S * NT)
+    np.add.at(b_eq, row0 + src, demand)
+    np.add.at(b_eq, row0 + T * N + dst, -demand)
 
-    ub = np.ones(n_vars)
-    ub[nf:] = np.inf
-    # flow into a source or out of a destination never helps; pin it to zero
-    for ci, com in enumerate(comms):
-        for e in in_edges[com.src]:
-            for t in range(T):
-                ub[var(ci, e, t)] = 0.0
-        for e in out_edges[com.dst]:
-            for t in range(T):
-                ub[var(ci, e, t)] = 0.0
+    # capacity per (e, k): sum_s x[s, e, k] - cap_e * U_k <= 0
+    cap_rows = np.arange(E * T)
+    a_ub = sp.csr_matrix(
+        (np.concatenate([np.ones(S * E * T),
+                         -np.tile(np.asarray(g.capacities, dtype=float), T)]),
+         (np.concatenate([np.tile(cap_rows, S), cap_rows]),
+          np.concatenate([blk_cols[:, :E * T].ravel(),
+                          S * A + np.repeat(steps, E)]))),
+        shape=(E * T, n_vars),
+    )
 
+    # flow back into its own source never helps; pin it to zero
+    ub = np.full(n_vars, np.inf)
+    into_src = arc_head[:E * T] % N == np.asarray(sources)[:, None]
+    ub[blk_cols[:, :E * T][into_src]] = 0.0
     c_obj = np.zeros(n_vars)
-    c_obj[nf:] = 1.0
-    model = LpModel(c=c_obj, sense="min", a_ub=a_ub, b_ub=b_ub,
+    c_obj[S * A:] = 1.0
+    model = LpModel(c=c_obj, sense="min", a_ub=a_ub, b_ub=np.zeros(E * T),
                     a_eq=a_eq, b_eq=b_eq, ub=ub)
     sol = solve_lp(model, options)
     if sol.status == "infeasible":
@@ -514,17 +479,34 @@ def mcf_timestepped(
         )
     if not sol.optimal:
         raise McfError(f"time-stepped MCF LP did not solve: {sol.status}")
-    U = np.asarray(sol.x[nf:])
-    flows = {}
-    for ci in range(C):
-        base = ci * E * T
-        chunkv = sol.x[base: base + E * T]
-        nz = np.nonzero(chunkv > FLOW_EPS)[0]
-        for k in nz:
-            e, t = divmod(int(k), T)
-            flows[(ci, e, t)] = float(chunkv[k])
-    return TimeExpandedSolution(l_max=T, U=U, commodities=list(comms),
-                                flows=flows, graph=g)
+
+    arc_tail, arc_head = arc_tail.tolist(), arc_head.tolist()
+    heads = heads.tolist()
+    by_src: dict[int, list[int]] = {s: [] for s in sources}
+    for ci, c in enumerate(comms):
+        by_src[c.src].append(ci)
+    flows: dict[tuple[int, int, int], float] = {}
+    for si, s in enumerate(sources):
+        x = sol.x[si * A:(si + 1) * A]
+        nz = np.flatnonzero(x > FLOW_EPS)
+        cis = by_src[s]
+        peeled = _peel(arc_tail, arc_head, dict(zip(nz.tolist(), x[nz].tolist())),
+                       s, [(T * N + comms[ci].dst, comms[ci].demand) for ci in cis])
+        for ci, paths in zip(cis, peeled):
+            d = comms[ci].dst
+            for arcs, w in paths:
+                # holdover arcs are implicit waiting. A path may reach d
+                # before step T, leave and return; the commodity's share ends
+                # at its first arrival, or d would receive more than its demand
+                for a in arcs:
+                    if a >= E * T:
+                        continue
+                    k, e = divmod(a, E)
+                    flows[(ci, e, k)] = flows.get((ci, e, k), 0.0) + w
+                    if heads[e] == d:
+                        break
+    return TimeExpandedSolution(l_max=T, U=np.asarray(sol.x[S * A:]),
+                                commodities=list(comms), flows=flows, graph=g)
 
 
 # ---------------------------------------------------------------------------

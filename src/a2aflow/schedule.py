@@ -134,20 +134,17 @@ def _counts_at(rates, Q: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # time-stepped lowering
 
-def _decompose_trajectories(g: Digraph, ts, ci: int):
+def _decompose_trajectories(g: Digraph, com, flow: dict):
     """Split one commodity's time-expanded flow into weighted trajectories.
 
-    A trajectory is a list of (t, edge) hops from the source at step 0 to the
-    destination; waiting in a node buffer between hops is implicit. Greedy
-    peeling consumes every transport value exactly (flow conservation on the
+    ``flow`` maps (edge, step) -> rate for commodity ``com``. A trajectory is
+    a list of (t, edge) hops from the source at step 0 to the destination;
+    waiting in a node buffer between hops is implicit. Greedy peeling
+    consumes every transport value exactly (flow conservation on the
     time-expanded DAG guarantees a source-to-destination path while any
     residual remains).
     """
-    com = ts.commodities[ci]
-    T = ts.l_max
-    residual = {
-        (e, t): v for (c, e, t), v in ts.flows.items() if c == ci and v > 1e-12
-    }
+    residual = {k: v for k, v in flow.items() if v > 1e-12}
     out_by_node: dict[int, list] = {}
     for (e, t) in residual:
         u = g.edges[e][0]
@@ -206,10 +203,13 @@ def compile_timestep_schedule(
     """
     sched = ChunkedSchedule(n=g.n, nsteps=ts.l_max, chunk_bytes=0.0, Q=1,
                             mode="ts")
+    by_comm: dict[int, dict] = {}
+    for (ci, e, t), v in ts.flows.items():
+        by_comm.setdefault(ci, {})[(e, t)] = v
     per_comm = []
     Q = 1
     for ci, com in enumerate(ts.commodities):
-        trajs = _decompose_trajectories(g, ts, ci)
+        trajs = _decompose_trajectories(g, com, by_comm.get(ci, {}))
         weights = [w for _, w in trajs]
         chunking = quantize_flows(weights, q_max)
         Q = Q * chunking.Q // math.gcd(Q, chunking.Q)

@@ -2,13 +2,17 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from a2aflow.evaluate import (EvalError, bench_runtimes, compare_topologies,
+from a2aflow.evaluate import (EvalError, _add_range, _first_missing,
+                              bench_runtimes, compare_topologies,
                               eval_path_alltoall, replay_timestep_schedule)
 from a2aflow.graphs import gen_gen_kautz, gen_torus
 from a2aflow.mcf import mcf_link, mcf_timestepped
 from a2aflow.paths import WeightedPathSet, extract_widest_paths, sssp_routes
-from a2aflow.schedule import Instruction, compile_timestep_schedule
+from a2aflow.schedule import (ChunkedSchedule, Instruction,
+                              compile_timestep_schedule)
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +61,47 @@ class TestReplay:
             Instruction(t=0, src=0, dst=2, s=0, d=2, c0=0, c1=1))
         with pytest.raises(EvalError, match="no link"):
             replay_timestep_schedule(g, broken)
+
+
+    def test_chunk_delivered_twice_detected(self, ring3_sched):
+        g, ts, sched = ring3_sched
+        import copy
+
+        broken = copy.deepcopy(sched)
+        last_hop = next(i for i in broken.instructions if i.dst == i.d)
+        broken.instructions.append(last_hop)
+        with pytest.raises(EvalError, match="delivered more than once"):
+            replay_timestep_schedule(g, broken)
+
+    def test_partly_held_range_detected(self):
+        # node 1 receives chunk 0 of shard (0,2) but forwards chunks [0, 2)
+        g = gen_torus([3], bidirectional=False)
+        sched = ChunkedSchedule(n=3, nsteps=2, chunk_bytes=0.5, Q=2,
+                                mode="ts", instructions=[
+            Instruction(t=0, src=0, dst=1, s=0, d=2, c0=0, c1=1),
+            Instruction(t=1, src=1, dst=2, s=0, d=2, c0=0, c1=2),
+        ])
+        with pytest.raises(EvalError, match="sends chunk 1 of shard"):
+            replay_timestep_schedule(g, sched)
+
+
+class TestChunkIntervals:
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 20), st.integers(1, 6)),
+                    max_size=8),
+           st.integers(0, 20), st.integers(1, 6))
+    def test_matches_chunk_set(self, adds, c0, width):
+        bounds, held = [], set()
+        for a, w in adds:
+            _add_range(bounds, a, a + w)
+            held.update(range(a, a + w))
+        assert bounds == sorted(bounds)
+        assert all(a < b for a, b in zip(bounds, bounds[1:]))
+        assert {c for a, b in zip(bounds[::2], bounds[1::2])
+                for c in range(a, b)} == held
+        missing = [c for c in range(c0, c0 + width) if c not in held]
+        assert _first_missing(bounds, c0, c0 + width) == \
+            (missing[0] if missing else None)
 
 
 class TestEvalPath:

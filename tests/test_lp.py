@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from a2aflow.lp import (ITERATION_LIMIT, OPTIMAL, LpModel, LpOptions,
-                        available_backends, solve_ilp, solve_lp)
+from a2aflow.lp import (INFEASIBLE, ITERATION_LIMIT, NUMERICAL, OPTIMAL,
+                        LpModel, LpOptions, available_backends, solve_ilp,
+                        solve_lp)
 
 BACKENDS = ["external", "reference"]
 
@@ -93,6 +94,22 @@ class TestBackendAgreement:
     def test_available_backends(self):
         names = available_backends()
         assert "external" in names and "reference" in names
+
+
+class TestHighsStatus:
+    @pytest.mark.parametrize("code,status", [
+        (2, INFEASIBLE), (4, NUMERICAL), (9, "highs-status-9")])
+    def test_only_status_2_is_infeasible(self, monkeypatch, code, status):
+        import scipy.optimize
+
+        monkeypatch.setattr(
+            scipy.optimize, "linprog",
+            lambda *a, **k: scipy.optimize.OptimizeResult(
+                status=code, x=None, nit=0, message="stub"))
+        m = LpModel(c=np.array([1.0]), sense="max",
+                    a_ub=np.array([[1.0]]), b_ub=np.array([1.0]))
+        s = solve_lp(m)
+        assert s.status == status and not s.optimal
 
 
 class TestSolveIlp:

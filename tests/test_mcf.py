@@ -7,13 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from a2aflow.graphs import (Digraph, augment_host_bottleneck,
-                            gen_complete_bipartite, gen_de_bruijn,
-                            gen_hypercube, gen_random_regular, gen_torus,
-                            puncture)
-from a2aflow.mcf import (Commodity, McfError, _peel, all_to_all_commodities,
-                         flow_scale_check, load_solution, mcf_decomposed,
-                         mcf_link, mcf_path, mcf_timestepped, save_solution,
-                         solve_master)
+                            diameter, gen_complete_bipartite, gen_de_bruijn,
+                            gen_gen_kautz, gen_hypercube, gen_random_regular,
+                            gen_torus, puncture)
+from a2aflow.mcf import (Commodity, McfError, _path_sum, _peel,
+                         all_to_all_commodities, flow_scale_check,
+                         load_solution, mcf_decomposed, mcf_link, mcf_path,
+                         mcf_timestepped, save_solution, solve_master)
 
 
 def check_conservation(g, sol, tol=1e-9):
@@ -28,6 +28,39 @@ def check_conservation(g, sol, tol=1e-9):
         others = [bal[u] for u in range(g.n)
                   if u not in (com.src, com.dst)]
         assert max(map(abs, others), default=0.0) <= tol
+
+
+def check_timestepped(g, ts, tol=1e-9):
+    """Per-commodity checks of a TimeExpandedSolution against its U_t."""
+    from a2aflow.schedule import _decompose_trajectories
+
+    T = ts.l_max
+    by_comm: dict[int, dict] = {}
+    load = np.zeros((g.num_edges, T))
+    for (ci, e, t), v in ts.flows.items():
+        by_comm.setdefault(ci, {})[(e, t)] = v
+        load[e, t] += v
+    for ci, com in enumerate(ts.commodities):
+        flow = by_comm[ci]
+        sent = np.zeros((g.n, T))
+        recv = np.zeros((g.n, T))
+        for (e, t), v in flow.items():
+            u, w, _ = g.edges[e]
+            assert w != com.src and u != com.dst
+            sent[u, t] += v
+            recv[w, t] += v
+        assert recv[com.dst].sum() == pytest.approx(com.demand, abs=tol)
+        for u in range(g.n):
+            if u in (com.src, com.dst):
+                continue
+            # sent by step t <= received before step t
+            assert (np.cumsum(sent[u]) <= np.cumsum(recv[u]) - recv[u]
+                    + tol).all()
+            assert sent[u].sum() == pytest.approx(recv[u].sum(), abs=tol)
+        for hops, _ in _decompose_trajectories(g, com, flow):
+            assert sum(g.edges[e][1] == com.dst for _, e in hops) == 1
+    cap = np.asarray(g.capacities)[:, None]
+    assert (load <= cap * ts.U[None, :] + tol).all()
 
 
 class TestCommodity:
@@ -120,12 +153,15 @@ class TestPeel:
         else:
             g = puncture(gen_torus([3, 3, 3]), "edges", k, seed=seed)
         master = solve_master(g)
+        tails = [u for u, _, _ in g.edges]
+        heads = [v for _, v, _ in g.edges]
         for si, s in enumerate(master.sources):
             x = {e: v for (i, e), v in master.flows.items() if i == si}
             dests = [d for d in range(g.n) if d != s]
-            split = _peel(g, x, s, dests, master.F)
+            split = _peel(tails, heads, x, s, [(d, master.F) for d in dests])
             total = np.zeros(g.num_edges)
-            for d, flow in split.items():
+            for d, paths in zip(dests, split):
+                flow = _path_sum(paths)
                 bal = np.zeros(g.n)
                 for e, v in flow.items():
                     u, w, _ = g.edges[e]
@@ -140,18 +176,25 @@ class TestPeel:
                 assert total[e] <= x.get(e, 0.0) + 1e-12
 
     def test_short_flow_rejected(self):
-        g = gen_torus([3], bidirectional=False)
-        x = {g.edge_index[(0, 1)]: 0.5}
+        # arcs 0 -> 1 -> 2 -> 0 of a 3-ring
+        x = {0: 0.5}
         with pytest.raises(McfError):
-            _peel(g, x, 0, [1], 1.0)
+            _peel([0, 1, 2], [1, 2, 0], x, 0, [(1, 1.0)])
 
     def test_cycle_left_behind(self):
-        # 0 -> 1 -> 2 plus a circulation 1 -> 2 -> 1; only the path is kept
-        g = Digraph.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0), (2, 1, 1.0)])
-        ei = g.edge_index
-        x = {ei[(0, 1)]: 1.0, ei[(1, 2)]: 1.5, ei[(2, 1)]: 0.5}
-        split = _peel(g, x, 0, [2], 1.0)
-        assert split[2] == {ei[(0, 1)]: 1.0, ei[(1, 2)]: 1.0}
+        # arcs 0: 0 -> 1, 1: 1 -> 2, 2: 2 -> 1; a path plus a circulation
+        # 1 -> 2 -> 1, of which only the path is kept
+        x = {0: 1.0, 1: 1.5, 2: 0.5}
+        (paths,) = _peel([0, 1, 2], [1, 2, 1], x, 0, [(2, 1.0)])
+        assert paths == [([0, 1], 1.0)]
+
+    def test_per_target_amounts_and_repeats(self):
+        # arcs 0: 0 -> 1, 1: 1 -> 2; node 1 keeps 0.25, node 2 gets 0.75 in
+        # two targets
+        x = {0: 1.0, 1: 0.75}
+        split = _peel([0, 1], [1, 2], x, 0, [(2, 0.5), (1, 0.25), (2, 0.25)])
+        assert [_path_sum(p) for p in split] == [
+            {0: 0.5, 1: 0.5}, {0: 0.25}, {0: 0.25, 1: 0.25}]
 
 
 class TestHostBottleneck:
@@ -180,8 +223,52 @@ class TestTimestepped:
         assert all(v == pytest.approx(1.0, abs=1e-6) for v in recv.values())
 
     def test_infeasible_below_diameter(self):
-        with pytest.raises(McfError):
+        with pytest.raises(McfError, match="l_max must be >= diameter"):
             mcf_timestepped(gen_torus([5], bidirectional=False), l_max=2)
+
+    def test_numerical_difficulties_not_blamed_on_l_max(self, monkeypatch):
+        import scipy.optimize
+
+        monkeypatch.setattr(
+            scipy.optimize, "linprog",
+            lambda *a, **k: scipy.optimize.OptimizeResult(
+                status=4, x=None, nit=0, message="numerical difficulties"))
+        with pytest.raises(McfError, match="did not solve"):
+            mcf_timestepped(gen_torus([3], bidirectional=False), l_max=2)
+
+    @settings(max_examples=20, deadline=None)
+    @given(kind=st.sampled_from(["rrg", "punctured"]),
+           seed=st.integers(0, 10_000), k=st.integers(1, 3),
+           extra=st.integers(0, 1))
+    def test_commodity_flows_are_causal_and_exact(self, kind, seed, k, extra):
+        if kind == "rrg":
+            g = gen_random_regular(5 + seed % 3, 2, seed=seed)
+        else:
+            g = puncture(gen_torus([3, 3]), "edges", k, seed=seed)
+        check_timestepped(g, mcf_timestepped(g, l_max=diameter(g) + extra))
+
+    @pytest.mark.parametrize("name,make,l_max,sum_u", [
+        ("hc4", lambda: gen_hypercube(4), 4, 8.0),
+        ("gk27", lambda: gen_gen_kautz(27, 4), 3, 15.0746606335),
+        ("gk27", lambda: gen_gen_kautz(27, 4), 4, 14.9215686275),
+    ])
+    def test_reference_total_utilization(self, name, make, l_max, sum_u):
+        ts = mcf_timestepped(make(), l_max=l_max)
+        assert ts.total_utilization == pytest.approx(sum_u, abs=1e-6)
+
+    def test_gk27_revisited_destination_replays(self):
+        # at l_max = 4 a peeled source path reaches a destination, leaves it
+        # and returns; the commodity must keep only its first arrival
+        from a2aflow.evaluate import replay_timestep_schedule
+        from a2aflow.schedule import compile_timestep_schedule
+
+        g = gen_gen_kautz(27, 4)
+        ts = mcf_timestepped(g, l_max=4)
+        check_timestepped(g, ts)
+        sched = compile_timestep_schedule(g, ts)
+        T, delivered = replay_timestep_schedule(g, sched)
+        assert delivered
+        assert T <= (1 + 2 / sched.Q) * ts.total_utilization + 1e-9
 
 
 class TestPathMcf:
