@@ -6,7 +6,9 @@ per source on the time-expanded graph with holdover arcs for buffering), and
 path-based. All assemble sparse models directly in matrix form. The link,
 source-decomposed and time-stepped models recover per-commodity flows with
 one shared flow decomposition (``_peel``), so those flows conserve exactly
-and deliver exactly their demand.
+and deliver exactly their demand. The same routine splits those flows into
+routes (``paths.extract_widest_paths``) and into time-stepped trajectories
+(``schedule.compile_timestep_schedule``).
 """
 from __future__ import annotations
 

@@ -1,9 +1,10 @@
 """Path generation, extraction from flows, and routing baselines.
 
 Produces two route containers: WeightedPathSet (multi-path with rates) and
-RouteTable (single path per commodity). Includes widest-path extraction from
-link-flow solutions, shortest-path heuristics, dimension-ordered routing for
-tori, and an ILP that picks one path per commodity minimizing edge congestion.
+RouteTable (single path per commodity). Includes path extraction from
+link-flow solutions (flow decomposition by the MCF solvers' peel),
+shortest-path heuristics, dimension-ordered routing for tori, and an ILP
+that picks one path per commodity minimizing edge congestion.
 """
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ import scipy.sparse as sp
 
 from .graphs import Digraph, all_pairs_distances
 from .lp import LpModel, LpOptions, solve_ilp
+from .mcf import _peel
 
 __all__ = [
     "WeightedPathSet",
@@ -234,105 +236,31 @@ def _decompose_unit_flow(g: Digraph, used: set[int], s: int, d: int):
 
 
 # ---------------------------------------------------------------------------
-# widest-path extraction
-
-def _widest_path(adj: dict[int, list[tuple[int, int]]],
-                 cap: dict[int, float], s: int, d: int, eps: float):
-    """Max-bottleneck s->d path; ties go to the smaller node sequence."""
-    best: dict[int, tuple[float, tuple[int, ...]]] = {s: (np.inf, (s,))}
-    heap = [(-np.inf, (s,))]
-    while heap:
-        nb, path = heapq.heappop(heap)
-        u = path[-1]
-        if best[u][1] != path:
-            continue
-        if u == d:
-            return -nb, path
-        for v, e in adj.get(u, ()):
-            if cap[e] <= eps or v in path:
-                continue
-            b = min(-nb, cap[e])
-            old = best.get(v)
-            npath = path + (v,)
-            if old is None or b > old[0] or (b == old[0] and npath < old[1]):
-                best[v] = (b, npath)
-                heapq.heappush(heap, (-b, npath))
-    return None, None
-
+# path extraction
 
 def extract_widest_paths(g: Digraph, sol) -> WeightedPathSet:
-    """Greedy widest-path decomposition of a LinkFlowSolution.
+    """Path decomposition of a LinkFlowSolution by the shared flow peel.
 
-    Per commodity: repeatedly take the maximum-bottleneck path over the
-    remaining flow, record it with its bottleneck as weight, and subtract.
-    Residual cyclic flow above 1e-8 is cancelled and extraction resumes.
+    Per commodity, shortest s->d paths are peeled off its flow (``_peel``,
+    the routine the MCF solvers use) until they carry F * demand; each path
+    is recorded with the rate it carries. Flow left on a cycle carries
+    nothing to d and is dropped. Raises McfError when a commodity's flow
+    delivers less than F * demand, e.g. for a solution built without flows.
     """
-    eps = 1e-9
+    by_comm: dict[int, dict[int, float]] = {}
+    for (ci, e), v in sol.flows.items():
+        by_comm.setdefault(ci, {})[e] = v
+    tails = [u for u, _, _ in g.edges]
+    heads = [v for _, v, _ in g.edges]
     out: dict[tuple[int, int], list] = {}
     for ci, com in enumerate(sol.commodities):
-        cap = dict(sol.flow_of(ci))
-        adj: dict[int, list[tuple[int, int]]] = {}
-        for e in cap:
-            u, v, _ = g.edges[e]
-            adj.setdefault(u, []).append((v, e))
-        for u in adj:
-            adj[u].sort()
-        plist: list[tuple[tuple[int, ...], float]] = []
-        for _ in range(2):
-            while True:
-                bn, path = _widest_path(adj, cap, com.src, com.dst, eps)
-                if path is None:
-                    break
-                for a, b in zip(path, path[1:]):
-                    cap[g.edge_index[(a, b)]] -= bn
-                plist.append((path, bn))
-            leftover = sum(v for v in cap.values() if v > 1e-8)
-            if leftover <= 1e-8:
-                break
-            warnings.warn(
-                f"commodity ({com.src},{com.dst}) left {leftover:.3g} cyclic "
-                "flow; cancelling cycles", stacklevel=2
-            )
-            _cancel_cycles(g, adj, cap, eps)
-        # merge duplicate paths (possible across cancellation rounds)
-        merged: dict[tuple[int, ...], float] = {}
-        for p, w in plist:
-            merged[p] = merged.get(p, 0.0) + w
-        out[(com.src, com.dst)] = sorted(merged.items())
+        (peeled,) = _peel(tails, heads, by_comm.get(ci, {}), com.src,
+                          [(com.dst, sol.F * com.demand)])
+        # each peeled path empties an arc or completes the amount, so no
+        # path comes twice
+        out[(com.src, com.dst)] = sorted(
+            ((com.src, *(heads[a] for a in arcs)), w) for arcs, w in peeled)
     return WeightedPathSet(paths=out)
-
-
-def _cancel_cycles(g, adj, cap, eps):
-    while True:
-        # DFS for any cycle in the positive-capacity subgraph
-        color = {}
-        stack_path: list[int] = []
-        cycle = None
-
-        def dfs(u):
-            nonlocal cycle
-            color[u] = 1
-            stack_path.append(u)
-            for v, e in adj.get(u, ()):
-                if cap[e] <= eps:
-                    continue
-                if color.get(v) == 1:
-                    cycle = stack_path[stack_path.index(v):] + [v]
-                    return True
-                if v not in color and dfs(v):
-                    return True
-            color[u] = 2
-            stack_path.pop()
-            return False
-
-        for u in list(adj):
-            if u not in color and dfs(u):
-                break
-        if cycle is None:
-            return
-        amt = min(cap[g.edge_index[(a, b)]] for a, b in zip(cycle, cycle[1:]))
-        for a, b in zip(cycle, cycle[1:]):
-            cap[g.edge_index[(a, b)]] -= amt
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,11 @@ from a2aflow.graphs import (Digraph, augment_host_bottleneck,
                             diameter, gen_complete_bipartite, gen_de_bruijn,
                             gen_gen_kautz, gen_hypercube, gen_random_regular,
                             gen_torus, puncture)
-from a2aflow.mcf import (Commodity, McfError, _path_sum, _peel,
-                         all_to_all_commodities, flow_scale_check,
+from a2aflow.mcf import (Commodity, LinkFlowSolution, McfError, _path_sum,
+                         _peel, all_to_all_commodities, flow_scale_check,
                          load_solution, mcf_decomposed, mcf_link, mcf_path,
                          mcf_timestepped, save_solution, solve_master)
+from a2aflow.paths import extract_widest_paths
 
 
 def check_conservation(g, sol, tol=1e-9):
@@ -57,7 +58,7 @@ def check_timestepped(g, ts, tol=1e-9):
             assert (np.cumsum(sent[u]) <= np.cumsum(recv[u]) - recv[u]
                     + tol).all()
             assert sent[u].sum() == pytest.approx(recv[u].sum(), abs=tol)
-        for hops, _ in _decompose_trajectories(g, com, flow):
+        for hops, _ in _decompose_trajectories(g, com, flow, T):
             assert sum(g.edges[e][1] == com.dst for _, e in hops) == 1
     cap = np.asarray(g.capacities)[:, None]
     assert (load <= cap * ts.U[None, :] + tol).all()
@@ -155,6 +156,7 @@ class TestPeel:
         master = solve_master(g)
         tails = [u for u, _, _ in g.edges]
         heads = [v for _, v, _ in g.edges]
+        comms, flows = [], {}
         for si, s in enumerate(master.sources):
             x = {e: v for (i, e), v in master.flows.items() if i == si}
             dests = [d for d in range(g.n) if d != s]
@@ -162,6 +164,8 @@ class TestPeel:
             total = np.zeros(g.num_edges)
             for d, paths in zip(dests, split):
                 flow = _path_sum(paths)
+                comms.append(Commodity(s, d))
+                flows.update({(len(comms) - 1, e): v for e, v in flow.items()})
                 bal = np.zeros(g.n)
                 for e, v in flow.items():
                     u, w, _ = g.edges[e]
@@ -174,6 +178,20 @@ class TestPeel:
                 assert max(map(abs, others), default=0.0) <= 1e-12
             for e in range(g.num_edges):
                 assert total[e] <= x.get(e, 0.0) + 1e-12
+        # extraction re-peels each commodity's flow into simple paths that
+        # carry exactly that flow
+        sol = LinkFlowSolution(F=master.F, commodities=comms, flows=flows,
+                               graph=g)
+        wps = extract_widest_paths(g, sol)
+        for ci, com in enumerate(comms):
+            carried = np.zeros(g.num_edges)
+            for path, w in wps.paths[(com.src, com.dst)]:
+                assert len(set(path)) == len(path)
+                for a, b in zip(path, path[1:]):
+                    carried[g.edge_index[(a, b)]] += w
+            for e in range(g.num_edges):
+                assert carried[e] == pytest.approx(flows.get((ci, e), 0.0),
+                                                   abs=1e-9)
 
     def test_short_flow_rejected(self):
         # arcs 0 -> 1 -> 2 -> 0 of a 3-ring

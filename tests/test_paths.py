@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from a2aflow.graphs import (Digraph, diameter, gen_complete_bipartite,
                             gen_gen_kautz, gen_hypercube, gen_torus)
-from a2aflow.mcf import mcf_link
+from a2aflow.mcf import (Commodity, LinkFlowSolution, McfError,
+                         mcf_decomposed, mcf_link)
 from a2aflow.paths import (RouteError, RouteTable, WeightedPathSet,
                            disjoint_paths, dor_routes, enum_paths_bounded,
                            eval_link_load, ewsp_routes, extract_widest_paths,
@@ -121,6 +122,24 @@ class TestExtractWidest:
         sol = mcf_link(g)
         assert (extract_widest_paths(g, sol).paths
                 == extract_widest_paths(g, sol).paths)
+
+    def test_cycle_beside_flow_dropped(self):
+        # edges 0: 0 -> 1, 1: 1 -> 2, 2: 1 -> 3, 3: 3 -> 1; the s -> d flow
+        # 0 -> 1 -> 2 plus a circulation 1 -> 3 -> 1
+        g = Digraph.from_edges(4, [(0, 1, 1.0), (1, 2, 1.0), (1, 3, 1.0),
+                                   (3, 1, 1.0)])
+        sol = LinkFlowSolution(F=0.5, commodities=[Commodity(0, 2)],
+                               flows={(0, 0): 0.5, (0, 1): 0.5, (0, 2): 0.25,
+                                      (0, 3): 0.25}, graph=g)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            wp = extract_widest_paths(g, sol)
+        assert wp.paths == {(0, 2): [((0, 1, 2), 0.5)]}
+
+    def test_solution_without_flows_rejected(self):
+        g = gen_torus([3, 3])
+        with pytest.raises(McfError):
+            extract_widest_paths(g, mcf_decomposed(g, want_flows=False))
 
 
 class TestSsspRoutes:
