@@ -3,12 +3,13 @@
 Four formulations: link-based, source-decomposed (one master LP whose
 per-source flows are split into per-commodity flows), time-stepped (one flow
 per source on the time-expanded graph with holdover arcs for buffering), and
-path-based. All assemble sparse models directly in matrix form. The link,
-source-decomposed and time-stepped models recover per-commodity flows with
-one shared flow decomposition (``_peel``), so those flows conserve exactly
-and deliver exactly their demand. The same routine splits those flows into
-routes (``paths.extract_widest_paths``) and into time-stepped trajectories
-(``schedule.compile_timestep_schedule``).
+path-based, all assembled as sparse matrices. The master and time-stepped
+LPs fix the demands and minimize the edge-utilization scale U (the master's
+F is 1 / U), so U sits only in the capacity rows. The link, decomposed and
+time-stepped models recover per-commodity flows with one shared flow
+decomposition (``_peel``), so they conserve exactly and deliver exactly
+their demand; it also splits flows into routes
+(``paths.extract_widest_paths``) and time-stepped trajectories.
 """
 from __future__ import annotations
 
@@ -293,44 +294,38 @@ def _path_sum(paths: list[tuple[list[int], float]]) -> dict[int, float]:
 # decomposed MCF
 
 def _build_master_model(g: Digraph, sources: list[int],
-                        dests: dict[int, set[int]]) -> LpModel:
-    E, S = g.num_edges, len(sources)
-    n_vars = S * E + 1
-    f_var = S * E
+                        comms: list[Commodity]) -> LpModel:
+    """min U over x[s, e] (at si * E + e) and U. Rows 0..E-1 are
+    sum_s x[s, e] - cap_e * U <= 0; then per source s and node u != s,
+    out - in <= -1 at destinations of s and <= 0 elsewhere.
+    """
+    N, E, S = g.n, g.num_edges, len(sources)
     tails, heads = _node_edge_templates(g)
-    eidx = np.arange(E, dtype=np.int64)
-    rows_list, cols_list, vals_list = [], [], []
-    cap_cols = (np.arange(S)[:, None] * E + eidx[None, :]).ravel()
-    rows_list.append(np.tile(eidx, S))
-    cols_list.append(cap_cols)
-    vals_list.append(np.ones(S * E))
-    b_parts = [np.asarray(g.capacities, dtype=float)]
-
-    cons_base = E
-    for si, s in enumerate(sources):
-        keep_out = tails != s
-        keep_in = heads != s
-        r = np.concatenate([tails[keep_out], heads[keep_in]]) + cons_base + si * g.n
-        c = np.concatenate([eidx[keep_out], eidx[keep_in]]) + si * E
-        v = np.concatenate([np.ones(keep_out.sum()), -np.ones(keep_in.sum())])
-        # + F at destination rows: out - in + F <= 0
-        drows = np.fromiter(sorted(dests[s]), dtype=np.int64)
-        r = np.concatenate([r, drows + cons_base + si * g.n])
-        c = np.concatenate([c, np.full(drows.size, f_var)])
-        v = np.concatenate([v, np.ones(drows.size)])
-        rows_list.append(r)
-        cols_list.append(c)
-        vals_list.append(v)
-    b_parts.append(np.zeros(S * g.n))
-
+    eidx = np.arange(E)
+    src = np.asarray(sources)[:, None]
+    cols = np.arange(S)[:, None] * E + eidx
+    # source si's row of node u (its own row is left out)
+    base = E + np.arange(S)[:, None] * (N - 1)
+    keep_out, keep_in = tails != src, heads != src
     a_ub = sp.csr_matrix(
-        (np.concatenate(vals_list),
-         (np.concatenate(rows_list), np.concatenate(cols_list))),
-        shape=(E + S * g.n, n_vars),
+        (np.concatenate([np.ones(S * E), -np.asarray(g.capacities, dtype=float),
+                         np.ones(keep_out.sum()), -np.ones(keep_in.sum())]),
+         (np.concatenate([np.tile(eidx, S), eidx,
+                          (base + tails - (tails > src))[keep_out],
+                          (base + heads - (heads > src))[keep_in]]),
+          np.concatenate([cols.ravel(), np.full(E, S * E),
+                          cols[keep_out], cols[keep_in]]))),
+        shape=(E + S * (N - 1), S * E + 1),
     )
-    c_obj = np.zeros(n_vars)
-    c_obj[f_var] = 1.0
-    return LpModel(c=c_obj, sense="max", a_ub=a_ub, b_ub=np.concatenate(b_parts))
+    sidx = {s: si for si, s in enumerate(sources)}
+    si, s, d = np.array([(sidx[c.src], c.src, c.dst) for c in comms]).T
+    b_ub = np.zeros(E + S * (N - 1))
+    b_ub[E + si * (N - 1) + d - (d > s)] = -1.0
+    # flow back into its own source never helps; pin it to zero
+    ub = np.full(S * E + 1, np.inf)
+    ub[cols[~keep_in]] = 0.0
+    return LpModel(c=np.r_[np.zeros(S * E), 1.0], sense="min", a_ub=a_ub,
+                   b_ub=b_ub, ub=ub)
 
 
 def solve_master(
@@ -338,24 +333,28 @@ def solve_master(
     commodities: list[Commodity] | None = None,
     options: LpOptions | None = None,
 ) -> SourceFlowSolution:
-    """Source-grouped master LP; returns optimal F and per-source edge flows."""
+    """Source-grouped master LP; returns optimal F and per-source edge flows.
+
+    Solves max concurrent flow as its reciprocal (Shahrokhi-Matula): unit
+    demands are fixed and the LP minimizes the edge-utilization scale U, so
+    F = 1 / U and the flows are x * F.
+    """
     comms = commodities if commodities is not None else all_to_all_commodities(range(g.n))
-    sources = sorted({c.src for c in comms})
-    dests = {s: {c.dst for c in comms if c.src == s} for s in sources}
+    if not comms:
+        raise McfError("no commodities")
     if any(c.demand != 1.0 for c in comms):
         raise McfError("decomposed MCF supports unit demands only")
-    model = _build_master_model(g, sources, dests)
-    sol = solve_lp(model, options)
+    sources = sorted({c.src for c in comms})
+    sol = solve_lp(_build_master_model(g, sources, comms), options)
+    if sol.status == "infeasible":
+        raise McfError("master LP infeasible: a commodity has no path "
+                       "(graph not strongly connected)")
     if not sol.optimal:
         raise McfError(f"master LP did not solve: {sol.status} {sol.message}")
-    E = g.num_edges
-    F = float(sol.x[-1])
-    flows = {
-        (si, e): float(sol.x[si * E + e])
-        for si in range(len(sources))
-        for e in range(E)
-        if sol.x[si * E + e] > FLOW_EPS
-    }
+    F = 1.0 / float(sol.x[-1])
+    x = sol.x[:-1] * F
+    nz = np.flatnonzero(x > FLOW_EPS)
+    flows = {divmod(i, g.num_edges): v for i, v in zip(nz.tolist(), x[nz].tolist())}
     return SourceFlowSolution(F=F, sources=sources, flows=flows, graph=g)
 
 
@@ -599,7 +598,7 @@ def save_solution(sol, path: str) -> None:
         doc = {
             "kind": "link",
             "F": sol.F,
-            "commodities": [[c.src, c.dst] for c in sol.commodities],
+            "commodities": [[c.src, c.dst, c.demand] for c in sol.commodities],
             "flows": [
                 [sol.commodities[ci].src, sol.commodities[ci].dst,
                  *sol.graph.edges[e][:2], v]
@@ -630,7 +629,8 @@ def load_solution(path: str, g: Digraph):
             l_max=doc["l_max"], U=np.asarray(doc["U"], dtype=float),
             commodities=comms, flows=flows, graph=g)
     if doc["kind"] == "link":
-        comms = [Commodity(s, d) for s, d in doc["commodities"]]
+        # entries are [s, d, demand]; older files hold [s, d] for unit demand
+        comms = [Commodity(*c) for c in doc["commodities"]]
         cidx = {(c.src, c.dst): i for i, c in enumerate(comms)}
         flows = {
             (cidx[(s, d)], eidx[(u, v)]): rate

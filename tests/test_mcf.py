@@ -1,17 +1,23 @@
 """MCF formulation tests: oracles, conservation, and serialization."""
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import shortest_path
 
 from a2aflow.graphs import (Digraph, augment_host_bottleneck,
                             diameter, gen_complete_bipartite, gen_de_bruijn,
                             gen_gen_kautz, gen_hypercube, gen_random_regular,
                             gen_torus, puncture)
-from a2aflow.mcf import (Commodity, LinkFlowSolution, McfError, _path_sum,
-                         _peel, all_to_all_commodities, flow_scale_check,
+from a2aflow.lp import solve_lp
+from a2aflow.mcf import (Commodity, LinkFlowSolution, McfError,
+                         _build_master_model, _path_sum, _peel,
+                         all_to_all_commodities, flow_scale_check,
                          load_solution, mcf_decomposed, mcf_link, mcf_path,
                          mcf_timestepped, save_solution, solve_master)
 from a2aflow.paths import extract_widest_paths
@@ -144,15 +150,76 @@ class TestDecomposed:
         assert sched.Q < DEFAULT_Q_MAX
 
 
+# small random-regular and edge-punctured 3x3x3 torus graphs
+SMALL_GRAPHS = dict(kind=st.sampled_from(["rrg", "punctured"]),
+                    seed=st.integers(0, 10_000), k=st.integers(1, 4))
+
+
+def small_graph(kind, seed, k):
+    if kind == "rrg":
+        return gen_random_regular(6 + seed % 5, 2 + seed % 2, seed=seed)
+    return puncture(gen_torus([3, 3, 3]), "edges", k, seed=seed)
+
+
+class TestMaster:
+    def test_unreachable_commodity_raises(self):
+        # node 2 has no edges, so no commodity to or from it has a path
+        g = Digraph.from_edges(3, [(0, 1, 1.0), (1, 0, 1.0)])
+        with pytest.raises(McfError, match="no path"):
+            solve_master(g)
+
+    @pytest.mark.parametrize("make", [
+        lambda: gen_gen_kautz(27, 4),
+        lambda: gen_torus([3, 3, 3]),
+        lambda: puncture(gen_torus([3, 3, 3]), "edges", 3, seed=0),
+    ], ids=["genkautz27", "torus3x3x3", "punctured27"])
+    def test_dual_certificate(self, make):
+        # the capacity-row duals are edge lengths l >= 0 with
+        # sum cap * l = 1, and 1 / sum_(s,d) dist_l(s, d) bounds F from
+        # above (Shahrokhi-Matula); equality proves the LP optimal
+        g = make()
+        comms = all_to_all_commodities(range(g.n))
+        sol = solve_lp(_build_master_model(g, list(range(g.n)), comms))
+        E = g.num_edges
+        ell = -sol.duals_ub[:E]
+        assert ell.min() >= -1e-12
+        ell = np.maximum(ell, 0.0)
+        assert np.asarray(g.capacities) @ ell == pytest.approx(1.0, abs=1e-9)
+        tails = [u for u, _, _ in g.edges]
+        heads = [v for _, v, _ in g.edges]
+        # sparse input keeps zero-length edges as edges
+        dist = shortest_path(
+            sp.csr_matrix((ell, (tails, heads)), shape=(g.n, g.n)),
+            directed=True)
+        F_hi = 1.0 / sum(dist[c.src, c.dst] for c in comms)
+        assert F_hi == pytest.approx(solve_master(g).F, rel=1e-9)
+
+    # link MCF takes ~9 s on a punctured 3x3x3 torus, so few examples
+    @settings(max_examples=5, deadline=None)
+    @given(**SMALL_GRAPHS)
+    def test_matches_link_and_delivers(self, kind, seed, k):
+        g = small_graph(kind, seed, k)
+        master = solve_master(g)
+        assert master.F == pytest.approx(mcf_link(g).F, rel=1e-9)
+        load = np.zeros(g.num_edges)
+        net_in = np.zeros((len(master.sources), g.n))
+        for (si, e), v in master.flows.items():
+            u, w, _ = g.edges[e]
+            load[e] += v
+            net_in[si, w] += v
+            net_in[si, u] -= v
+        assert (load <= np.asarray(g.capacities) + 1e-9).all()
+        for si, s in enumerate(master.sources):
+            for d in range(g.n):
+                if d != s:
+                    assert net_in[si, d] >= master.F - 1e-9
+
+
 class TestPeel:
     @settings(max_examples=20, deadline=None)
-    @given(kind=st.sampled_from(["rrg", "punctured"]),
-           seed=st.integers(0, 10_000), k=st.integers(1, 4))
+    @given(**SMALL_GRAPHS)
     def test_exact_split_of_master_flow(self, kind, seed, k):
-        if kind == "rrg":
-            g = gen_random_regular(6 + seed % 5, 2 + seed % 2, seed=seed)
-        else:
-            g = puncture(gen_torus([3, 3, 3]), "edges", k, seed=seed)
+        g = small_graph(kind, seed, k)
         master = solve_master(g)
         tails = [u for u, _, _ in g.edges]
         heads = [v for _, v, _ in g.edges]
@@ -340,6 +407,27 @@ class TestSolutionJson:
         back = load_solution(str(p), g)
         assert back.F == pytest.approx(sol.F)
         assert set(back.flows) == set(sol.flows)
+
+    def test_link_roundtrip_keeps_demand(self, tmp_path):
+        g = gen_torus([3], bidirectional=False)
+        comms = [Commodity(0, 1, 2.0), Commodity(1, 2)]
+        sol = mcf_link(g, comms)
+        p = tmp_path / "sol.json"
+        save_solution(sol, str(p))
+        back = load_solution(str(p), g)
+        assert back.commodities == comms
+        paths = extract_widest_paths(g, back).paths
+        assert paths == extract_widest_paths(g, sol).paths
+        assert paths[(0, 1)] == [((0, 1), pytest.approx(1.0))]
+
+    def test_link_two_element_commodities_load_as_unit(self, tmp_path):
+        g = gen_torus([3], bidirectional=False)
+        p = tmp_path / "old.json"
+        p.write_text(json.dumps({
+            "kind": "link", "F": 0.5, "commodities": [[0, 1], [1, 2]],
+            "flows": [[0, 1, 0, 1, 0.5], [1, 2, 1, 2, 0.5]]}))
+        back = load_solution(str(p), g)
+        assert back.commodities == [Commodity(0, 1), Commodity(1, 2)]
 
     def test_ts_roundtrip(self, tmp_path):
         g = gen_torus([3], bidirectional=False)
