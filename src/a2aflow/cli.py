@@ -23,7 +23,6 @@ from .graphs import (GraphError, augment_host_bottleneck, diameter,
                      gen_hypercube, gen_random_regular,
                      gen_shortest_path_expander, gen_torus,
                      gen_twisted_hypercube, load_graph, puncture, save_graph)
-from .lp import LpOptions
 
 TOPOS = ("genkautz", "debruijn", "torus", "hypercube", "thypercube",
          "bipartite", "rrg", "spx")
@@ -55,10 +54,6 @@ def _write_manifest(args, inputs: list[str], outputs: list[str],
         fh.write("\n")
 
 
-def _lp_options(args) -> LpOptions:
-    return LpOptions(solver=args.solver)
-
-
 def _parse_dims(text: str) -> list[int]:
     try:
         return [int(x) for x in text.split(",")]
@@ -74,8 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version",
                     version=f"%(prog)s {__version__}")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--solver", default="external",
-                    choices=("external", "reference"))
     sub = ap.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="generate a topology")
@@ -103,8 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     r = sub.add_parser("routes", help="compute routes / path sets")
     r.add_argument("--algo", required=True,
-                   choices=("extp", "pmcf", "sssp", "ewsp", "dor", "ilp",
-                            "lasp"))
+                   choices=("extp", "pmcf", "sssp", "ewsp", "dor", "ilp"))
     r.add_argument("--graph", required=True)
     r.add_argument("--alpha", type=float, default=0.0)
     r.add_argument("--out", required=True)
@@ -192,16 +184,15 @@ def _cmd_solve(args) -> list[str]:
     from .paths import disjoint_paths, enum_paths_bounded, load_routes
 
     g = load_graph(args.graph)
-    opts = _lp_options(args)
     if args.algo == "link":
-        sol = mcf.mcf_link(g, options=opts, force=args.force)
+        sol = mcf.mcf_link(g, force=args.force)
         print(f"F = {sol.F:.9g}")
     elif args.algo == "decomp":
-        sol = mcf.mcf_decomposed(g, options=opts)
+        sol = mcf.mcf_decomposed(g)
         print(f"F = {sol.F:.9g}")
     elif args.algo == "ts":
         lmax = args.lmax if args.lmax else diameter(g)
-        sol = mcf.mcf_timestepped(g, lmax, options=opts)
+        sol = mcf.mcf_timestepped(g, lmax)
         print(f"l_max = {lmax}, sum U_t = {sol.total_utilization:.9g}")
     else:
         if args.paths == "disjoint":
@@ -210,7 +201,7 @@ def _cmd_solve(args) -> list[str]:
             ps = enum_paths_bounded(g, diameter(g) + 1)
         else:
             ps = load_routes(args.paths)
-        F, wps = mcf.mcf_path(g, ps, options=opts)
+        F, wps = mcf.mcf_path(g, ps)
         print(f"F = {F:.9g}")
         if args.out:
             from .paths import save_routes
@@ -227,24 +218,21 @@ def _cmd_routes(args) -> list[str]:
     from . import mcf, paths
 
     g = load_graph(args.graph)
-    opts = _lp_options(args)
     algo = args.algo
     if algo == "extp":
-        sol = mcf.mcf_decomposed(g, options=opts)
+        sol = mcf.mcf_decomposed(g)
         out = paths.extract_widest_paths(g, sol)
     elif algo == "pmcf":
-        _, out = mcf.mcf_path(g, paths.disjoint_paths(g), options=opts)
+        _, out = mcf.mcf_path(g, paths.disjoint_paths(g))
     elif algo == "sssp":
         out = paths.sssp_routes(g, seed=args.seed)
     elif algo == "ewsp":
         out = paths.ewsp_routes(g)
     elif algo == "dor":
         out = paths.dor_routes(g)
-    elif algo == "lasp":
-        out = paths.load_aware_sp(g, seed=args.seed)
     else:
         out, load, gap = paths.ilp_min_congestion(
-            g, paths.disjoint_paths(g), alpha=args.alpha, options=opts)
+            g, paths.disjoint_paths(g), alpha=args.alpha)
         print(f"max load = {load:.9g} (gap {gap:.3g})")
     max_load, _ = paths.eval_link_load(g, out)
     print(f"max normalized link load = {max_load:.9g}")
@@ -388,8 +376,7 @@ def _cmd_compare(args) -> list[str]:
                                                       args.seed)))
             except GraphError as ex:
                 print(f"skipping {topo} n={n}: {ex}", file=sys.stderr)
-    reports = compare_topologies(entries, d=args.d, algo=args.algo,
-                                 options=_lp_options(args))
+    reports = compare_topologies(entries, d=args.d, algo=args.algo)
     return _emit_rows([r.as_dict() for r in reports], args.format, args.out)
 
 

@@ -17,7 +17,6 @@ import numpy as np
 
 from .bounds import alltoall_time_lower_bound, graph_distance_bound
 from .graphs import Digraph, gen_gen_kautz
-from .lp import LpOptions
 
 __all__ = [
     "EvalError",
@@ -153,23 +152,26 @@ def eval_path_alltoall(g: Digraph, wps, m: float = 1.0,
     return max_load * m / b
 
 
-def _solve_time(g: Digraph, algo: str,
-                options: LpOptions | None = None) -> tuple[float, float]:
+def _solve_time(g: Digraph, algo: str) -> tuple[float, float | None]:
     """(alltoall time 1/F or max load, F or None) for one algorithm."""
     from .mcf import mcf_decomposed, mcf_link, mcf_path
-    from .paths import disjoint_paths, eval_link_load, sssp_routes
+    from .paths import (disjoint_paths, eval_link_load, ilp_min_congestion,
+                        sssp_routes)
 
     if algo == "decomp":
-        F = mcf_decomposed(g, options=options, want_flows=False).F
+        F = mcf_decomposed(g, want_flows=False).F
         return 1.0 / F, F
     if algo == "link":
-        F = mcf_link(g, options=options, force=True).F
+        F = mcf_link(g, force=True).F
         return 1.0 / F, F
     if algo == "pmcf-disjoint":
-        F, _ = mcf_path(g, disjoint_paths(g), options=options)
+        F, _ = mcf_path(g, disjoint_paths(g))
         return 1.0 / F, F
     if algo == "sssp":
         load, _ = eval_link_load(g, sssp_routes(g))
+        return load, None
+    if algo == "ilp":
+        _, load, _ = ilp_min_congestion(g, disjoint_paths(g), alpha=0.1)
         return load, None
     raise EvalError(f"unknown algorithm {algo!r}")
 
@@ -178,7 +180,6 @@ def compare_topologies(
     entries: list[tuple[str, Digraph]],
     d: int,
     algo: str = "decomp",
-    options: LpOptions | None = None,
 ) -> list[EvalReport]:
     """All-to-all time and bound ratio per labelled topology.
 
@@ -189,7 +190,7 @@ def compare_topologies(
     for label, g in entries:
         t0 = time.perf_counter()
         try:
-            tval, F = _solve_time(g, algo, options=options)
+            tval, F = _solve_time(g, algo)
         except Exception as ex:   # noqa: BLE001 - sweep must survive
             reports.append(EvalReport(label=label, n=g.n, algo=algo,
                                       alltoall_time=float("nan"),
@@ -207,24 +208,9 @@ def compare_topologies(
 
 
 def _bench_task(algo: str, n: int, d: int) -> float:
-    from .mcf import mcf_decomposed, mcf_link, mcf_path
-    from .paths import (disjoint_paths, enum_paths_bounded, eval_link_load,
-                        ilp_min_congestion, sssp_routes)
-
     g = gen_gen_kautz(n, d)
     t0 = time.perf_counter()
-    if algo == "link":
-        mcf_link(g, force=True)
-    elif algo == "decomp":
-        mcf_decomposed(g)
-    elif algo == "pmcf-disjoint":
-        mcf_path(g, disjoint_paths(g))
-    elif algo == "sssp":
-        sssp_routes(g)
-    elif algo == "ilp":
-        _, _, _ = ilp_min_congestion(g, disjoint_paths(g), alpha=0.1)
-    else:
-        raise EvalError(f"unknown algorithm {algo!r}")
+    _solve_time(g, algo)
     return time.perf_counter() - t0
 
 

@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .graphs import Digraph
-from .lp import LpModel, LpOptions, LpSolution, solve_lp
+from .lp import LpModel, LpSolution, solve_lp
 
 __all__ = [
     "Commodity",
@@ -137,7 +137,6 @@ def _node_edge_templates(g: Digraph):
 def mcf_link(
     g: Digraph,
     commodities: list[Commodity] | None = None,
-    options: LpOptions | None = None,
     force: bool = False,
 ) -> LinkFlowSolution:
     """Optimal concurrent rate F and per-commodity link flows.
@@ -152,7 +151,7 @@ def mcf_link(
     if not comms:
         raise McfError("no commodities")
     model = _build_link_model(g, comms)
-    sol = solve_lp(model, options)
+    sol = solve_lp(model)
     if not sol.optimal:
         raise McfError(f"link MCF LP did not solve: {sol.status} {sol.message}")
     E = g.num_edges
@@ -331,7 +330,6 @@ def _build_master_model(g: Digraph, sources: list[int],
 def solve_master(
     g: Digraph,
     commodities: list[Commodity] | None = None,
-    options: LpOptions | None = None,
 ) -> SourceFlowSolution:
     """Source-grouped master LP; returns optimal F and per-source edge flows.
 
@@ -345,7 +343,7 @@ def solve_master(
     if any(c.demand != 1.0 for c in comms):
         raise McfError("decomposed MCF supports unit demands only")
     sources = sorted({c.src for c in comms})
-    sol = solve_lp(_build_master_model(g, sources, comms), options)
+    sol = solve_lp(_build_master_model(g, sources, comms))
     if sol.status == "infeasible":
         raise McfError("master LP infeasible: a commodity has no path "
                        "(graph not strongly connected)")
@@ -361,7 +359,6 @@ def solve_master(
 def mcf_decomposed(
     g: Digraph,
     commodities: list[Commodity] | None = None,
-    options: LpOptions | None = None,
     want_flows: bool = True,
 ) -> LinkFlowSolution:
     """Master LP over source-grouped flows + per-source flow decomposition.
@@ -372,7 +369,7 @@ def mcf_decomposed(
     needed (topology studies).
     """
     comms = commodities if commodities is not None else all_to_all_commodities(range(g.n))
-    master = solve_master(g, comms, options)
+    master = solve_master(g, comms)
     if not want_flows:
         return LinkFlowSolution(F=master.F, commodities=list(comms), flows={},
                                 graph=g)
@@ -402,7 +399,6 @@ def mcf_timestepped(
     g: Digraph,
     l_max: int,
     commodities: list[Commodity] | None = None,
-    options: LpOptions | None = None,
 ) -> TimeExpandedSolution:
     """Minimal total per-step utilization delivering every commodity's demand.
 
@@ -472,7 +468,7 @@ def mcf_timestepped(
     c_obj[S * A:] = 1.0
     model = LpModel(c=c_obj, sense="min", a_ub=a_ub, b_ub=np.zeros(E * T),
                     a_eq=a_eq, b_eq=b_eq, ub=ub)
-    sol = solve_lp(model, options)
+    sol = solve_lp(model)
     if sol.status == "infeasible":
         raise McfError(
             f"time-stepped MCF infeasible at l_max={l_max}; "
@@ -513,11 +509,7 @@ def mcf_timestepped(
 # ---------------------------------------------------------------------------
 # path-based MCF
 
-def mcf_path(
-    g: Digraph,
-    pathset,
-    options: LpOptions | None = None,
-):
+def mcf_path(g: Digraph, pathset):
     """Concurrent rate restricted to the given per-commodity paths.
 
     `pathset` is a WeightedPathSet (weights ignored on input); returns
@@ -564,7 +556,7 @@ def mcf_path(
     c_obj[P] = 1.0
     model = LpModel(c=c_obj, sense="max", a_ub=a_ub,
                     b_ub=np.concatenate(b_parts))
-    sol = solve_lp(model, options)
+    sol = solve_lp(model)
     if not sol.optimal:
         raise McfError(f"path MCF LP did not solve: {sol.status}")
     F = float(sol.x[P])
@@ -641,17 +633,14 @@ def load_solution(path: str, g: Digraph):
     raise McfError(f"unknown solution kind {doc['kind']!r}")
 
 
-def flow_scale_check(
-    g: Digraph, c: float,
-    options: LpOptions | None = None,
-) -> tuple[float, float, bool]:
+def flow_scale_check(g: Digraph, c: float) -> tuple[float, float, bool]:
     """LP homogeneity harness: F(c*g) must equal c*F(g).
 
     Returns (F_scaled, c * F_base, ok at 1e-6 relative).
     """
     if c <= 0:
         raise McfError("scale factor must be positive")
-    base = solve_master(g, options=options).F
-    scaled = solve_master(g.scaled(c), options=options).F
+    base = solve_master(g).F
+    scaled = solve_master(g.scaled(c)).F
     ok = abs(scaled - c * base) <= 1e-6 * max(c * base, 1e-12)
     return scaled, c * base, ok

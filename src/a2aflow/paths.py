@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .graphs import Digraph, all_pairs_distances
-from .lp import LpModel, LpOptions, solve_ilp
+from .lp import LpModel, solve_ilp
 from .mcf import _peel
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "extract_widest_paths",
     "sssp_routes",
     "ewsp_routes",
-    "load_aware_sp",
     "dor_routes",
     "ilp_min_congestion",
     "eval_link_load",
@@ -291,7 +290,7 @@ def _dijkstra_lex(g: Digraph, weight: list[float], s: int, d: int):
     raise RouteError(f"no path {s} -> {d}")
 
 
-def load_aware_sp(g: Digraph, seed: int = 0) -> RouteTable:
+def sssp_routes(g: Digraph, seed: int = 0) -> RouteTable:
     """Sequential load-aware shortest paths.
 
     Link weights start at N^2 (greater than the commodity count, which makes
@@ -308,11 +307,6 @@ def load_aware_sp(g: Digraph, seed: int = 0) -> RouteTable:
             weight[g.edge_index[(a, b)]] += 1.0
         routes[(s, d)] = path
     return RouteTable(routes=routes)
-
-
-def sssp_routes(g: Digraph, seed: int = 0) -> RouteTable:
-    """Iterated shortest-path routing; alias of the load-aware heuristic."""
-    return load_aware_sp(g, seed)
 
 
 def ewsp_routes(g: Digraph) -> WeightedPathSet:
@@ -398,14 +392,13 @@ def ilp_min_congestion(
     g: Digraph,
     pathset: WeightedPathSet,
     alpha: float = 0.0,
-    options: LpOptions | None = None,
 ) -> tuple[RouteTable, float, float]:
     """Pick one path per commodity minimizing max normalized link load.
 
-    Returns (table, achieved load, optimality gap). Solved by branch and
-    bound over the binary path-selection variables with a continuous load
-    variable; terminates once the incumbent is within (1 + alpha) of the
-    relaxation bound.
+    Returns (table, achieved load, optimality gap). Binary path-selection
+    variables and a continuous load variable form a MILP that HiGHS
+    (``lp.solve_ilp``) solves until the incumbent is within (1 + alpha) of
+    its proven bound.
     """
     items = sorted(pathset.paths.items())
     for (s, d), plist in items:
@@ -445,7 +438,7 @@ def ilp_min_congestion(
     c_obj[P] = 1.0
     model = LpModel(c=c_obj, sense="min", a_ub=a_ub, b_ub=b_ub,
                     a_eq=a_eq, b_eq=b_eq, ub=ub, integrality=integrality)
-    sol = solve_ilp(model, alpha=alpha, options=options)
+    sol = solve_ilp(model, alpha=alpha)
     if sol.x is None:
         raise RouteError(f"congestion ILP failed: {sol.status} {sol.message}")
     routes = {}

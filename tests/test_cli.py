@@ -113,6 +113,15 @@ class TestSolveAndRoutes:
         doc = json.loads(open(layers_out).read())
         assert len(doc) == 9 * 8
 
+    def test_routes_ilp_genkautz27(self, tmp_path, capsys):
+        graph, routes = str(tmp_path / "gk27.json"), str(tmp_path / "r.json")
+        assert run(capsys, "gen", "--topo", "genkautz", "--n", "27",
+                   "--d", "4", "--out", graph)[0] == 0
+        rc, stdout, _ = run(capsys, "routes", "--algo", "ilp",
+                            "--graph", graph, "--out", routes)
+        assert rc == 0
+        assert float(stdout.rsplit("=", 1)[1]) == pytest.approx(16.0, abs=1e-6)
+
 
 class TestCompileEval:
     def test_ts_pipeline(self, tmp_path, capsys):

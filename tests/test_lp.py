@@ -1,4 +1,4 @@
-"""LP/ILP solver contract tests, run against both backends."""
+"""LP/ILP solver contract tests."""
 from __future__ import annotations
 
 import numpy as np
@@ -6,94 +6,107 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from a2aflow.graphs import gen_torus
 from a2aflow.lp import (INFEASIBLE, ITERATION_LIMIT, NUMERICAL, OPTIMAL,
-                        LpModel, LpOptions, available_backends, solve_ilp,
-                        solve_lp)
-
-BACKENDS = ["external", "reference"]
+                        LpModel, solve_ilp, solve_lp)
+from a2aflow.paths import RouteError, disjoint_paths, ilp_min_congestion
 
 
-def opts(backend):
-    return LpOptions(solver=backend)
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestSolveLp:
-    def test_simple_max(self, backend):
+    def test_simple_max(self):
         # max x + y st x + 2y <= 4, 3x + y <= 6
         m = LpModel(c=np.array([1.0, 1.0]), sense="max",
                     a_ub=np.array([[1.0, 2.0], [3.0, 1.0]]),
                     b_ub=np.array([4.0, 6.0]))
-        s = solve_lp(m, opts(backend))
+        s = solve_lp(m)
         assert s.status == OPTIMAL
         assert s.objective == pytest.approx(2.8, abs=1e-8)
         assert s.x == pytest.approx([1.6, 1.2], abs=1e-8)
 
-    def test_min_with_equality(self, backend):
+    def test_min_with_equality(self):
         # min x + y st x + y = 2, x - y <= 1
         m = LpModel(c=np.array([1.0, 1.0]), sense="min",
                     a_ub=np.array([[1.0, -1.0]]), b_ub=np.array([1.0]),
                     a_eq=np.array([[1.0, 1.0]]), b_eq=np.array([2.0]))
-        s = solve_lp(m, opts(backend))
+        s = solve_lp(m)
         assert s.status == OPTIMAL
         assert s.objective == pytest.approx(2.0, abs=1e-8)
 
-    def test_bounded_variables(self, backend):
+    def test_bounded_variables(self):
         m = LpModel(c=np.array([1.0]), sense="max",
                     ub=np.array([3.5]))
-        s = solve_lp(m, opts(backend))
+        s = solve_lp(m)
         assert s.objective == pytest.approx(3.5, abs=1e-9)
 
-    def test_infeasible(self, backend):
+    def test_infeasible(self):
         m = LpModel(c=np.array([1.0]), sense="max",
                     a_ub=np.array([[1.0], [-1.0]]),
                     b_ub=np.array([1.0, -2.0]))
-        s = solve_lp(m, opts(backend))
+        s = solve_lp(m)
         assert s.status == "infeasible"
 
-    def test_unbounded(self, backend):
+    def test_unbounded(self):
         m = LpModel(c=np.array([1.0]), sense="max")
-        s = solve_lp(m, opts(backend))
+        s = solve_lp(m)
         assert s.status == "unbounded"
 
-    def test_degenerate(self, backend):
+    def test_degenerate(self):
         # redundant constraints stacked on the same vertex
         m = LpModel(c=np.array([1.0, 1.0]), sense="max",
                     a_ub=np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 1.0],
                                    [0.0, 1.0]]),
                     b_ub=np.array([1.0, 1.0, 2.0, 1.0]))
-        s = solve_lp(m, opts(backend))
+        s = solve_lp(m)
         assert s.objective == pytest.approx(2.0, abs=1e-8)
 
-    def test_duals_sign_and_value(self, backend):
+    def test_duals_sign_and_value(self):
         # max 3x + 2y st x + y <= 4, x <= 2 ; duals (2, 1)
         m = LpModel(c=np.array([3.0, 2.0]), sense="max",
                     a_ub=np.array([[1.0, 1.0], [1.0, 0.0]]),
                     b_ub=np.array([4.0, 2.0]))
-        s = solve_lp(m, opts(backend))
+        s = solve_lp(m)
         assert s.objective == pytest.approx(10.0, abs=1e-8)
         assert s.duals_ub == pytest.approx([2.0, 1.0], abs=1e-7)
 
 
-class TestBackendAgreement:
-    @given(st.integers(min_value=0, max_value=10 ** 6))
-    @settings(max_examples=20, deadline=None)
-    def test_random_feasible_lps_agree(self, seed):
+class TestDualCertificate:
+    """Strong duality from the returned duals, checked without the engine."""
+
+    @given(st.integers(min_value=0, max_value=10 ** 6),
+           st.sampled_from(["min", "max"]), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_random_lps_meet_strong_duality(self, seed, sense, with_eq):
         rng = np.random.default_rng(seed)
         n, k = 4, 5
         A = rng.uniform(-1, 1, size=(k, n))
         x0 = rng.uniform(0, 1, size=n)
         b = A @ x0 + rng.uniform(0.1, 1.0, size=k)   # strictly feasible
         c = rng.uniform(-1, 1, size=n)
-        m = LpModel(c=c, sense="max", a_ub=A, b_ub=b, ub=np.full(n, 5.0))
-        s1 = solve_lp(m, opts("external"))
-        s2 = solve_lp(m, opts("reference"))
-        assert s1.status == OPTIMAL and s2.status == OPTIMAL
-        assert s1.objective == pytest.approx(s2.objective, abs=1e-6)
-
-    def test_available_backends(self):
-        names = available_backends()
-        assert "external" in names and "reference" in names
+        lb, ub = np.zeros(n), np.full(n, 5.0)
+        A_eq = rng.uniform(-1, 1, size=(1, n)) if with_eq else np.zeros((0, n))
+        b_eq = A_eq @ x0
+        m = LpModel(c=c, sense=sense, a_ub=A, b_ub=b, ub=ub,
+                    a_eq=A_eq if with_eq else None,
+                    b_eq=b_eq if with_eq else None)
+        s = solve_lp(m)
+        assert s.status == OPTIMAL
+        x, y = s.x, s.duals_ub
+        y_eq = s.duals_eq if with_eq else np.zeros(0)
+        # primal feasibility
+        assert np.all(A @ x <= b + 1e-9)
+        assert np.all(np.abs(A_eq @ x - b_eq) <= 1e-9)
+        assert np.all((x >= lb - 1e-9) & (x <= ub + 1e-9))
+        # dual sign: <= rows price at <= 0 when minimizing, >= 0 maximizing
+        sign = 1.0 if sense == "min" else -1.0
+        assert np.all(sign * y <= 1e-12)
+        # reduced costs; each nonzero one is paid at the bound it points at
+        r = c - A.T @ y - A_eq.T @ y_eq
+        bound = np.where(sign * r > 0, lb, ub)
+        assert np.all(np.isfinite(bound[r != 0]))
+        dual_obj = b @ y + b_eq @ y_eq + r[r != 0] @ bound[r != 0]
+        primal_obj = c @ x
+        assert s.objective == pytest.approx(primal_obj, abs=1e-12)
+        assert abs(primal_obj - dual_obj) <= 1e-7 * (1 + abs(primal_obj))
 
 
 class TestHighsStatus:
@@ -110,6 +123,24 @@ class TestHighsStatus:
                     a_ub=np.array([[1.0]]), b_ub=np.array([1.0]))
         s = solve_lp(m)
         assert s.status == status and not s.optimal
+
+
+def _stub_milp(monkeypatch, **result):
+    import scipy.optimize
+
+    monkeypatch.setattr(
+        scipy.optimize, "milp",
+        lambda *a, **k: scipy.optimize.OptimizeResult(message="stub", **result))
+
+
+def _choice_model():
+    """min load st x0 + x1 = 1, 17 x0 - load <= 0, 16 x1 - load <= 0."""
+    return LpModel(c=np.array([0.0, 0.0, 1.0]), sense="min",
+                   a_ub=np.array([[17.0, 0.0, -1.0], [0.0, 16.0, -1.0]]),
+                   b_ub=np.zeros(2),
+                   a_eq=np.array([[1.0, 1.0, 0.0]]), b_eq=np.array([1.0]),
+                   ub=np.array([1.0, 1.0, np.inf]),
+                   integrality=np.array([True, True, False]))
 
 
 class TestSolveIlp:
@@ -159,15 +190,23 @@ class TestSolveIlp:
         s = solve_ilp(m)
         assert s.status == "infeasible"
 
-    def test_node_limit_reports_gap(self):
-        rng = np.random.default_rng(1)
-        n = 18
-        w = rng.uniform(1, 10, size=n)
-        v = w + rng.uniform(0, 1, size=n)
-        m = LpModel(c=v, sense="max", a_ub=w.reshape(1, -1),
-                    b_ub=np.array([w.sum() / 2]), ub=np.ones(n),
-                    integrality=np.ones(n, dtype=bool))
-        s = solve_ilp(m, options=LpOptions(node_limit=3))
-        assert s.status in (OPTIMAL, ITERATION_LIMIT)
-        if s.x is not None:
-            assert s.gap >= 0.0
+    def test_node_limit_reports_gap(self, monkeypatch):
+        # a limit stops HiGHS with an incumbent 17 above a proven bound 16
+        _stub_milp(monkeypatch, status=1, x=np.array([1.0, 0.0, 17.0]),
+                  fun=17.0, mip_dual_bound=16.0)
+        s = solve_ilp(_choice_model())
+        assert s.status == ITERATION_LIMIT and not s.optimal
+        assert s.objective == pytest.approx(17.0)
+        assert s.gap == pytest.approx(1 / 16) and s.gap >= 0.0
+
+    def test_limit_without_incumbent_raises_route_error(self, monkeypatch):
+        _stub_milp(monkeypatch, status=1, x=None)
+        g = gen_torus([3], bidirectional=False)
+        with pytest.raises(RouteError, match=ITERATION_LIMIT):
+            ilp_min_congestion(g, disjoint_paths(g))
+
+    def test_status_2_is_infeasible(self, monkeypatch):
+        _stub_milp(monkeypatch, status=2, x=None)
+        s = solve_ilp(_choice_model())
+        assert s.status == INFEASIBLE and s.x is None
+

@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 from a2aflow.graphs import (Digraph, diameter, gen_complete_bipartite,
                             gen_gen_kautz, gen_hypercube, gen_torus)
 from a2aflow.mcf import (Commodity, LinkFlowSolution, McfError,
-                         mcf_decomposed, mcf_link)
+                         mcf_decomposed, mcf_link, solve_master)
 from a2aflow.paths import (RouteError, RouteTable, WeightedPathSet,
                            disjoint_paths, dor_routes, enum_paths_bounded,
                            eval_link_load, ewsp_routes, extract_widest_paths,
-                           ilp_min_congestion, load_aware_sp, load_routes,
+                           ilp_min_congestion, load_routes,
                            save_routes, sssp_routes, validate_path)
 
 
@@ -159,10 +159,6 @@ class TestSsspRoutes:
                  for s in (0, 1, 2)}
         assert len(loads) == 1
 
-    def test_load_aware_alias(self):
-        g = gen_torus([3, 3])
-        assert load_aware_sp(g, seed=4).routes == sssp_routes(g, seed=4).routes
-
 
 class TestEwsp:
     def test_ring3_matches_sssp(self):
@@ -225,6 +221,14 @@ class TestIlp:
         F = mcf_link(g).F
         _, load, _ = ilp_min_congestion(g, disjoint_paths(g), alpha=0.0)
         assert load >= 1 / F - 1e-6
+
+    def test_genkautz27_optimum(self):
+        g = gen_gen_kautz(27, 4)
+        table, load, gap = ilp_min_congestion(g, disjoint_paths(g), alpha=0.0)
+        assert load == pytest.approx(16.0, abs=1e-6)
+        assert gap == pytest.approx(0.0, abs=1e-9)
+        assert eval_link_load(g, table)[0] == pytest.approx(load, abs=1e-6)
+        assert load >= 1 / solve_master(g).F - 1e-6
 
 
 class TestEvalLinkLoad:
