@@ -547,6 +547,25 @@ def _cap_from_str(s) -> float:
     return float(Fraction(s))
 
 
+def _read_json(path: str, error: type[Exception]):
+    """The JSON document in `path`; other text raises `error`."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise error(f"{path}: not valid JSON: {exc}") from exc
+
+
+def _json_field(path: str, doc, key: str, parse, error: type[Exception]):
+    """parse(doc[key]); a missing field, or a record that parse cannot
+    read, raises `error` naming the file and the field."""
+    try:
+        return parse(doc[key])
+    except (KeyError, IndexError, TypeError, ValueError,
+            ZeroDivisionError) as exc:
+        raise error(f"{path}: bad or missing field {key!r}: {exc!r}") from exc
+
+
 def save_graph(g: Digraph, path: str) -> None:
     doc = {
         "n": g.n,
@@ -560,11 +579,7 @@ def save_graph(g: Digraph, path: str) -> None:
 
 
 def load_graph(path: str) -> Digraph:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise GraphError(f"{path}: not valid JSON: {exc}") from exc
+    doc = _read_json(path, GraphError)
     try:
         n = int(doc["n"])
         raw = doc["edges"]

@@ -3,9 +3,10 @@
 Four formulations: link-based, source-decomposed (one master LP whose
 per-source flows are split into per-commodity flows), time-stepped (one flow
 per source on the time-expanded graph with holdover arcs for buffering), and
-path-based, all assembled as sparse matrices. The master and time-stepped
-LPs fix the demands and minimize the edge-utilization scale U (the master's
-F is 1 / U), so U sits only in the capacity rows. The link, decomposed and
+path-based (the path model it shares with the congestion ILP,
+``paths._path_model``), all assembled as sparse matrices. The master, path
+and time-stepped LPs fix the demands and minimize the edge-utilization scale
+U (F is 1 / U), so U sits only in the capacity rows. The link, decomposed and
 time-stepped models recover per-commodity flows with one shared flow
 decomposition (``_peel``), so they conserve exactly and deliver exactly
 their demand; it also splits flows into routes
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .graphs import Digraph
+from .graphs import Digraph, _json_field, _read_json
 from .lp import LpModel, LpSolution, solve_lp
 
 __all__ = [
@@ -36,7 +37,6 @@ __all__ = [
     "mcf_timestepped",
     "mcf_path",
     "solve_master",
-    "flow_scale_check",
     "save_solution",
     "load_solution",
 ]
@@ -512,64 +512,27 @@ def mcf_timestepped(
 def mcf_path(g: Digraph, pathset):
     """Concurrent rate restricted to the given per-commodity paths.
 
-    `pathset` is a WeightedPathSet (weights ignored on input); returns
-    (F, WeightedPathSet) with optimal per-path weights filled in.
+    `pathset` is a WeightedPathSet (weights ignored on input). Solves the LP
+    relaxation of the path model shared with the congestion ILP
+    (``paths._path_model``): each commodity's path weights sum to 1 and the
+    LP minimizes the edge-utilization scale U, so F = 1 / U. Returns
+    (F, WeightedPathSet) with per-path rates w_p * F; paths that carry
+    nothing are left out.
     """
-    from .paths import WeightedPathSet, validate_path
+    from .paths import WeightedPathSet, _path_model
 
-    items = sorted(pathset.paths.items())
-    if not items:
+    if not pathset.paths:
         raise McfError("empty path set")
-    for (s, d), plist in items:
-        if not plist:
-            raise McfError(f"commodity ({s},{d}) has no paths")
-    eidx = g.edge_index
-    all_paths = []       # (commodity row, edge index list)
-    offsets = []
-    for k, ((s, d), plist) in enumerate(items):
-        offsets.append(len(all_paths))
-        for path, _ in plist:
-            validate_path(g, s, d, path)
-            all_paths.append((k, [eidx[(a, b)] for a, b in zip(path, path[1:])]))
-    P = len(all_paths)
-    n_vars = P + 1
-    rows, cols, vals = [], [], []
-    for p, (_, elist) in enumerate(all_paths):
-        for e in elist:
-            rows.append(e)
-            cols.append(p)
-            vals.append(1.0)
-    b_parts = [np.asarray(g.capacities, dtype=float)]
-    dem_base = g.num_edges
-    for p, (k, _) in enumerate(all_paths):
-        rows.append(dem_base + k)
-        cols.append(p)
-        vals.append(-1.0)
-    for k in range(len(items)):
-        rows.append(dem_base + k)
-        cols.append(P)
-        vals.append(1.0)
-    b_parts.append(np.zeros(len(items)))
-    a_ub = sp.csr_matrix((vals, (rows, cols)),
-                         shape=(dem_base + len(items), n_vars))
-    c_obj = np.zeros(n_vars)
-    c_obj[P] = 1.0
-    model = LpModel(c=c_obj, sense="max", a_ub=a_ub,
-                    b_ub=np.concatenate(b_parts))
-    sol = solve_lp(model)
+    sol = solve_lp(_path_model(g, pathset, integral=False))
     if not sol.optimal:
         raise McfError(f"path MCF LP did not solve: {sol.status}")
-    F = float(sol.x[P])
-    out: dict[tuple[int, int], list] = {}
-    for k, ((s, d), plist) in enumerate(items):
-        lo = offsets[k]
-        hi = offsets[k + 1] if k + 1 < len(items) else P
-        weighted = []
-        for j, (path, _) in enumerate(plist):
-            w = float(sol.x[lo + j])
-            if w > FLOW_EPS:
-                weighted.append((tuple(path), w))
-        out[(s, d)] = weighted
+    F = 1.0 / float(sol.x[-1])
+    out, p = {}, 0
+    for sd, plist in sorted(pathset.paths.items()):
+        rates = (sol.x[p:p + len(plist)] * F).tolist()
+        out[sd] = [(tuple(path), w) for (path, _), w in zip(plist, rates)
+                   if w > FLOW_EPS]
+        p += len(plist)
     return F, WeightedPathSet(paths=out)
 
 
@@ -605,42 +568,35 @@ def save_solution(sol, path: str) -> None:
 
 
 def load_solution(path: str, g: Digraph):
-    """Inverse of save_solution; needs the graph for edge indexing."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    eidx = g.edge_index
-    if doc["kind"] == "ts":
-        pairs = sorted({(s, d) for s, d, *_ in doc["flows"]})
-        comms = [Commodity(s, d) for s, d in pairs]
-        cidx = {p: i for i, p in enumerate(pairs)}
-        flows = {
-            (cidx[(s, d)], eidx[(u, v)], t): rate
-            for s, d, u, v, rate, t in doc["flows"]
-        }
-        return TimeExpandedSolution(
-            l_max=doc["l_max"], U=np.asarray(doc["U"], dtype=float),
-            commodities=comms, flows=flows, graph=g)
-    if doc["kind"] == "link":
-        # entries are [s, d, demand]; older files hold [s, d] for unit demand
-        comms = [Commodity(*c) for c in doc["commodities"]]
-        cidx = {(c.src, c.dst): i for i, c in enumerate(comms)}
-        flows = {
-            (cidx[(s, d)], eidx[(u, v)]): rate
-            for s, d, u, v, rate in doc["flows"]
-        }
-        return LinkFlowSolution(F=float(doc["F"]), commodities=comms,
-                                flows=flows, graph=g)
-    raise McfError(f"unknown solution kind {doc['kind']!r}")
+    """Inverse of save_solution; needs the graph for edge indexing.
 
-
-def flow_scale_check(g: Digraph, c: float) -> tuple[float, float, bool]:
-    """LP homogeneity harness: F(c*g) must equal c*F(g).
-
-    Returns (F_scaled, c * F_base, ok at 1e-6 relative).
+    Text that is not JSON, a missing field or a short record raises
+    McfError naming the file and the field.
     """
-    if c <= 0:
-        raise McfError("scale factor must be positive")
-    base = solve_master(g).F
-    scaled = solve_master(g.scaled(c)).F
-    ok = abs(scaled - c * base) <= 1e-6 * max(c * base, 1e-12)
-    return scaled, c * base, ok
+    doc = _read_json(path, McfError)
+    eidx = g.edge_index
+
+    def get(key, parse):
+        return _json_field(path, doc, key, parse, McfError)
+
+    kind = get("kind", str)
+    if kind == "ts":
+        recs = get("flows", lambda fl: [(s, d, eidx[(u, v)], t, rate)
+                                          for s, d, u, v, rate, t in fl])
+        pairs = sorted({(s, d) for s, d, *_ in recs})
+        cidx = {p: i for i, p in enumerate(pairs)}
+        return TimeExpandedSolution(
+            l_max=get("l_max", int),
+            U=get("U", lambda u: np.asarray(u, dtype=float)),
+            commodities=[Commodity(s, d) for s, d in pairs],
+            flows={(cidx[(s, d)], e, t): rate for s, d, e, t, rate in recs},
+            graph=g)
+    if kind == "link":
+        # entries are [s, d, demand]; older files hold [s, d] for unit demand
+        comms = get("commodities", lambda cs: [Commodity(*c) for c in cs])
+        cidx = {(c.src, c.dst): i for i, c in enumerate(comms)}
+        flows = get("flows", lambda fl: {(cidx[(s, d)], eidx[(u, v)]): rate
+                                           for s, d, u, v, rate in fl})
+        return LinkFlowSolution(F=get("F", float), commodities=comms,
+                                flows=flows, graph=g)
+    raise McfError(f"{path}: unknown solution kind {kind!r}")

@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 import scipy.sparse as sp
 
-from .graphs import Digraph, all_pairs_distances
+from .graphs import Digraph, _json_field, _read_json
 from .lp import LpModel, solve_ilp
 from .mcf import _peel
 
@@ -386,7 +386,43 @@ def dor_routes(g: Digraph, dims: list[int] | None = None) -> RouteTable:
 
 
 # ---------------------------------------------------------------------------
-# ILP minimum edge congestion
+# path model: pMCF and the congestion ILP
+
+def _path_model(g: Digraph, pathset: WeightedPathSet,
+                integral: bool) -> LpModel:
+    """min U over path weights w_p in [0, 1] and the utilization scale U.
+
+    Rows: sum of w_p over each commodity's paths = 1 (a_eq, one row per
+    commodity in sorted order) and sum of w_p over the paths crossing edge
+    e <= cap_e * U (a_ub). Columns are the paths in commodity order, each
+    commodity's in list order, then U. Its LP relaxation is the path
+    formulation of max concurrent flow with F = 1 / U (Shahrokhi-Matula);
+    ``integral`` makes the path columns binary, which picks one path per
+    commodity. Every path is validated; a commodity without paths raises
+    RouteError.
+    """
+    eidx = g.edge_index
+    comm, hop_edge, hop_path = [], [], []
+    for k, ((s, d), plist) in enumerate(sorted(pathset.paths.items())):
+        if not plist:
+            raise RouteError(f"commodity ({s},{d}) has no paths")
+        for path, _ in plist:
+            validate_path(g, s, d, path)
+            hop_edge += [eidx[ab] for ab in zip(path, path[1:])]
+            hop_path += [len(comm)] * (len(path) - 1)
+            comm.append(k)
+    P, E = len(comm), g.num_edges
+    a_eq = sp.csr_matrix((np.ones(P), (comm, np.arange(P))),
+                         shape=(len(pathset.paths), P + 1))
+    a_ub = sp.csr_matrix(
+        (np.r_[np.ones(len(hop_edge)), -np.asarray(g.capacities, dtype=float)],
+         (np.r_[hop_edge, np.arange(E)], np.r_[hop_path, np.full(E, P)])),
+        shape=(E, P + 1))
+    return LpModel(c=np.r_[np.zeros(P), 1.0], sense="min", a_ub=a_ub,
+                   b_ub=np.zeros(E), a_eq=a_eq, b_eq=np.ones(a_eq.shape[0]),
+                   ub=np.r_[np.ones(P), np.inf],
+                   integrality=np.r_[np.full(P, integral), False])
+
 
 def ilp_min_congestion(
     g: Digraph,
@@ -395,59 +431,20 @@ def ilp_min_congestion(
 ) -> tuple[RouteTable, float, float]:
     """Pick one path per commodity minimizing max normalized link load.
 
-    Returns (table, achieved load, optimality gap). Binary path-selection
-    variables and a continuous load variable form a MILP that HiGHS
-    (``lp.solve_ilp``) solves until the incumbent is within (1 + alpha) of
-    its proven bound.
+    Returns (table, achieved load, optimality gap). The model is the path
+    model of ``mcf.mcf_path`` with binary path columns; its U is the load.
+    HiGHS (``lp.solve_ilp``) solves it until the incumbent is within
+    (1 + alpha) of its proven bound.
     """
-    items = sorted(pathset.paths.items())
-    for (s, d), plist in items:
-        if not plist:
-            raise RouteError(f"pathset misses commodity ({s},{d})")
-    all_paths = []
-    for k, (_, plist) in enumerate(items):
-        for path, _ in plist:
-            all_paths.append((k, path))
-    P = len(all_paths)
-    n_vars = P + 1     # + congestion variable
-    rows, cols, vals = [], [], []
-    for p, (_, path) in enumerate(all_paths):
-        for a, b in zip(path, path[1:]):
-            e = g.edge_index[(a, b)]
-            rows.append(e)
-            cols.append(p)
-            vals.append(1.0 / g.capacities[e])
-    for e in range(g.num_edges):
-        rows.append(e)
-        cols.append(P)
-        vals.append(-1.0)
-    a_ub = sp.csr_matrix((vals, (rows, cols)), shape=(g.num_edges, n_vars))
-    b_ub = np.zeros(g.num_edges)
-    er, ec, ev = [], [], []
-    for p, (k, _) in enumerate(all_paths):
-        er.append(k)
-        ec.append(p)
-        ev.append(1.0)
-    a_eq = sp.csr_matrix((ev, (er, ec)), shape=(len(items), n_vars))
-    b_eq = np.ones(len(items))
-    ub = np.ones(n_vars)
-    ub[P] = np.inf
-    integrality = np.zeros(n_vars, dtype=bool)
-    integrality[:P] = True
-    c_obj = np.zeros(n_vars)
-    c_obj[P] = 1.0
-    model = LpModel(c=c_obj, sense="min", a_ub=a_ub, b_ub=b_ub,
-                    a_eq=a_eq, b_eq=b_eq, ub=ub, integrality=integrality)
-    sol = solve_ilp(model, alpha=alpha)
+    sol = solve_ilp(_path_model(g, pathset, integral=True), alpha=alpha)
     if sol.x is None:
         raise RouteError(f"congestion ILP failed: {sol.status} {sol.message}")
-    routes = {}
-    for p, (k, path) in enumerate(all_paths):
-        if sol.x[p] > 0.5:
-            routes[items[k][0]] = tuple(path)
-    if len(routes) != len(items):
+    flat = [(sd, path) for sd, plist in sorted(pathset.paths.items())
+            for path, _ in plist]
+    routes = {sd: tuple(path) for (sd, path), x in zip(flat, sol.x) if x > 0.5}
+    if len(routes) != len(pathset.paths):
         raise RouteError("ILP incumbent does not select one path per commodity")
-    return RouteTable(routes=routes), float(sol.x[P]), sol.gap
+    return RouteTable(routes=routes), float(sol.x[-1]), sol.gap
 
 
 # ---------------------------------------------------------------------------
@@ -495,11 +492,14 @@ def save_routes(routing, path: str) -> None:
 
 
 def load_routes(path: str) -> WeightedPathSet:
-    with open(path) as fh:
-        doc = json.load(fh)
-    paths = {}
-    for rec in doc["routes"]:
-        plist = [(tuple(p["nodes"]), float(Fraction(str(p["weight"]))))
-                 for p in rec["paths"]]
-        paths[(rec["s"], rec["d"])] = plist
-    return WeightedPathSet(paths=paths)
+    """Inverse of save_routes. Text that is not JSON, a missing field or a
+    short record raises RouteError naming the file and the field."""
+    def record(rec):
+        return (rec["s"], rec["d"]), [
+            (tuple(p["nodes"]), float(Fraction(str(p["weight"]))))
+            for p in rec["paths"]]
+
+    doc = _read_json(path, RouteError)
+    return WeightedPathSet(paths=dict(_json_field(
+        path, doc, "routes", lambda recs: [record(r) for r in recs],
+        RouteError)))

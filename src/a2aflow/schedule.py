@@ -2,8 +2,9 @@
 
 Two lowerings: time-stepped solutions become per-step link sends on the
 time-expanded graph, and weighted path sets become chunk-to-route
-assignments. Both quantize fractional rates into integer chunk counts and
-serialize to a small XML dialect.
+assignments. Both quantize fractional rates into integer chunk counts at one
+shared Q by the same rule (``_chunk_counts``) and serialize to a small XML
+dialect.
 """
 from __future__ import annotations
 
@@ -73,11 +74,6 @@ class ChunkedSchedule:
     instructions: list[Instruction] = field(default_factory=list)
 
 
-def _as_fraction(x, q_max: int) -> Fraction | None:
-    f = Fraction(x).limit_denominator(q_max)
-    return f if abs(float(f) - x) <= 1e-9 else None
-
-
 def quantize_flows(rates, q_max: int = DEFAULT_Q_MAX) -> Chunking:
     """Integer chunk counts for rates that sum to 1.
 
@@ -94,11 +90,9 @@ def quantize_flows(rates, q_max: int = DEFAULT_Q_MAX) -> Chunking:
         raise ScheduleError(f"rates must lie in (0, 1]: {rates}")
     if q_max < 1:
         raise ScheduleError("q_max must be >= 1")
-    fracs = [_as_fraction(r, q_max) for r in rates]
-    if all(f is not None for f in fracs):
-        Q = 1
-        for f in fracs:
-            Q = Q * f.denominator // math.gcd(Q, f.denominator)
+    fracs = [Fraction(r).limit_denominator(q_max) for r in rates]
+    if all(abs(float(f) - r) <= 1e-9 for f, r in zip(fracs, rates)):
+        Q = math.lcm(*(f.denominator for f in fracs))
         if Q <= q_max:
             counts = [int(f * Q) for f in fracs]
             if sum(counts) == Q:
@@ -130,6 +124,25 @@ def _counts_at(rates, Q: int) -> tuple[int, ...]:
     if min(counts) < 1 or sum(counts) != Q:
         raise ScheduleError("quantization repair failed; increase q_max")
     return tuple(counts)
+
+
+def _chunk_counts(weight_lists, q_max: int):
+    """One Q for all commodities, and each commodity's chunk counts at Q.
+
+    Each commodity's nonzero weights (which sum to 1) are quantized on their
+    own by ``quantize_flows``; Q is the LCM of the results, capped at q_max,
+    and a commodity whose own Q differs is recounted at Q by largest
+    remainder. Zero weights get 0 chunks; negative ones raise ScheduleError.
+    Returns (Q, one count tuple per weight list).
+    """
+    rates = [[w for w in ws if w != 0] for ws in weight_lists]
+    chunkings = [quantize_flows(r, q_max) for r in rates]
+    Q = min(math.lcm(*(c.Q for c in chunkings)), q_max)
+    out = []
+    for ws, r, c in zip(weight_lists, rates, chunkings):
+        counts = iter(c.counts if c.Q == Q else _counts_at(r, Q))
+        out.append(tuple(next(counts) if w else 0 for w in ws))
+    return Q, out
 
 
 # ---------------------------------------------------------------------------
@@ -203,38 +216,29 @@ def compile_timestep_schedule(
     """Chunked per-step link schedule from a TimeExpandedSolution.
 
     Each commodity's flow is decomposed into trajectories, trajectory weights
-    are quantized to chunks of m/Q bytes, and every chunk follows its
-    trajectory hop by hop (buffering between hops). Delivery of all shards is
-    then structural; quantization affects only per-step link volumes. Every
-    commodity must have unit demand: its shard is the m bytes it sends.
+    are quantized to chunks of m/Q bytes by the rule the path lowering uses
+    (``_chunk_counts``), and every chunk follows its trajectory hop by hop
+    (buffering between hops). Delivery of all shards is then structural;
+    quantization affects only per-step link volumes. Every commodity must
+    have unit demand: its shard is the m bytes it sends.
     """
-    sched = ChunkedSchedule(n=g.n, nsteps=ts.l_max, chunk_bytes=0.0, Q=1,
-                            mode="ts")
     by_comm: dict[int, dict] = {}
     for (ci, e, t), v in ts.flows.items():
         by_comm.setdefault(ci, {})[(e, t)] = v
-    per_comm = []
-    Q = 1
+    trajs = []
     for ci, com in enumerate(ts.commodities):
         if com.demand != 1.0:
             raise ScheduleError(
                 f"commodity ({com.src},{com.dst}) has demand {com.demand}; "
                 "time-stepped schedules need unit demands")
-        trajs = _decompose_trajectories(g, com, by_comm.get(ci, {}), ts.l_max)
-        weights = [w for _, w in trajs]
-        chunking = quantize_flows(weights, q_max)
-        Q = Q * chunking.Q // math.gcd(Q, chunking.Q)
-        per_comm.append((com, trajs, chunking))
-    if Q > q_max:
-        Q = q_max
-    sched.Q = Q
-    sched.chunk_bytes = m / Q
-    for com, trajs, chunking in per_comm:
-        counts = chunking.counts
-        if chunking.Q != Q:
-            counts = _counts_at([w for _, w in trajs], Q)
+        trajs.append(_decompose_trajectories(g, com, by_comm.get(ci, {}),
+                                             ts.l_max))
+    Q, counts = _chunk_counts([[w for _, w in tr] for tr in trajs], q_max)
+    sched = ChunkedSchedule(n=g.n, nsteps=ts.l_max, chunk_bytes=m / Q, Q=Q,
+                            mode="ts")
+    for com, tr, cnts in zip(ts.commodities, trajs, counts):
         off = 0
-        for (hops, _), cnt in zip(trajs, counts):
+        for (hops, _), cnt in zip(tr, cnts):
             if cnt == 0:
                 continue
             for (t, e) in hops:
@@ -260,57 +264,30 @@ def compile_path_schedule(
 ):
     """Chunk-to-route assignment for a weighted path set.
 
-    Path weights are normalized per commodity; the chunk size is the highest
-    common factor of all normalized weights (one global denominator Q), with
-    a largest-remainder fallback at Q = q_max when the HCF is degenerate.
-    Returns (route list, ChunkedSchedule) where instruction.dst indexes the
-    route list.
+    Path weights are normalized per commodity and quantized by the rule the
+    time-stepped lowering uses (``_chunk_counts``): Q is the LCM of the
+    commodities' own denominators, capped at q_max, with largest-remainder
+    counts where a commodity's own Q differs. A path of weight 0 gets no
+    chunks and no instruction. Returns (route list, ChunkedSchedule) where
+    instruction.dst indexes the route list.
     """
     items = sorted(wps.paths.items())
-    normalized = []
+    weights = []
     for (s, d), plist in items:
         if not plist:
             raise ScheduleError(f"commodity ({s},{d}) has no paths")
         tot = sum(w for _, w in plist)
         if tot <= 0:
             raise ScheduleError(f"commodity ({s},{d}) has zero total weight")
-        normalized.append(((s, d), [(p, w / tot) for p, w in plist]))
-
-    # global HCF over all normalized weights, as exact rationals if possible
-    fracs = []
-    exact = True
-    for _, plist in normalized:
-        for _, w in plist:
-            f = _as_fraction(w, 10 ** 6)
-            if f is None or f <= 0:
-                exact = False
-                break
-            fracs.append(f)
-        if not exact:
-            break
-    Q = None
-    if exact:
-        hcf = fracs[0]
-        for f in fracs[1:]:
-            hcf = Fraction(math.gcd(hcf.numerator, f.numerator),
-                           hcf.denominator * f.denominator
-                           // math.gcd(hcf.denominator, f.denominator))
-        if 1 / hcf <= q_max and (1 / hcf).denominator == 1:
-            Q = int(1 / hcf)
-    if Q is None:
-        warnings.warn(
-            f"weight HCF degenerate or > 1/{q_max}; falling back to "
-            f"largest-remainder quantization at Q={q_max}", stacklevel=2
-        )
-        Q = q_max
+        weights.append([w / tot for _, w in plist])
+    Q, counts = _chunk_counts(weights, q_max)
 
     routes = []
     sched = ChunkedSchedule(n=g.n, nsteps=1, chunk_bytes=m / Q, Q=Q,
                             mode="path")
-    for (s, d), plist in normalized:
-        counts = _counts_at([w for _, w in plist], Q)
+    for ((s, d), plist), cnts in zip(items, counts):
         off = 0
-        for (path, _), cnt in zip(plist, counts):
+        for (path, _), cnt in zip(plist, cnts):
             rid = len(routes)
             routes.append({"s": s, "d": d, "nodes": list(path)})
             if cnt:

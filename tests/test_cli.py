@@ -141,6 +141,17 @@ class TestCompileEval:
         manifest = json.loads(open(xml + ".manifest.json").read())
         assert sol in manifest["inputs"]
 
+    def test_malformed_solution_is_domain_error(self, tmp_path, capsys):
+        g = str(tmp_path / "ring.json")
+        bad = tmp_path / "bad.json"
+        bad.write_text("{}")
+        assert run(capsys, "gen", "--topo", "torus", "--dims", "3",
+                   "--out", g)[0] == 0
+        rc, _, stderr = run(capsys, "compile", "--mode", "ts", "--graph", g,
+                            "--sol", str(bad), "--out",
+                            str(tmp_path / "s.xml"))
+        assert rc == 1 and str(bad) in stderr and "'kind'" in stderr
+
     def test_path_pipeline(self, tmp_path, capsys):
         g = str(tmp_path / "t9.json")
         routes = str(tmp_path / "routes.json")

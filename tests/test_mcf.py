@@ -17,9 +17,9 @@ from a2aflow.graphs import (Digraph, augment_host_bottleneck,
 from a2aflow.lp import solve_lp
 from a2aflow.mcf import (Commodity, LinkFlowSolution, McfError,
                          _build_master_model, _path_sum, _peel,
-                         all_to_all_commodities, flow_scale_check,
-                         load_solution, mcf_decomposed, mcf_link, mcf_path,
-                         mcf_timestepped, save_solution, solve_master)
+                         all_to_all_commodities, load_solution,
+                         mcf_decomposed, mcf_link, mcf_path, mcf_timestepped,
+                         save_solution, solve_master)
 from a2aflow.paths import extract_widest_paths
 
 
@@ -385,17 +385,29 @@ class TestPathMcf:
         with pytest.raises(McfError):
             mcf_path(gen_torus([3]), WeightedPathSet(paths={}))
 
+    def test_nonexistent_edge_rejected(self):
+        from a2aflow.paths import RouteError, WeightedPathSet
+
+        g = Digraph.from_edges(6, [(0, 1, 1.0), (1, 5, 1.0)])
+        ps = WeightedPathSet(paths={(0, 5): [((0, 5), 0.0), ((0, 1, 5), 0.0)]})
+        with pytest.raises(RouteError, match="nonexistent edge"):
+            mcf_path(g, ps)
+
 
 class TestScaleCheck:
+    """LP homogeneity: F(c * g) = c * F(g), at 1e-6 relative."""
+
     def test_identity_and_double(self):
         g = gen_torus([3], bidirectional=False)
-        scaled, expected, ok = flow_scale_check(g, 2.0)
-        assert ok and scaled == pytest.approx(2 / 3, abs=1e-6)
+        scaled = solve_master(g.scaled(2.0)).F
+        assert scaled == pytest.approx(2.0 * solve_master(g).F, rel=1e-6)
+        assert scaled == pytest.approx(2 / 3, abs=1e-6)
 
     def test_half_torus(self):
         g = gen_torus([3, 3])
-        scaled, expected, ok = flow_scale_check(g, 0.5)
-        assert ok and scaled == pytest.approx(1 / 6, abs=1e-6)
+        scaled = solve_master(g.scaled(0.5)).F
+        assert scaled == pytest.approx(0.5 * solve_master(g).F, rel=1e-6)
+        assert scaled == pytest.approx(1 / 6, abs=1e-6)
 
 
 class TestSolutionJson:
@@ -428,6 +440,31 @@ class TestSolutionJson:
             "flows": [[0, 1, 0, 1, 0.5], [1, 2, 1, 2, 0.5]]}))
         back = load_solution(str(p), g)
         assert back.commodities == [Commodity(0, 1), Commodity(1, 2)]
+
+    @pytest.mark.parametrize("text, field", [
+        ("{}", "kind"),
+        ('{"kind": "ts", "l_max": 2, "U": [1, 1], "flows": [[0, 1, 0]]}',
+         "flows"),
+        ('{"kind": "link", "F": 0.5, "commodities": [[0, 1]]}', "flows"),
+        ('{"kind": "link", "F": 0.5, "commodities": [[0, 1]], '
+         '"flows": [[0, 1, 0, 1]]}', "flows"),
+        ('{"kind": "ts", "flows": [], "U": []}', "l_max"),
+        ('{"kind": "link", "F": 0.5, "commodities": [[0]], "flows": []}',
+         "commodities"),
+        ("kind: ts", "not valid JSON"),
+    ])
+    def test_malformed_file_names_file_and_field(self, tmp_path, text, field):
+        p = tmp_path / "bad.json"
+        p.write_text(text)
+        with pytest.raises(McfError, match=field) as exc:
+            load_solution(str(p), gen_torus([3], bidirectional=False))
+        assert str(p) in str(exc.value)
+
+    def test_unknown_kind_rejected(self, tmp_path):
+        p = tmp_path / "bad.json"
+        p.write_text('{"kind": "tree"}')
+        with pytest.raises(McfError, match="unknown solution kind 'tree'"):
+            load_solution(str(p), gen_torus([3], bidirectional=False))
 
     def test_ts_roundtrip(self, tmp_path):
         g = gen_torus([3], bidirectional=False)

@@ -222,6 +222,19 @@ class TestIlp:
         _, load, _ = ilp_min_congestion(g, disjoint_paths(g), alpha=0.0)
         assert load >= 1 / F - 1e-6
 
+    def test_nonexistent_edge_rejected(self):
+        g = Digraph.from_edges(6, [(0, 1, 1.0), (1, 5, 1.0)])
+        ps = WeightedPathSet(paths={(0, 5): [((0, 5), 0.0), ((0, 1, 5), 0.0)]})
+        with pytest.raises(RouteError, match=r"nonexistent edge \(0,5\)"):
+            ilp_min_congestion(g, ps)
+
+    def test_commodity_without_paths_rejected(self):
+        g = gen_torus([3], bidirectional=False)
+        ps = disjoint_paths(g)
+        ps.paths[(0, 1)] = []
+        with pytest.raises(RouteError, match=r"\(0,1\) has no paths"):
+            ilp_min_congestion(g, ps)
+
     def test_genkautz27_optimum(self):
         g = gen_gen_kautz(27, 4)
         table, load, gap = ilp_min_congestion(g, disjoint_paths(g), alpha=0.0)
@@ -261,6 +274,21 @@ class TestRoutesJson:
                                                        in wp.paths[k]]
             for (_, a), (_, b) in zip(back.paths[k], wp.paths[k]):
                 assert a == pytest.approx(b, abs=1e-9)
+
+    @pytest.mark.parametrize("text, field", [
+        ("{}", "routes"),
+        ('{"routes": [{"s": 0, "d": 1}]}', "routes"),
+        ('{"routes": [{"s": 0, "d": 1, "paths": [{"nodes": [0, 1]}]}]}',
+         "routes"),
+        ("[[0, 1]]", "routes"),
+        ("routes: []", "not valid JSON"),
+    ])
+    def test_malformed_file_names_file_and_field(self, tmp_path, text, field):
+        p = tmp_path / "bad.json"
+        p.write_text(text)
+        with pytest.raises(RouteError, match=field) as exc:
+            load_routes(str(p))
+        assert str(p) in str(exc.value)
 
     def test_route_table_roundtrip(self, tmp_path):
         g = gen_torus([3], bidirectional=False)

@@ -129,6 +129,29 @@ class TestCompilePath:
         counts = sorted(i.c1 - i.c0 for i in sched.instructions)
         assert counts == [1, 3]
 
+    def test_zero_weight_path_gets_no_chunks(self):
+        from a2aflow.graphs import Digraph
+
+        g = Digraph.from_edges(3, [(0, 1, 1.0), (0, 2, 1.0), (2, 1, 1.0)])
+        wps = WeightedPathSet(paths={(0, 1): [((0, 1), 1.0),
+                                              ((0, 2, 1), 0.0)]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            routes, sched = compile_path_schedule(g, wps)
+        assert sched.Q == 1
+        assert sched.instructions == [
+            Instruction(t=0, src=0, dst=0, s=0, d=1, c0=0, c1=1)]
+        assert routes[0]["nodes"] == [0, 1]
+
+    def test_negative_weight_rejected(self):
+        from a2aflow.graphs import Digraph
+
+        g = Digraph.from_edges(3, [(0, 1, 1.0), (0, 2, 1.0), (2, 1, 1.0)])
+        wps = WeightedPathSet(paths={(0, 1): [((0, 1), 1.5),
+                                              ((0, 2, 1), -0.5)]})
+        with pytest.raises(ScheduleError, match="rates must lie"):
+            compile_path_schedule(g, wps)
+
     def test_43_57_split(self):
         from a2aflow.graphs import Digraph
 
