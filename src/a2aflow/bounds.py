@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Digraph, all_pairs_distances
+from .graphs import Digraph, GraphError, all_pairs_distances
 
 __all__ = [
     "BoundReport",
@@ -42,7 +42,7 @@ def tree_distance_sum(d: int, n: int) -> int:
     partial.
     """
     if n < 2 or d < 1:
-        raise ValueError("need n >= 2 and d >= 1")
+        raise GraphError("need n >= 2 and d >= 1")
     total = 0
     remaining = n
     level = 0
@@ -64,7 +64,7 @@ def full_tree_distance_sum_closed(d: int, k: int) -> int:
     Equals tree_distance_sum(d, (d^k - 1) / (d - 1)); requires d >= 2, k >= 1.
     """
     if d < 2 or k < 1:
-        raise ValueError("need d >= 2 and k >= 1")
+        raise GraphError("need d >= 2 and k >= 1")
     num = d ** (k + 1) * (k - 1) - d ** k * k + d
     den = (d - 1) ** 2
     assert num % den == 0
@@ -85,7 +85,7 @@ def graph_distance_bound(g: Digraph) -> float:
             if s == d:
                 continue
             if dist[s][d] < 0:
-                raise ValueError(f"graph is not strongly connected ({s}->{d})")
+                raise GraphError(f"graph is not strongly connected ({s}->{d})")
             total += dist[s][d]
     return total / sum(g.capacities)
 

@@ -5,7 +5,8 @@ bench. Every command that writes an artifact also writes a sidecar
 `<artifact>.manifest.json` recording the argument vector, seed, version, and
 sha256 digests of inputs and outputs, so runs can be reproduced exactly.
 
-Exit codes: 0 success, 1 domain error, 2 usage error.
+Exit codes: 0 success, 1 domain error (the package's errors and OSError),
+2 usage error. Any other exception is a bug and propagates.
 """
 from __future__ import annotations
 
@@ -24,8 +25,19 @@ from .graphs import (GraphError, augment_host_bottleneck, diameter,
                      gen_shortest_path_expander, gen_torus,
                      gen_twisted_hypercube, load_graph, puncture, save_graph)
 
-TOPOS = ("genkautz", "debruijn", "torus", "hypercube", "thypercube",
-         "bipartite", "rrg", "spx")
+# topology -> (flags it needs, generator); a missing --k is read from --d
+_GEN = {
+    "genkautz": (("n", "d"), lambda a: gen_gen_kautz(a.n, a.d)),
+    "debruijn": (("n", "d"), lambda a: gen_de_bruijn(a.n, a.d)),
+    "torus": (("dims",), lambda a: gen_torus(a.dims)),
+    "hypercube": (("k",), lambda a: gen_hypercube(a.k)),
+    "thypercube": (("k",), lambda a: gen_twisted_hypercube(a.k)),
+    "bipartite": (("n",), lambda a: gen_complete_bipartite(a.n)),
+    "rrg": (("n", "d"), lambda a: gen_random_regular(a.n, a.d, seed=a.seed)),
+    "spx": (("n", "d"), lambda a: gen_shortest_path_expander(
+        a.n, a.d, seed=a.seed, eps=a.eps)),
+}
+TOPOS = tuple(_GEN)
 
 
 def _sha256(path: str) -> str:
@@ -61,6 +73,14 @@ def _parse_dims(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"bad dims {text!r}")
 
 
+def _parse_puncture(text: str) -> tuple[str, int]:
+    mode, _, count = text.partition(":")
+    if not count.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"bad puncture {text!r}, want MODE:COUNT")
+    return mode, int(count)
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="a2a",
@@ -80,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--eps", type=float, default=0.01)
     g.add_argument("--augment-host", type=float, default=None,
                    metavar="CAP", help="3-way host/NIC split at capacity CAP")
-    g.add_argument("--puncture", default=None, metavar="MODE:COUNT",
+    g.add_argument("--puncture", type=_parse_puncture, metavar="MODE:COUNT",
                    help="remove COUNT random edges or nodes")
     g.add_argument("--out", required=True)
 
@@ -149,29 +169,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen(args) -> list[str]:
-    topo = args.topo
-    if topo == "genkautz":
-        g = gen_gen_kautz(args.n, args.d)
-    elif topo == "debruijn":
-        g = gen_de_bruijn(args.n, args.d)
-    elif topo == "torus":
-        if not args.dims:
-            raise GraphError("torus needs --dims")
-        g = gen_torus(args.dims)
-    elif topo == "hypercube":
-        g = gen_hypercube(args.k if args.k else args.d)
-    elif topo == "thypercube":
-        g = gen_twisted_hypercube(args.k if args.k else args.d)
-    elif topo == "bipartite":
-        g = gen_complete_bipartite(args.n)
-    elif topo == "rrg":
-        g = gen_random_regular(args.n, args.d, seed=args.seed)
-    else:
-        g = gen_shortest_path_expander(args.n, args.d, seed=args.seed,
-                                       eps=args.eps)
+    if args.k is None:
+        args.k = args.d
+    flags, generate = _GEN[args.topo]
+    missing = [f"--{f}" for f in flags if getattr(args, f) is None]
+    if missing:
+        raise GraphError(f"{args.topo} needs {' and '.join(missing)}")
+    g = generate(args)
     if args.puncture:
-        mode, count = args.puncture.split(":")
-        g = puncture(g, mode, int(count), seed=args.seed)
+        g = puncture(g, *args.puncture, seed=args.seed)
     if args.augment_host is not None:
         g, _ = augment_host_bottleneck(g, args.augment_host)
     save_graph(g, args.out)
@@ -401,6 +407,18 @@ _COMMANDS = {
 }
 
 
+def _domain_errors() -> tuple[type[Exception], ...]:
+    """The errors main reports; imported only once a command raises."""
+    from .deadlock import DeadlockError
+    from .evaluate import EvalError
+    from .lp import LpError
+    from .mcf import McfError
+    from .paths import RouteError
+    from .schedule import ScheduleError
+    return (GraphError, McfError, LpError, RouteError, ScheduleError,
+            EvalError, DeadlockError, OSError)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -409,7 +427,7 @@ def main(argv: list[str] | None = None) -> int:
               for name in ("graph", "sol", "routes", "sched")]
     try:
         outputs = _COMMANDS[args.command](args)
-    except Exception as ex:   # noqa: BLE001 - CLI boundary
+    except _domain_errors() as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 1
     _write_manifest(args, [p for p in inputs if p], outputs, started)

@@ -7,6 +7,7 @@ packed into the fewest layers whose CDGs stay acyclic.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .graphs import Digraph
@@ -45,64 +46,55 @@ class LayerAssignment:
 
 
 def _route_items(routes) -> dict[tuple[int, int], tuple[int, ...]]:
-    if hasattr(routes, "routes"):
-        return dict(routes.routes)
-    return dict(routes)
+    return dict(getattr(routes, "routes", routes))
 
 
-def _route_arcs(g: Digraph, path) -> list[tuple[int, int]]:
-    idx = g.edge_index
-    links = []
-    for a, b in zip(path, path[1:]):
-        if (a, b) not in idx:
-            raise DeadlockError(f"route {path} uses nonexistent link ({a},{b})")
-        links.append(idx[(a, b)])
-    return list(zip(links, links[1:]))
+def _route_links(g: Digraph, path) -> list[int]:
+    try:
+        return [g.edge_index[ab] for ab in zip(path, path[1:])]
+    except KeyError as ex:
+        raise DeadlockError(
+            f"route {path} uses nonexistent link {ex.args[0]}") from None
 
 
 def build_cdg(g: Digraph, routes) -> ChannelDependencyGraph:
     cdg = ChannelDependencyGraph(num_links=g.num_edges)
     for path in _route_items(routes).values():
-        cdg.arcs.update(_route_arcs(g, path))
+        links = _route_links(g, path)
+        cdg.arcs.update(zip(links, links[1:]))
     return cdg
 
 
-def _find_cycle(num_links: int, arcs: set[tuple[int, int]]):
-    """A cycle as a link-index list, or None. Iterative colored DFS."""
-    succ: dict[int, list[int]] = {}
-    for a, b in sorted(arcs):
-        succ.setdefault(a, []).append(b)
-    color = {}
-    parent = {}
-    for start in sorted(succ):
-        if start in color:
-            continue
-        stack = [(start, iter(succ.get(start, ())))]
-        color[start] = 1
+def _add_if_acyclic(succ: dict[int, set[int]], links: list[int]) -> bool:
+    """Add a route's arcs to an acyclic layer CDG kept as link -> next links.
+
+    A new cycle passes through an added arc (a, b), and then b reaches a; on
+    one, exactly the added arcs are removed again and False is returned.
+    """
+    added = [(a, b) for a, b in zip(links, links[1:]) if b not in succ[a]]
+    for a, b in added:
+        succ[a].add(b)
+    for a, b in added:
+        seen, stack = {b}, [b]
         while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if color.get(nxt) == 1:
-                    cyc = [nxt, node]
-                    while cyc[-1] != nxt:
-                        cyc.append(parent[cyc[-1]])
-                    cyc_nodes = cyc[1:][::-1]
-                    return cyc_nodes
-                if nxt not in color:
-                    color[nxt] = 1
-                    parent[nxt] = node
-                    stack.append((nxt, iter(succ.get(nxt, ()))))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = 2
-                stack.pop()
-    return None
+            u = stack.pop()
+            if u == a:
+                for x, y in added:
+                    succ[x].discard(y)
+                return False
+            for v in succ[u]:
+                if v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+    return True
 
 
 def _topo_order(nodes: set[int], arcs: set[tuple[int, int]]):
-    """Topological order of the given CDG nodes, or None if cyclic."""
+    """Kahn's algorithm: (topological order, None) or (None, a link cycle).
+
+    Each link Kahn leaves over has a predecessor among them, so a walk along
+    predecessors repeats a link; the walk between the repeats is a cycle.
+    """
     indeg = {u: 0 for u in nodes}
     succ: dict[int, list[int]] = {u: [] for u in nodes}
     for a, b in arcs:
@@ -117,7 +109,14 @@ def _topo_order(nodes: set[int], arcs: set[tuple[int, int]]):
             indeg[v] -= 1
             if indeg[v] == 0:
                 ready.append(v)
-    return order if len(order) == len(nodes) else None
+    if len(order) == len(nodes):
+        return order, None
+    left = nodes.difference(order)
+    pred = {b: a for a, b in arcs if a in left and b in left}
+    walk = [min(left)]
+    while pred[walk[-1]] not in walk:
+        walk.append(pred[walk[-1]])
+    return None, walk[walk.index(pred[walk[-1]]):][::-1]
 
 
 def lash_sequential(g: Digraph, routes, max_layers: int = 8) -> LayerAssignment:
@@ -128,30 +127,21 @@ def lash_sequential(g: Digraph, routes, max_layers: int = 8) -> LayerAssignment:
     max_layers is exceeded, naming the offending route.
     """
     items = _route_items(routes)
-    order = sorted(items, key=lambda k: (-len(items[k]), k))
-    layer_arcs: list[set[tuple[int, int]]] = []
+    layers: list[dict[int, set[int]]] = []
     assignment: dict[tuple[int, int], int] = {}
-    for key in order:
-        arcs = set(_route_arcs(g, items[key]))
-        placed = False
-        for li, existing in enumerate(layer_arcs):
-            merged = existing | arcs
-            if _find_cycle(g.num_edges, merged) is None:
-                layer_arcs[li] = merged
-                assignment[key] = li
-                placed = True
-                break
-        if not placed:
-            if len(layer_arcs) >= max_layers:
+    for key in sorted(items, key=lambda k: (-len(items[k]), k)):
+        links = _route_links(g, items[key])
+        li = next((i for i, succ in enumerate(layers)
+                   if _add_if_acyclic(succ, links)), len(layers))
+        if li == len(layers):
+            if li >= max_layers:
+                raise DeadlockError(f"route {key} does not fit within "
+                                    f"{max_layers} layers")
+            layers.append(defaultdict(set))
+            if not _add_if_acyclic(layers[li], links):
                 raise DeadlockError(
-                    f"route {key} does not fit within {max_layers} layers"
-                )
-            if _find_cycle(g.num_edges, arcs) is not None:
-                raise DeadlockError(
-                    f"route {key} has a cyclic dependency on its own"
-                )
-            layer_arcs.append(arcs)
-            assignment[key] = len(layer_arcs) - 1
+                    f"route {key} has a cyclic dependency on its own")
+        assignment[key] = li
     return LayerAssignment(layers=assignment)
 
 
@@ -166,22 +156,17 @@ def verify_layers(g: Digraph, routes, assignment: LayerAssignment):
     missing = set(items) - set(assignment.layers)
     if missing:
         return False, {"unassigned": sorted(missing)}
-    per_layer_arcs: dict[int, set[tuple[int, int]]] = {}
-    per_layer_nodes: dict[int, set[int]] = {}
+    per_layer: dict[int, tuple[set[int], set[tuple[int, int]]]] = {}
     for key, li in assignment.layers.items():
-        if key not in items:
-            continue
-        arcs = _route_arcs(g, items[key])
-        per_layer_arcs.setdefault(li, set()).update(arcs)
-        nodes = per_layer_nodes.setdefault(li, set())
-        for a, b in zip(items[key], items[key][1:]):
-            nodes.add(g.edge_index[(a, b)])
+        if key in items:
+            links = _route_links(g, items[key])
+            nodes, arcs = per_layer.setdefault(li, (set(), set()))
+            nodes.update(links)
+            arcs.update(zip(links, links[1:]))
     certificate = {}
-    for li in sorted(per_layer_nodes):
-        order = _topo_order(per_layer_nodes[li], per_layer_arcs[li])
-        if order is None:
-            return False, {"layer": li,
-                           "cycle": _find_cycle(g.num_edges,
-                                                per_layer_arcs[li])}
+    for li in sorted(per_layer):
+        order, cycle = _topo_order(*per_layer[li])
+        if cycle is not None:
+            return False, {"layer": li, "cycle": cycle}
         certificate[li] = order
     return True, certificate

@@ -104,9 +104,6 @@ class Digraph:
             adj[v].append((u, i))
         return tuple(tuple(sorted(a)) for a in adj)
 
-    def out_degree(self, u: int) -> int:
-        return len(self.out_adj[u])
-
     def scaled(self, factor: float) -> "Digraph":
         if factor <= 0:
             raise GraphError("scale factor must be positive")

@@ -84,12 +84,6 @@ class LinkFlowSolution:
     def flow_of(self, ci: int) -> dict[int, float]:
         return {e: v for (c, e), v in self.flows.items() if c == ci}
 
-    def edge_loads(self) -> np.ndarray:
-        load = np.zeros(self.graph.num_edges)
-        for (_, e), v in self.flows.items():
-            load[e] += v
-        return load
-
 
 @dataclass
 class SourceFlowSolution:

@@ -76,9 +76,6 @@ class WeightedPathSet:
                 if w < 0:
                     raise RouteError(f"negative weight on {path}")
 
-    def total_weight(self, s: int, d: int) -> float:
-        return sum(w for _, w in self.paths[(s, d)])
-
 
 @dataclass
 class RouteTable:
@@ -398,9 +395,11 @@ def _path_model(g: Digraph, pathset: WeightedPathSet,
     commodity's in list order, then U. Its LP relaxation is the path
     formulation of max concurrent flow with F = 1 / U (Shahrokhi-Matula);
     ``integral`` makes the path columns binary, which picks one path per
-    commodity. Every path is validated; a commodity without paths raises
-    RouteError.
+    commodity. Every path is validated; an empty path set or a commodity
+    without paths raises RouteError.
     """
+    if not pathset.paths:
+        raise RouteError("empty path set")
     eidx = g.edge_index
     comm, hop_edge, hop_path = [], [], []
     for k, ((s, d), plist) in enumerate(sorted(pathset.paths.items())):

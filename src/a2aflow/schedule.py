@@ -327,11 +327,15 @@ def emit_schedule_xml(sched: ChunkedSchedule, path: str) -> None:
     tree.write(path, encoding="unicode", xml_declaration=True)
 
 
-def _req(el, attr, line=""):
+def _req(el, attr, conv=str):
     v = el.get(attr)
     if v is None:
-        raise ScheduleError(f"missing attribute {attr!r} on <{el.tag}>{line}")
-    return v
+        raise ScheduleError(f"missing attribute {attr!r} on <{el.tag}>")
+    try:
+        return conv(v)
+    except ValueError:
+        raise ScheduleError(f"attribute {attr}={v!r} on <{el.tag}> is not "
+                            f"{conv.__name__}") from None
 
 
 def parse_schedule_xml(path: str) -> ChunkedSchedule:
@@ -343,10 +347,10 @@ def parse_schedule_xml(path: str) -> ChunkedSchedule:
     if root.tag != "schedule":
         raise ScheduleError(f"root element is <{root.tag}>, not <schedule>")
     sched = ChunkedSchedule(
-        n=int(_req(root, "n")),
-        nsteps=int(_req(root, "nsteps")),
-        chunk_bytes=float(_req(root, "chunkbytes")),
-        Q=int(_req(root, "q")),
+        n=_req(root, "n", int),
+        nsteps=_req(root, "nsteps", int),
+        chunk_bytes=_req(root, "chunkbytes", float),
+        Q=_req(root, "q", int),
         mode=_req(root, "mode"),
     )
     if sched.mode not in ("ts", "path"):
@@ -354,7 +358,7 @@ def parse_schedule_xml(path: str) -> ChunkedSchedule:
     for step in root:
         if step.tag != "step":
             raise ScheduleError(f"unexpected element <{step.tag}>")
-        t = int(_req(step, "t"))
+        t = _req(step, "t", int)
         if not 0 <= t < sched.nsteps:
             raise ScheduleError(f"step t={t} outside [0, {sched.nsteps})")
         for send in step:
@@ -362,9 +366,9 @@ def parse_schedule_xml(path: str) -> ChunkedSchedule:
                 raise ScheduleError(f"unexpected element <{send.tag}>")
             ins = Instruction(
                 t=t,
-                src=int(_req(send, "src")), dst=int(_req(send, "dst")),
-                s=int(_req(send, "s")), d=int(_req(send, "d")),
-                c0=int(_req(send, "c0")), c1=int(_req(send, "c1")),
+                src=_req(send, "src", int), dst=_req(send, "dst", int),
+                s=_req(send, "s", int), d=_req(send, "d", int),
+                c0=_req(send, "c0", int), c1=_req(send, "c1", int),
             )
             if not (0 <= ins.c0 < ins.c1 <= sched.Q):
                 raise ScheduleError(f"bad chunk range [{ins.c0},{ins.c1})")

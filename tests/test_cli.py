@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from a2aflow import cli
 from a2aflow.cli import main
 from a2aflow.graphs import load_graph
 
@@ -55,6 +56,39 @@ class TestGen:
         rc, _, stderr = run(capsys, "gen", "--topo", "torus",
                             "--out", str(tmp_path / "g.json"))
         assert rc == 1 and "error" in stderr
+
+    @pytest.mark.parametrize("topo, flags", [("genkautz", "--n and --d"),
+                                             ("bipartite", "--n"),
+                                             ("hypercube", "--k")])
+    def test_missing_flags_named(self, tmp_path, capsys, topo, flags):
+        rc, _, stderr = run(capsys, "gen", "--topo", topo,
+                            "--out", str(tmp_path / "g.json"))
+        assert rc == 1 and f"{topo} needs {flags}" in stderr
+
+    def test_hypercube_dimension_from_d(self, tmp_path, capsys):
+        rc, stdout, _ = run(capsys, "gen", "--topo", "hypercube", "--d", "3",
+                            "--out", str(tmp_path / "g.json"))
+        assert rc == 0 and "n=8" in stdout
+
+    def test_puncture_without_count_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as e:
+            main(["gen", "--topo", "torus", "--dims", "3,3", "--puncture",
+                  "edges3", "--out", str(tmp_path / "g.json")])
+        assert e.value.code == 2
+        assert "MODE:COUNT" in capsys.readouterr().err
+
+    def test_missing_input_file_is_domain_error(self, tmp_path, capsys):
+        rc, _, stderr = run(capsys, "solve", "--algo", "decomp", "--graph",
+                            str(tmp_path / "missing.json"))
+        assert rc == 1 and "missing.json" in stderr
+
+    def test_bug_is_not_swallowed(self, monkeypatch):
+        def broken(args):
+            raise KeyError("bug")
+
+        monkeypatch.setitem(cli._COMMANDS, "bound", broken)
+        with pytest.raises(KeyError):
+            main(["bound", "--n", "27", "--d", "6"])
 
     def test_bad_subcommand_usage_error(self, capsys):
         with pytest.raises(SystemExit) as e:
@@ -152,6 +186,17 @@ class TestCompileEval:
                             str(tmp_path / "s.xml"))
         assert rc == 1 and str(bad) in stderr and "'kind'" in stderr
 
+    def test_non_integer_xml_attribute_is_domain_error(self, tmp_path,
+                                                       capsys):
+        g = str(tmp_path / "ring.json")
+        bad = tmp_path / "bad.xml"
+        bad.write_text('<schedule n="x" nsteps="1" chunkbytes="1.0" q="1" '
+                       'mode="ts"></schedule>')
+        assert run(capsys, "gen", "--topo", "torus", "--dims", "3",
+                   "--out", g)[0] == 0
+        rc, _, stderr = run(capsys, "eval", "--graph", g, "--sched", str(bad))
+        assert rc == 1 and "attribute n='x' on <schedule>" in stderr
+
     def test_path_pipeline(self, tmp_path, capsys):
         g = str(tmp_path / "t9.json")
         routes = str(tmp_path / "routes.json")
@@ -176,6 +221,10 @@ class TestBoundCompare:
     def test_bound_needs_args(self, capsys):
         rc, _, stderr = run(capsys, "bound")
         assert rc == 1 and "error" in stderr
+
+    def test_bound_too_few_nodes_is_domain_error(self, capsys):
+        rc, _, stderr = run(capsys, "bound", "--n", "1", "--d", "4")
+        assert rc == 1 and "need n >= 2" in stderr
 
     def test_compare_json(self, tmp_path, capsys):
         out = str(tmp_path / "cmp.json")

@@ -2,11 +2,14 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from a2aflow.deadlock import (DeadlockError, LayerAssignment, build_cdg,
                               lash_sequential, verify_layers)
-from a2aflow.graphs import Digraph, gen_torus
-from a2aflow.paths import dor_routes, sssp_routes
+from a2aflow.graphs import Digraph, gen_random_regular, gen_torus, puncture
+from a2aflow.mcf import mcf_decomposed
+from a2aflow.paths import dor_routes, extract_widest_paths, sssp_routes
 
 
 def opposing_wrap_routes():
@@ -16,6 +19,28 @@ def opposing_wrap_routes():
     cannot share a layer.
     """
     return gen_torus([4]), {(0, 3): (0, 1, 2, 3), (2, 1): (2, 3, 0, 1)}
+
+
+def first_fit_reference(g, routes, max_layers=8):
+    """The greedy packing with every trial layer rebuilt and re-verified.
+
+    Returns the layer of each route, or None once a route fits in none of
+    max_layers layers.
+    """
+    members: list[dict] = []
+    for key in sorted(routes, key=lambda k: (-len(routes[k]), k)):
+        for li in range(len(members) + 1):
+            trial = {**(members[li] if li < len(members) else {}),
+                     key: routes[key]}
+            if verify_layers(g, trial,
+                             LayerAssignment({k: 0 for k in trial}))[0]:
+                break
+        if li == len(members):
+            if li >= max_layers:
+                return None
+            members.append({})
+        members[li][key] = routes[key]
+    return {k: li for li, layer in enumerate(members) for k in layer}
 
 
 class TestBuildCdg:
@@ -75,6 +100,35 @@ class TestLashSequential:
         la = lash_sequential(g, dor_routes(g))
         assert 2 <= la.num_layers <= 4
 
+    def test_route_cyclic_on_its_own(self):
+        g = gen_torus([3])
+        with pytest.raises(DeadlockError,
+                           match="cyclic dependency on its own"):
+            lash_sequential(g, {(0, 1): (0, 1, 2, 0, 1)})
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from(["rrg", "punctured-torus"]),
+           st.integers(min_value=0, max_value=10 ** 6),
+           st.booleans(), st.integers(min_value=2, max_value=3))
+    def test_matches_first_fit_reference(self, kind, seed, extracted,
+                                         max_layers):
+        if kind == "rrg":
+            g = gen_random_regular(8 + seed % 5, 2 + seed % 2, seed=seed)
+        else:
+            g = puncture(gen_torus([3, 4]), "edges", 1 + seed % 3, seed=seed)
+        if extracted:
+            wps = extract_widest_paths(g, mcf_decomposed(g))
+            routes = {(s, d, i): p for (s, d), plist in wps.paths.items()
+                      for i, (p, _) in enumerate(plist)}
+        else:
+            routes = sssp_routes(g, seed=seed).routes
+        expected = first_fit_reference(g, routes, max_layers)
+        if expected is None:
+            with pytest.raises(DeadlockError, match="does not fit within"):
+                lash_sequential(g, routes, max_layers)
+        else:
+            assert lash_sequential(g, routes, max_layers).layers == expected
+
 
 class TestVerifyLayers:
     def test_lash_output_verifies(self):
@@ -91,7 +145,11 @@ class TestVerifyLayers:
         g, routes = opposing_wrap_routes()
         bad = LayerAssignment(layers={k: 0 for k in routes})
         ok, cert = verify_layers(g, routes, bad)
-        assert not ok and cert["cycle"]
+        assert not ok and cert["layer"] == 0 and cert["cycle"]
+        arcs = build_cdg(g, routes).arcs
+        cycle = cert["cycle"]
+        assert all((a, b) in arcs
+                   for a, b in zip(cycle, cycle[1:] + cycle[:1]))
 
     def test_unassigned_route_detected(self):
         g, routes = opposing_wrap_routes()

@@ -235,6 +235,11 @@ class TestIlp:
         with pytest.raises(RouteError, match=r"\(0,1\) has no paths"):
             ilp_min_congestion(g, ps)
 
+    def test_empty_path_set_rejected(self):
+        g = gen_torus([3])
+        with pytest.raises(RouteError, match="empty path set"):
+            ilp_min_congestion(g, WeightedPathSet(paths={}))
+
     def test_genkautz27_optimum(self):
         g = gen_gen_kautz(27, 4)
         table, load, gap = ilp_min_congestion(g, disjoint_paths(g), alpha=0.0)
