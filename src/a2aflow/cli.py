@@ -4,6 +4,8 @@ Subcommands: gen, solve, routes, bound, compile, layers, eval, compare,
 bench. Every command that writes an artifact also writes a sidecar
 `<artifact>.manifest.json` recording the argument vector, seed, version, and
 sha256 digests of inputs and outputs, so runs can be reproduced exactly.
+`solve --algo link|decomp` adds a `quality` block: the certified bracket
+[F_lo, F_hi] on F, its relative gap and the `verify_flow` residuals.
 
 Exit codes: 0 success, 1 domain error (the package's errors and OSError),
 2 usage error. Any other exception is a bug and propagates.
@@ -61,6 +63,8 @@ def _write_manifest(args, inputs: list[str], outputs: list[str],
         "outputs": {p: _sha256(p) for p in outputs if os.path.exists(p)},
         "wall_clock_s": time.time() - started,
     }
+    if getattr(args, "quality", None):
+        manifest["quality"] = args.quality
     with open(outputs[0] + ".manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=1)
         fh.write("\n")
@@ -190,12 +194,13 @@ def _cmd_solve(args) -> list[str]:
     from .paths import disjoint_paths, enum_paths_bounded, load_routes
 
     g = load_graph(args.graph)
-    if args.algo == "link":
-        sol = mcf.mcf_link(g, force=args.force)
-        print(f"F = {sol.F:.9g}")
-    elif args.algo == "decomp":
-        sol = mcf.mcf_decomposed(g)
-        print(f"F = {sol.F:.9g}")
+    if args.algo in ("link", "decomp"):
+        sol = (mcf.mcf_link(g, force=args.force) if args.algo == "link"
+               else mcf.mcf_decomposed(g))
+        print(f"F = {sol.F:.9g} in [{sol.F_lo:.9g}, {sol.F_hi:.9g}] "
+              f"(gap {sol.gap:.2g})")
+        args.quality = {"F_lo": sol.F_lo, "F_hi": sol.F_hi, "gap": sol.gap,
+                        "residuals": mcf.verify_flow(g, sol)}
     elif args.algo == "ts":
         lmax = args.lmax if args.lmax else diameter(g)
         sol = mcf.mcf_timestepped(g, lmax)
@@ -290,25 +295,23 @@ def _cmd_compile(args) -> list[str]:
 
 def _cmd_layers(args) -> list[str]:
     from .deadlock import lash_sequential, verify_layers
-    from .paths import RouteTable, load_routes
+    from .paths import load_routes
 
     g = load_graph(args.graph)
     wps = load_routes(args.routes)
-    table = RouteTable(routes={})
-    for (s, d), plist in wps.paths.items():
-        if len(plist) != 1:
-            raise GraphError(
-                f"layering needs single-path routes; ({s},{d}) has "
-                f"{len(plist)}")
-        table.routes[(s, d)] = plist[0][0]
-    assignment = lash_sequential(g, table, max_layers=args.max_layers)
-    ok, cert = verify_layers(g, table, assignment)
+    # every path of a multi-path commodity is a route of its own
+    routes = {(s, d, i): path for (s, d), plist in wps.paths.items()
+              for i, (path, _) in enumerate(plist)}
+    assignment = lash_sequential(g, routes, max_layers=args.max_layers)
+    ok, cert = verify_layers(g, routes, assignment)
     print(f"layers = {assignment.num_layers}, verified = {ok}")
     if not ok:
         raise GraphError(f"layer verification failed: {cert}")
     if args.out:
-        doc = {f"{s}-{d}": layer
-               for (s, d), layer in sorted(assignment.layers.items())}
+        # s-d for a single-path commodity, s-d-i for path i of several
+        doc = {"-".join(map(str, (s, d, i) if len(wps.paths[(s, d)]) > 1
+                            else (s, d))): layer
+               for (s, d, i), layer in sorted(assignment.layers.items())}
         with open(args.out, "w") as fh:
             json.dump(doc, fh, indent=1)
             fh.write("\n")

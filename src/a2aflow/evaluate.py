@@ -152,27 +152,26 @@ def eval_path_alltoall(g: Digraph, wps, m: float = 1.0,
     return max_load * m / b
 
 
-def _solve_time(g: Digraph, algo: str) -> tuple[float, float | None]:
-    """(alltoall time 1/F or max load, F or None) for one algorithm."""
+def _solve_time(g: Digraph, algo: str) -> tuple[float, float | None, dict]:
+    """(alltoall time 1/F or max load, F or None, extra report fields) for
+    one algorithm; the MCF solvers add their certified gap."""
     from .mcf import mcf_decomposed, mcf_link, mcf_path
     from .paths import (disjoint_paths, eval_link_load, ilp_min_congestion,
                         sssp_routes)
 
-    if algo == "decomp":
-        F = mcf_decomposed(g, want_flows=False).F
-        return 1.0 / F, F
-    if algo == "link":
-        F = mcf_link(g, force=True).F
-        return 1.0 / F, F
+    if algo in ("decomp", "link"):
+        sol = (mcf_decomposed(g, want_flows=False) if algo == "decomp"
+               else mcf_link(g, force=True))
+        return 1.0 / sol.F, sol.F, {"gap": sol.gap}
     if algo == "pmcf-disjoint":
         F, _ = mcf_path(g, disjoint_paths(g))
-        return 1.0 / F, F
+        return 1.0 / F, F, {}
     if algo == "sssp":
         load, _ = eval_link_load(g, sssp_routes(g))
-        return load, None
+        return load, None, {}
     if algo == "ilp":
         _, load, _ = ilp_min_congestion(g, disjoint_paths(g), alpha=0.1)
-        return load, None
+        return load, None, {}
     raise EvalError(f"unknown algorithm {algo!r}")
 
 
@@ -181,7 +180,8 @@ def compare_topologies(
     d: int,
     algo: str = "decomp",
 ) -> list[EvalReport]:
-    """All-to-all time and bound ratio per labelled topology.
+    """All-to-all time and bound ratio per labelled topology; the MCF
+    algorithms add the certified gap of F to ``extra``.
 
     Generator failures are recorded as reports with NaN times rather than
     aborting the sweep.
@@ -190,7 +190,7 @@ def compare_topologies(
     for label, g in entries:
         t0 = time.perf_counter()
         try:
-            tval, F = _solve_time(g, algo)
+            tval, F, extra = _solve_time(g, algo)
         except Exception as ex:   # noqa: BLE001 - sweep must survive
             reports.append(EvalReport(label=label, n=g.n, algo=algo,
                                       alltoall_time=float("nan"),
@@ -203,7 +203,7 @@ def compare_topologies(
         reports.append(EvalReport(
             label=label, n=g.n, algo=algo, alltoall_time=tval,
             lower_bound=lb, ratio=tval / lb,
-            runtime_s=time.perf_counter() - t0, F=F))
+            runtime_s=time.perf_counter() - t0, F=F, extra=extra))
     return reports
 
 

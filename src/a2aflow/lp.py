@@ -1,13 +1,14 @@
 """Sparse LP model container and the one engine that solves it, HiGHS.
 
 ``solve_lp`` solves a continuous model with ``scipy.optimize.linprog`` and
-returns its duals; ``solve_ilp`` solves a mixed-integer model with
-``scipy.optimize.milp``. Both run HiGHS with its own tolerances and limits
-and report its statuses as they are.
+returns its duals, optionally without crossover to a vertex; ``solve_ilp``
+solves a mixed-integer model with ``scipy.optimize.milp``. Both run HiGHS
+with its own tolerances and limits and report its statuses as they are.
 """
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,21 +89,32 @@ class LpSolution:
         return self.status == OPTIMAL
 
 
-def solve_lp(model: LpModel) -> LpSolution:
-    """Solve the continuous relaxation of `model` (integrality is ignored)."""
-    from scipy.optimize import linprog
+def solve_lp(model: LpModel, crossover: bool = True) -> LpSolution:
+    """Solve the continuous relaxation of `model` (integrality is ignored).
+
+    Large models go to the interior-point method. ``crossover=False`` stops
+    it at the interior optimum instead of a vertex: the objective and duals
+    are as accurate, ``x`` has more nonzeros, and the solve takes about half
+    the time on the large flow LPs.
+    """
+    from scipy.optimize import OptimizeWarning, linprog
 
     sign = 1.0 if model.sense == "min" else -1.0
     # interior point with crossover scales far better than simplex on the
     # large degenerate flow LPs; keep the default pick for small models
     method = "highs-ipm" if model.c.size >= 10_000 else "highs"
-    res = linprog(
-        sign * model.c,
-        A_ub=model.a_ub, b_ub=model.b_ub,
-        A_eq=model.a_eq, b_eq=model.b_eq,
-        bounds=np.column_stack([model.lb, model.ub]),
-        method=method,
-    )
+    with warnings.catch_warnings():
+        # linprog passes run_crossover on to HiGHS but does not know it
+        warnings.filterwarnings("ignore", "Unrecognized options",
+                                OptimizeWarning)
+        res = linprog(
+            sign * model.c,
+            A_ub=model.a_ub, b_ub=model.b_ub,
+            A_eq=model.a_eq, b_eq=model.b_eq,
+            bounds=np.column_stack([model.lb, model.ub]),
+            method=method,
+            options={} if crossover else {"run_crossover": "off"},
+        )
     # an unknown code is not evidence of infeasibility; report it as is
     status = {0: OPTIMAL, 1: ITERATION_LIMIT, 2: INFEASIBLE, 3: UNBOUNDED,
               4: NUMERICAL}.get(res.status, f"highs-status-{res.status}")

@@ -11,10 +11,15 @@ time-stepped models recover per-commodity flows with one shared flow
 decomposition (``_peel``), so they conserve exactly and deliver exactly
 their demand; it also splits flows into routes
 (``paths.extract_widest_paths``) and time-stepped trajectories.
+
+The master and link solvers certify F without trusting the solver: F_lo
+comes from the returned primal flow, F_hi from the capacity-row duals as
+edge lengths (``_bracket``). ``verify_flow`` rechecks a link solution.
 """
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
@@ -37,6 +42,7 @@ __all__ = [
     "mcf_timestepped",
     "mcf_path",
     "solve_master",
+    "verify_flow",
     "save_solution",
     "load_solution",
 ]
@@ -73,13 +79,21 @@ class LinkFlowSolution:
     """Concurrent rate F plus per-commodity per-edge flows.
 
     ``flows`` maps (commodity index, edge index) -> rate; entries below
-    FLOW_EPS are dropped.
+    FLOW_EPS are dropped. ``F_lo <= F <= F_hi`` is the certified bracket on
+    the optimal rate (NaN when the solution was loaded from a file).
     """
 
     F: float
     commodities: list[Commodity]
     flows: dict[tuple[int, int], float]
     graph: Digraph = field(repr=False)
+    F_lo: float = math.nan
+    F_hi: float = math.nan
+
+    @property
+    def gap(self) -> float:
+        """Relative width (F_hi - F_lo) / F_hi of the certified bracket."""
+        return 1.0 - self.F_lo / self.F_hi
 
     def flow_of(self, ci: int) -> dict[int, float]:
         return {e: v for (c, e), v in self.flows.items() if c == ci}
@@ -91,6 +105,8 @@ class SourceFlowSolution:
     sources: list[int]
     flows: dict[tuple[int, int], float]    # (source index, edge index) -> rate
     graph: Digraph = field(repr=False)
+    F_lo: float              # certified bracket on the optimal rate
+    F_hi: float
 
 
 @dataclass
@@ -128,6 +144,93 @@ def _node_edge_templates(g: Digraph):
     return tails, heads
 
 
+def _flow_matrix(flows: dict[tuple[int, int], float], n_rows: int,
+                 n_edges: int) -> sp.csr_matrix:
+    """(row, edge) -> rate as a sparse rows x edges matrix."""
+    keys = np.array(list(flows), dtype=np.int64).reshape(-1, 2)
+    return sp.csr_matrix((list(flows.values()), (keys[:, 0], keys[:, 1])),
+                         shape=(n_rows, n_edges))
+
+
+def _net_inflow(g: Digraph, x: sp.csr_matrix) -> sp.csr_matrix:
+    """Net inflow per node of each row of the flows ``x`` (rows x edges)."""
+    tails, heads = _node_edge_templates(g)
+    eidx = np.arange(g.num_edges)
+    incidence = sp.csr_matrix(
+        (np.r_[np.ones(eidx.size), -np.ones(eidx.size)],
+         (np.r_[eidx, eidx], np.r_[heads, tails])), shape=(eidx.size, g.n))
+    return (x @ incidence).tocsr()
+
+
+def _bracket(g: Digraph, comms: list[Commodity], rows, x: sp.csr_matrix,
+             ell: np.ndarray) -> tuple[float, float]:
+    """Certified [F_lo, F_hi] on the optimal concurrent rate.
+
+    Row ``rows[ci]`` of ``x`` (rows x edges) is a flow out of commodity ci's
+    source; several commodities of one source may share a row. F_lo: clip x
+    to >= 0; if every commodity receives at least delta per unit demand at
+    its destination, x / max_e(load_e / c_e) is a feasible concurrent flow
+    of rate delta / max_e(load_e / c_e). A deficit at a node that is neither
+    the row's source nor one of its destinations is flow from elsewhere, so
+    it is taken off. F_hi: for any edge lengths ell >= 0, every concurrent
+    flow of rate F has sum_e c_e ell_e >= F sum_c demand_c dist_ell(c)
+    (Shahrokhi-Matula, JACM 1990); the LP's capacity-row duals make the two
+    sides meet.
+    """
+    from scipy.sparse.csgraph import shortest_path
+
+    tails, heads = _node_edge_templates(g)
+    cap = np.asarray(g.capacities, dtype=float)
+    rows = np.asarray(rows)
+    src, dst = np.array([(c.src, c.dst) for c in comms]).T
+    demand = np.array([c.demand for c in comms])
+
+    x = sp.csr_matrix(x)
+    x.data = np.maximum(x.data, 0.0)
+    net = _net_inflow(g, x).toarray()
+    end = np.zeros(net.shape, dtype=bool)
+    end[rows, src] = end[rows, dst] = True
+    stray = np.where(end, 0.0, np.maximum(-net, 0.0)).sum(axis=1)
+    delta = ((net[rows, dst] - stray[rows]) / demand).min()
+    util = (np.asarray(x.sum(axis=0)).ravel() / cap).max()
+    F_lo = delta / util if delta > 0 else 0.0
+
+    ell = np.maximum(ell, 0.0)
+    # sparse input keeps zero-length edges as edges
+    sources, si = np.unique(src, return_inverse=True)
+    dist = shortest_path(
+        sp.csr_matrix((ell, (tails, heads)), shape=(g.n, g.n)),
+        directed=True, indices=sources)
+    total = demand @ dist[si, dst]
+    F_hi = cap @ ell / total if total > 0 else math.inf
+    return float(F_lo), float(F_hi)
+
+
+def verify_flow(g: Digraph, sol: LinkFlowSolution) -> dict[str, float]:
+    """Max residuals of a link solution, each 0 for an exact one.
+
+    ``capacity``: load above capacity on any edge, or a negative flow.
+    ``conservation``: |net inflow| of a commodity at any node other than
+    its source and destination. ``delivery``: |net inflow at the
+    destination - F * demand| of any commodity.
+    """
+    C = len(sol.commodities)
+    x = _flow_matrix(sol.flows, C, g.num_edges)
+    load = np.asarray(x.sum(axis=0)).ravel()
+    src, dst = np.array([(c.src, c.dst) for c in sol.commodities]).T
+    demand = np.array([c.demand for c in sol.commodities])
+    net = _net_inflow(g, x)
+    delivered = np.asarray(net[np.arange(C), dst]).ravel()
+    net = net.tocoo()
+    inner = (net.col != src[net.row]) & (net.col != dst[net.row])
+    return {
+        "capacity": float(max(0.0, (load - np.asarray(g.capacities)).max(),
+                              -x.data.min(initial=0.0))),
+        "conservation": float(np.abs(net.data[inner]).max(initial=0.0)),
+        "delivery": float(np.abs(delivered - sol.F * demand).max()),
+    }
+
+
 def mcf_link(
     g: Digraph,
     commodities: list[Commodity] | None = None,
@@ -158,7 +261,11 @@ def mcf_link(
         for e, v in _path_sum(paths).items():
             if v > FLOW_EPS:
                 flows[(ci, e)] = v
-    return LinkFlowSolution(F=F, commodities=list(comms), flows=flows, graph=g)
+    # maximizing F, the capacity rows' duals are >= 0 edge lengths
+    F_lo, F_hi = _bracket(g, comms, np.arange(len(comms)),
+                          _flow_matrix(flows, len(comms), E), sol.duals_ub[:E])
+    return LinkFlowSolution(F=F, commodities=list(comms), flows=flows, graph=g,
+                            F_lo=F_lo, F_hi=F_hi)
 
 
 def _build_link_model(g: Digraph, comms: list[Commodity]) -> LpModel:
@@ -324,12 +431,17 @@ def _build_master_model(g: Digraph, sources: list[int],
 def solve_master(
     g: Digraph,
     commodities: list[Commodity] | None = None,
+    want_flows: bool = True,
 ) -> SourceFlowSolution:
     """Source-grouped master LP; returns optimal F and per-source edge flows.
 
     Solves max concurrent flow as its reciprocal (Shahrokhi-Matula): unit
     demands are fixed and the LP minimizes the edge-utilization scale U, so
-    F = 1 / U and the flows are x * F.
+    F = 1 / U and the flows are x * F. Every solve is certified by
+    ``[F_lo, F_hi]`` (``_bracket``). The flows, a vertex of the LP, feed
+    flow decomposition; with ``want_flows=False`` none are returned, the
+    solver skips its crossover from the interior optimum to a vertex (about
+    half the time on large graphs) and F is F_lo.
     """
     comms = commodities if commodities is not None else all_to_all_commodities(range(g.n))
     if not comms:
@@ -337,17 +449,28 @@ def solve_master(
     if any(c.demand != 1.0 for c in comms):
         raise McfError("decomposed MCF supports unit demands only")
     sources = sorted({c.src for c in comms})
-    sol = solve_lp(_build_master_model(g, sources, comms))
+    sol = solve_lp(_build_master_model(g, sources, comms), crossover=want_flows)
     if sol.status == "infeasible":
         raise McfError("master LP infeasible: a commodity has no path "
                        "(graph not strongly connected)")
     if not sol.optimal:
         raise McfError(f"master LP did not solve: {sol.status} {sol.message}")
-    F = 1.0 / float(sol.x[-1])
-    x = sol.x[:-1] * F
-    nz = np.flatnonzero(x > FLOW_EPS)
-    flows = {divmod(i, g.num_edges): v for i, v in zip(nz.tolist(), x[nz].tolist())}
-    return SourceFlowSolution(F=F, sources=sources, flows=flows, graph=g)
+    E = g.num_edges
+    sidx = {s: si for si, s in enumerate(sources)}
+    # minimizing U, the capacity rows' duals are <= 0
+    F_lo, F_hi = _bracket(g, comms, [sidx[c.src] for c in comms],
+                          sol.x[:-1].reshape(len(sources), E),
+                          -sol.duals_ub[:E])
+    # an interior optimum's U lies a little above the utilization of its own
+    # flow; F_lo is the rate that flow is checked to carry
+    F = 1.0 / float(sol.x[-1]) if want_flows else F_lo
+    flows = {}
+    if want_flows:
+        x = sol.x[:-1] * F
+        nz = np.flatnonzero(x > FLOW_EPS)
+        flows = {divmod(i, E): v for i, v in zip(nz.tolist(), x[nz].tolist())}
+    return SourceFlowSolution(F=F, sources=sources, flows=flows, graph=g,
+                              F_lo=F_lo, F_hi=F_hi)
 
 
 def mcf_decomposed(
@@ -360,13 +483,15 @@ def mcf_decomposed(
     Returns the same F as mcf_link. Per-commodity flows are recovered by
     peeling each source's master flow into its destinations (``_peel``), with
     no further LP. ``want_flows=False`` skips the recovery when only F is
-    needed (topology studies).
+    needed (topology studies), and the master LP then stops at an interior
+    optimum (``solve_master``).
     """
     comms = commodities if commodities is not None else all_to_all_commodities(range(g.n))
-    master = solve_master(g, comms)
+    master = solve_master(g, comms, want_flows=want_flows)
+    bracket = dict(F_lo=master.F_lo, F_hi=master.F_hi)
     if not want_flows:
         return LinkFlowSolution(F=master.F, commodities=list(comms), flows={},
-                                graph=g)
+                                graph=g, **bracket)
     per_source: dict[int, dict[int, float]] = {}
     for (si, e), v in master.flows.items():
         per_source.setdefault(si, {})[e] = v
@@ -383,7 +508,7 @@ def mcf_decomposed(
             if v > FLOW_EPS:
                 flows[(ci, e)] = v
     return LinkFlowSolution(F=master.F, commodities=list(comms), flows=flows,
-                            graph=g)
+                            graph=g, **bracket)
 
 
 # ---------------------------------------------------------------------------

@@ -108,7 +108,9 @@ class TestSolveAndRoutes:
         rc, stdout, _ = run(capsys, "solve", "--algo", "link",
                             "--graph", torus9)
         assert rc == 0
-        assert float(stdout.split("=")[1]) == pytest.approx(1 / 3, abs=1e-6)
+        # "F = <F> in [<F_lo>, <F_hi>] (gap <gap>)"
+        assert float(stdout.split()[2]) == pytest.approx(1 / 3, abs=1e-6)
+        assert "in [" in stdout and "(gap " in stdout
 
     def test_solve_decomp_saves_solution(self, torus9, tmp_path, capsys):
         out = str(tmp_path / "sol.json")
@@ -117,6 +119,13 @@ class TestSolveAndRoutes:
         assert rc == 0
         doc = json.loads(open(out).read())
         assert doc["kind"] == "link" and doc["F"] == pytest.approx(1 / 3)
+        quality = json.loads(open(out + ".manifest.json").read())["quality"]
+        assert quality["F_lo"] <= quality["F_hi"]
+        assert quality["F_lo"] == pytest.approx(1 / 3)
+        assert quality["gap"] <= 1e-9
+        assert set(quality["residuals"]) == {"capacity", "conservation",
+                                             "delivery"}
+        assert max(quality["residuals"].values()) <= 1e-9
 
     def test_solve_path_disjoint(self, torus9, capsys):
         rc, stdout, _ = run(capsys, "solve", "--algo", "path",
@@ -146,6 +155,24 @@ class TestSolveAndRoutes:
         assert rc == 0 and "verified = True" in stdout
         doc = json.loads(open(layers_out).read())
         assert len(doc) == 9 * 8
+
+    def test_extp_multipath_layers_genkautz27(self, tmp_path, capsys):
+        graph, routes = str(tmp_path / "gk27.json"), str(tmp_path / "r.json")
+        layers_out = str(tmp_path / "layers.json")
+        assert run(capsys, "gen", "--topo", "genkautz", "--n", "27",
+                   "--d", "4", "--out", graph)[0] == 0
+        assert run(capsys, "routes", "--algo", "extp", "--graph", graph,
+                   "--out", routes)[0] == 0
+        recs = json.loads(open(routes).read())["routes"]
+        assert any(len(r["paths"]) > 1 for r in recs)
+        rc, stdout, _ = run(capsys, "layers", "--graph", graph,
+                            "--routes", routes, "--out", layers_out)
+        assert rc == 0 and "verified = True" in stdout
+        # one entry per path: s-d, or s-d-i when the commodity has several
+        want = {f"{r['s']}-{r['d']}" if len(r["paths"]) == 1
+                else f"{r['s']}-{r['d']}-{i}"
+                for r in recs for i in range(len(r["paths"]))}
+        assert set(json.loads(open(layers_out).read())) == want
 
     def test_routes_ilp_genkautz27(self, tmp_path, capsys):
         graph, routes = str(tmp_path / "gk27.json"), str(tmp_path / "r.json")
@@ -234,6 +261,7 @@ class TestBoundCompare:
         rows = [json.loads(line) for line in open(out) if line.strip()]
         assert rows[0]["label"] == "genkautz-27"
         assert rows[0]["ratio"] >= 1.0 - 1e-9
+        assert 0.0 <= rows[0]["gap"] <= 1e-6
 
     def test_compare_csv_stdout(self, capsys):
         rc, stdout, _ = run(capsys, "compare", "--topos", "torus",

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from a2aflow.mcf import (Commodity, LinkFlowSolution, McfError,
                          _build_master_model, _path_sum, _peel,
                          all_to_all_commodities, load_solution,
                          mcf_decomposed, mcf_link, mcf_path, mcf_timestepped,
-                         save_solution, solve_master)
+                         save_solution, solve_master, verify_flow)
 from a2aflow.paths import extract_widest_paths
 
 
@@ -192,7 +193,9 @@ class TestMaster:
             sp.csr_matrix((ell, (tails, heads)), shape=(g.n, g.n)),
             directed=True)
         F_hi = 1.0 / sum(dist[c.src, c.dst] for c in comms)
-        assert F_hi == pytest.approx(solve_master(g).F, rel=1e-9)
+        master = solve_master(g)
+        assert F_hi == pytest.approx(master.F, rel=1e-9)
+        assert master.F_hi == pytest.approx(F_hi, rel=1e-9)
 
     # link MCF takes ~9 s on a punctured 3x3x3 torus, so few examples
     @settings(max_examples=5, deadline=None)
@@ -213,6 +216,87 @@ class TestMaster:
             for d in range(g.n):
                 if d != s:
                     assert net_in[si, d] >= master.F - 1e-9
+
+
+class TestCertificate:
+    """[F_lo, F_hi] on every master and link solve; verify_flow."""
+
+    @pytest.fixture(scope="class")
+    def gk64(self):
+        # 64 * 252 + 1 variables: the master LP takes the interior-point
+        # branch, where crossover is a large share of the solve
+        g = gen_gen_kautz(64, 4)
+        model = _build_master_model(g, list(range(g.n)),
+                                    all_to_all_commodities(range(g.n)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            interior_lp = solve_lp(model, crossover=False)
+            interior = mcf_decomposed(g, want_flows=False)
+        return solve_lp(model), interior_lp, mcf_decomposed(g), interior
+
+    def test_crossover_off_reaches_highs(self, gk64):
+        vertex, interior, _, _ = gk64
+        assert interior.optimal
+        assert interior.objective == pytest.approx(vertex.objective, rel=1e-6)
+        # an interior optimum spreads flow over many more variables
+        assert (interior.x > 1e-9).sum() > 1.5 * (vertex.x > 1e-9).sum()
+
+    def test_f_only_matches_vertex(self, gk64):
+        _, _, vertex, interior = gk64
+        assert interior.F == pytest.approx(vertex.F, rel=1e-6)
+        for sol in (vertex, interior):
+            assert sol.F_lo <= sol.F_hi
+            assert sol.gap <= 1e-6
+            assert sol.F_lo * (1 - 1e-12) <= sol.F <= sol.F_hi * (1 + 1e-12)
+
+    @pytest.mark.parametrize("make", [
+        lambda: gen_torus([3, 3]),
+        lambda: puncture(gen_torus([3, 3]), "edges", 2, seed=1),
+        lambda: gen_complete_bipartite(4),
+    ], ids=["torus3x3", "punctured9", "bipartite4"])
+    def test_link_bracket_and_residuals(self, make):
+        g = make()
+        sol = mcf_link(g)
+        assert sol.F_lo <= sol.F_hi and sol.gap <= 1e-9
+        assert sol.F == pytest.approx(solve_master(g).F_hi, rel=1e-9)
+        assert max(verify_flow(g, sol).values()) <= 1e-9
+
+    def test_verify_flow_detects_each_residual(self):
+        g = gen_torus([3, 3])
+        sol = mcf_decomposed(g)
+        assert max(verify_flow(g, sol).values()) <= 1e-9
+        eidx = g.edge_index
+        c0 = sol.commodities[0]
+        u, v, _ = next(ed for ed in g.edges
+                       if not {c0.src, c0.dst} & set(ed[:2]))
+
+        def corrupt(change):
+            flows = dict(sol.flows)
+            change(flows)
+            return verify_flow(g, LinkFlowSolution(
+                F=sol.F, commodities=sol.commodities, flows=flows, graph=g))
+
+        def add(flows, ci, e, amount):
+            flows[(ci, e)] = flows.get((ci, e), 0.0) + amount
+
+        # a 2-cycle above capacity keeps every balance but overloads
+        a, b, cap = g.edges[0]
+        res = corrupt(lambda f: (add(f, 0, eidx[(a, b)], cap + 1.0),
+                                 add(f, 0, eidx[(b, a)], cap + 1.0)))
+        assert res["capacity"] >= 1.0
+        assert max(res["conservation"], res["delivery"]) <= 1e-9
+        # a stray arc between two intermediates of commodity 0
+        res = corrupt(lambda f: add(f, 0, eidx[(u, v)], 1e-3))
+        assert res["conservation"] == pytest.approx(1e-3)
+        assert res["delivery"] <= 1e-9
+        # half of commodity 0's flow: still conserved, under-delivered
+        res = corrupt(lambda f: f.update(
+            {k: w / 2 for k, w in f.items() if k[0] == 0}))
+        assert res["delivery"] == pytest.approx(sol.F / 2)
+        assert res["conservation"] <= 1e-9
+        # a negative flow is a capacity (bound) violation
+        res = corrupt(lambda f: add(f, 1, eidx[(a, b)], -5.0))
+        assert res["capacity"] >= 5.0 - 1e-9
 
 
 class TestPeel:
