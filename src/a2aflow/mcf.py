@@ -1,20 +1,21 @@
 """Max-concurrent multi-commodity flow formulations over a Digraph.
 
-Four formulations: link-based, source-decomposed (one master LP whose
-per-source flows are split into per-commodity flows), time-stepped (one flow
-per source on the time-expanded graph with holdover arcs for buffering), and
-path-based (the path model it shares with the congestion ILP,
-``paths._path_model``), all assembled as sparse matrices. The master, path
-and time-stepped LPs fix the demands and minimize the edge-utilization scale
-U (F is 1 / U), so U sits only in the capacity rows. The link, decomposed and
-time-stepped models recover per-commodity flows with one shared flow
-decomposition (``_peel``), so they conserve exactly and deliver exactly
-their demand; it also splits flows into routes
-(``paths.extract_widest_paths``) and time-stepped trajectories.
+Four formulations, all assembled as sparse matrices. Link-based and
+source-decomposed are one static LP (``_build_master_model``) with the flows
+grouped two ways: one flow per commodity (link) or one per source, which
+carries all of that source's commodities (decomposed, the master LP).
+Time-stepped is one flow per source on the time-expanded graph with holdover
+arcs for buffering; path-based is the path model it shares with the
+congestion ILP (``paths._path_model``). All four fix the demands and minimize
+the edge-utilization scale U (F is 1 / U), so U sits only in the capacity
+rows. Per-commodity flows are recovered by one shared flow decomposition
+(``_peel``), so they conserve exactly and deliver exactly their demand; it
+also splits flows into routes (``paths.extract_widest_paths``) and
+time-stepped trajectories.
 
-The master and link solvers certify F without trusting the solver: F_lo
-comes from the returned primal flow, F_hi from the capacity-row duals as
-edge lengths (``_bracket``). ``verify_flow`` rechecks a link solution.
+Every static solve certifies F without trusting the solver: F_lo comes from
+the returned primal flow, F_hi from the capacity-row duals as edge lengths
+(``_bracket``). ``verify_flow`` rechecks a link solution.
 """
 from __future__ import annotations
 
@@ -102,8 +103,8 @@ class LinkFlowSolution:
 @dataclass
 class SourceFlowSolution:
     F: float
-    sources: list[int]
-    flows: dict[tuple[int, int], float]    # (source index, edge index) -> rate
+    sources: list[int]                     # root of each flow
+    flows: dict[tuple[int, int], float]    # (flow index, edge index) -> rate
     graph: Digraph = field(repr=False)
     F_lo: float              # certified bracket on the optimal rate
     F_hi: float
@@ -123,33 +124,13 @@ class TimeExpandedSolution:
 
 
 # ---------------------------------------------------------------------------
-# link-based MCF
-
-def _check_size(g: Digraph, force: bool):
-    if g.n > LINK_SIZE_HARD and not force:
-        raise McfError(
-            f"link MCF on N={g.n} needs O(N^3) variables; pass force=True"
-        )
-    if g.n > LINK_SIZE_WARN:
-        warnings.warn(
-            f"link MCF on N={g.n} builds ~{g.n * g.n * g.num_edges // g.n} "
-            "variables and may be slow", stacklevel=3
-        )
-
+# flow certificate, residuals and decomposition
 
 def _node_edge_templates(g: Digraph):
     """Per-edge (tail, head) arrays used to assemble conservation rows fast."""
     tails = np.fromiter((u for u, _, _ in g.edges), dtype=np.int64, count=g.num_edges)
     heads = np.fromiter((v for _, v, _ in g.edges), dtype=np.int64, count=g.num_edges)
     return tails, heads
-
-
-def _flow_matrix(flows: dict[tuple[int, int], float], n_rows: int,
-                 n_edges: int) -> sp.csr_matrix:
-    """(row, edge) -> rate as a sparse rows x edges matrix."""
-    keys = np.array(list(flows), dtype=np.int64).reshape(-1, 2)
-    return sp.csr_matrix((list(flows.values()), (keys[:, 0], keys[:, 1])),
-                         shape=(n_rows, n_edges))
 
 
 def _net_inflow(g: Digraph, x: sp.csr_matrix) -> sp.csr_matrix:
@@ -215,7 +196,9 @@ def verify_flow(g: Digraph, sol: LinkFlowSolution) -> dict[str, float]:
     destination - F * demand| of any commodity.
     """
     C = len(sol.commodities)
-    x = _flow_matrix(sol.flows, C, g.num_edges)
+    keys = np.array(list(sol.flows), dtype=np.int64).reshape(-1, 2)
+    x = sp.csr_matrix((list(sol.flows.values()), (keys[:, 0], keys[:, 1])),
+                      shape=(C, g.num_edges))
     load = np.asarray(x.sum(axis=0)).ravel()
     src, dst = np.array([(c.src, c.dst) for c in sol.commodities]).T
     demand = np.array([c.demand for c in sol.commodities])
@@ -229,101 +212,6 @@ def verify_flow(g: Digraph, sol: LinkFlowSolution) -> dict[str, float]:
         "conservation": float(np.abs(net.data[inner]).max(initial=0.0)),
         "delivery": float(np.abs(delivered - sol.F * demand).max()),
     }
-
-
-def mcf_link(
-    g: Digraph,
-    commodities: list[Commodity] | None = None,
-    force: bool = False,
-) -> LinkFlowSolution:
-    """Optimal concurrent rate F and per-commodity link flows.
-
-    Conservation is modeled as an inequality (received >= sent at
-    intermediates) and tightened afterwards by peeling each commodity's flow
-    (``_peel``), so the returned flows conserve exactly and deliver exactly
-    F * demand.
-    """
-    _check_size(g, force)
-    comms = commodities if commodities is not None else all_to_all_commodities(range(g.n))
-    if not comms:
-        raise McfError("no commodities")
-    model = _build_link_model(g, comms)
-    sol = solve_lp(model)
-    if not sol.optimal:
-        raise McfError(f"link MCF LP did not solve: {sol.status} {sol.message}")
-    E = g.num_edges
-    F = float(sol.x[-1])
-    tails, heads = (t.tolist() for t in _node_edge_templates(g))
-    flows = {}
-    for ci, com in enumerate(comms):
-        raw = {e: sol.x[ci * E + e] for e in range(E) if sol.x[ci * E + e] > FLOW_EPS}
-        (paths,) = _peel(tails, heads, raw, com.src, [(com.dst, F * com.demand)])
-        for e, v in _path_sum(paths).items():
-            if v > FLOW_EPS:
-                flows[(ci, e)] = v
-    # maximizing F, the capacity rows' duals are >= 0 edge lengths
-    F_lo, F_hi = _bracket(g, comms, np.arange(len(comms)),
-                          _flow_matrix(flows, len(comms), E), sol.duals_ub[:E])
-    return LinkFlowSolution(F=F, commodities=list(comms), flows=flows, graph=g,
-                            F_lo=F_lo, F_hi=F_hi)
-
-
-def _build_link_model(g: Digraph, comms: list[Commodity]) -> LpModel:
-    E, C = g.num_edges, len(comms)
-    n_vars = C * E + 1
-    f_var = C * E
-    tails, heads = _node_edge_templates(g)
-    eidx = np.arange(E, dtype=np.int64)
-
-    rows_list, cols_list, vals_list = [], [], []
-    # capacity rows 0..E-1: sum_c f[c,e] <= cap
-    cap_cols = (np.arange(C)[:, None] * E + eidx[None, :]).ravel()
-    cap_rows = np.tile(eidx, C)
-    rows_list.append(cap_rows)
-    cols_list.append(cap_cols)
-    vals_list.append(np.ones(C * E))
-    b_parts = [np.asarray(g.capacities, dtype=float)]
-
-    # conservation rows: one per (c, u), empty for u in {s, d}
-    cons_base = E
-    for ci, com in enumerate(comms):
-        keep_out = (tails != com.src) & (tails != com.dst)
-        keep_in = (heads != com.src) & (heads != com.dst)
-        r = np.concatenate([tails[keep_out], heads[keep_in]]) + cons_base + ci * g.n
-        c = np.concatenate([eidx[keep_out], eidx[keep_in]]) + ci * E
-        v = np.concatenate([np.ones(keep_out.sum()), -np.ones(keep_in.sum())])
-        rows_list.append(r)
-        cols_list.append(c)
-        vals_list.append(v)
-    b_parts.append(np.zeros(C * g.n))
-
-    # demand rows: -inflow(d) + demand * F <= 0
-    dem_base = E + C * g.n
-    for ci, com in enumerate(comms):
-        into_d = eidx[heads == com.dst]
-        r = np.full(into_d.size + 1, dem_base + ci)
-        c = np.concatenate([into_d + ci * E, [f_var]])
-        v = np.concatenate([-np.ones(into_d.size), [com.demand]])
-        rows_list.append(r)
-        cols_list.append(c)
-        vals_list.append(v)
-    b_parts.append(np.zeros(C))
-
-    a_ub = sp.csr_matrix(
-        (np.concatenate(vals_list),
-         (np.concatenate(rows_list), np.concatenate(cols_list))),
-        shape=(dem_base + C, n_vars),
-    )
-    b_ub = np.concatenate(b_parts)
-    # flow into a source or out of a destination never helps F; pinning it to
-    # zero keeps destinations from minting circulating flow
-    ub = np.full(n_vars, np.inf)
-    for ci, com in enumerate(comms):
-        ub[ci * E + eidx[heads == com.src]] = 0.0
-        ub[ci * E + eidx[tails == com.dst]] = 0.0
-    c_obj = np.zeros(n_vars)
-    c_obj[f_var] = 1.0
-    return LpModel(c=c_obj, sense="max", a_ub=a_ub, b_ub=b_ub, ub=ub)
 
 
 def _peel(tails, heads, x: dict[int, float], s: int,
@@ -391,75 +279,85 @@ def _path_sum(paths: list[tuple[list[int], float]]) -> dict[int, float]:
 
 
 # ---------------------------------------------------------------------------
-# decomposed MCF
+# static MCF: one LP, with one flow per commodity (link) or per source
+# (decomposed)
 
-def _build_master_model(g: Digraph, sources: list[int],
-                        comms: list[Commodity]) -> LpModel:
-    """min U over x[s, e] (at si * E + e) and U. Rows 0..E-1 are
-    sum_s x[s, e] - cap_e * U <= 0; then per source s and node u != s,
-    out - in <= -1 at destinations of s and <= 0 elsewhere.
-    """
-    N, E, S = g.n, g.num_edges, len(sources)
-    tails, heads = _node_edge_templates(g)
-    eidx = np.arange(E)
-    src = np.asarray(sources)[:, None]
-    cols = np.arange(S)[:, None] * E + eidx
-    # source si's row of node u (its own row is left out)
-    base = E + np.arange(S)[:, None] * (N - 1)
-    keep_out, keep_in = tails != src, heads != src
-    a_ub = sp.csr_matrix(
-        (np.concatenate([np.ones(S * E), -np.asarray(g.capacities, dtype=float),
-                         np.ones(keep_out.sum()), -np.ones(keep_in.sum())]),
-         (np.concatenate([np.tile(eidx, S), eidx,
-                          (base + tails - (tails > src))[keep_out],
-                          (base + heads - (heads > src))[keep_in]]),
-          np.concatenate([cols.ravel(), np.full(E, S * E),
-                          cols[keep_out], cols[keep_in]]))),
-        shape=(E + S * (N - 1), S * E + 1),
-    )
-    sidx = {s: si for si, s in enumerate(sources)}
-    si, s, d = np.array([(sidx[c.src], c.src, c.dst) for c in comms]).T
-    b_ub = np.zeros(E + S * (N - 1))
-    b_ub[E + si * (N - 1) + d - (d > s)] = -1.0
-    # flow back into its own source never helps; pin it to zero
-    ub = np.full(S * E + 1, np.inf)
-    ub[cols[~keep_in]] = 0.0
-    return LpModel(c=np.r_[np.zeros(S * E), 1.0], sense="min", a_ub=a_ub,
-                   b_ub=b_ub, ub=ub)
-
-
-def solve_master(
-    g: Digraph,
-    commodities: list[Commodity] | None = None,
-    want_flows: bool = True,
-) -> SourceFlowSolution:
-    """Source-grouped master LP; returns optimal F and per-source edge flows.
-
-    Solves max concurrent flow as its reciprocal (Shahrokhi-Matula): unit
-    demands are fixed and the LP minimizes the edge-utilization scale U, so
-    F = 1 / U and the flows are x * F. Every solve is certified by
-    ``[F_lo, F_hi]`` (``_bracket``). The flows, a vertex of the LP, feed
-    flow decomposition; with ``want_flows=False`` none are returned, the
-    solver skips its crossover from the interior optimum to a vertex (about
-    half the time on large graphs) and F is F_lo.
-    """
+def _commodities(g: Digraph,
+                 commodities: list[Commodity] | None) -> list[Commodity]:
     comms = commodities if commodities is not None else all_to_all_commodities(range(g.n))
     if not comms:
         raise McfError("no commodities")
-    if any(c.demand != 1.0 for c in comms):
-        raise McfError("decomposed MCF supports unit demands only")
-    sources = sorted({c.src for c in comms})
-    sol = solve_lp(_build_master_model(g, sources, comms), crossover=want_flows)
+    return comms
+
+
+def _check_size(g: Digraph, force: bool):
+    if g.n > LINK_SIZE_HARD and not force:
+        raise McfError(
+            f"link MCF on N={g.n} needs O(N^3) variables; pass force=True"
+        )
+    if g.n > LINK_SIZE_WARN:
+        warnings.warn(
+            f"link MCF on N={g.n} builds ~{g.n * g.n * g.num_edges // g.n} "
+            "variables and may be slow", stacklevel=3
+        )
+
+
+def _build_master_model(g: Digraph, roots: list[int], group,
+                        comms: list[Commodity]) -> LpModel:
+    """min U over flows x[k, e] (at k * E + e) out of ``roots[k]``, and U.
+
+    Commodity ci travels in flow ``group[ci]``. Rows 0..E-1 are
+    sum_k x[k, e] - cap_e * U <= 0; then per flow k and node u != roots[k],
+    out - in <= -(demand of the flow's commodities to u), 0 elsewhere.
+    """
+    N, E, K = g.n, g.num_edges, len(roots)
+    tails, heads = _node_edge_templates(g)
+    eidx = np.arange(E)
+    src = np.asarray(roots)[:, None]
+    cols = np.arange(K)[:, None] * E + eidx
+    # flow k's row of node u (its root's row is left out)
+    base = E + np.arange(K)[:, None] * (N - 1)
+    keep_out, keep_in = tails != src, heads != src
+    a_ub = sp.csr_matrix(
+        (np.concatenate([np.ones(K * E), -np.asarray(g.capacities, dtype=float),
+                         np.ones(keep_out.sum()), -np.ones(keep_in.sum())]),
+         (np.concatenate([np.tile(eidx, K), eidx,
+                          (base + tails - (tails > src))[keep_out],
+                          (base + heads - (heads > src))[keep_in]]),
+          np.concatenate([cols.ravel(), np.full(E, K * E),
+                          cols[keep_out], cols[keep_in]]))),
+        shape=(E + K * (N - 1), K * E + 1),
+    )
+    k = np.asarray(group)
+    s = src[k, 0]
+    d = np.array([c.dst for c in comms])
+    b_ub = np.zeros(E + K * (N - 1))
+    np.add.at(b_ub, E + k * (N - 1) + d - (d > s), [-c.demand for c in comms])
+    # flow back into its own root never helps; pin it to zero
+    ub = np.full(K * E + 1, np.inf)
+    ub[cols[~keep_in]] = 0.0
+    return LpModel(c=np.r_[np.zeros(K * E), 1.0], sense="min", a_ub=a_ub,
+                   b_ub=b_ub, ub=ub)
+
+
+def _solve_flows(g: Digraph, roots: list[int], group, comms: list[Commodity],
+                 want_flows: bool = True) -> SourceFlowSolution:
+    """Solve ``_build_master_model`` and certify its F by ``_bracket``.
+
+    Returns F = 1 / U and the flows x * F keyed (flow index, edge); with
+    ``want_flows=False`` the solver stops at an interior optimum, no flows
+    are returned and F is F_lo.
+    """
+    sol = solve_lp(_build_master_model(g, roots, group, comms),
+                   crossover=want_flows)
     if sol.status == "infeasible":
         raise McfError("master LP infeasible: a commodity has no path "
                        "(graph not strongly connected)")
     if not sol.optimal:
         raise McfError(f"master LP did not solve: {sol.status} {sol.message}")
     E = g.num_edges
-    sidx = {s: si for si, s in enumerate(sources)}
     # minimizing U, the capacity rows' duals are <= 0
-    F_lo, F_hi = _bracket(g, comms, [sidx[c.src] for c in comms],
-                          sol.x[:-1].reshape(len(sources), E),
+    F_lo, F_hi = _bracket(g, comms, group, sol.x[:-1].reshape(len(roots), E),
                           -sol.duals_ub[:E])
     # an interior optimum's U lies a little above the utilization of its own
     # flow; F_lo is the rate that flow is checked to carry
@@ -469,8 +367,79 @@ def solve_master(
         x = sol.x[:-1] * F
         nz = np.flatnonzero(x > FLOW_EPS)
         flows = {divmod(i, E): v for i, v in zip(nz.tolist(), x[nz].tolist())}
-    return SourceFlowSolution(F=F, sources=sources, flows=flows, graph=g,
+    return SourceFlowSolution(F=F, sources=list(roots), flows=flows, graph=g,
                               F_lo=F_lo, F_hi=F_hi)
+
+
+def _split_flows(comms: list[Commodity], group,
+                 master: SourceFlowSolution) -> LinkFlowSolution:
+    """Peel each flow of ``master`` into its commodities (``_peel``).
+
+    Commodity ci is peeled from flow ``group[ci]``, with F * demand; within
+    a flow, destinations are peeled in sorted order.
+    """
+    g = master.graph
+    per_flow: dict[int, dict[int, float]] = {}
+    for (k, e), v in master.flows.items():
+        per_flow.setdefault(k, {})[e] = v
+    members: dict[int, list[int]] = {}
+    for ci in sorted(range(len(comms)), key=lambda ci: comms[ci].dst):
+        members.setdefault(group[ci], []).append(ci)
+    tails, heads = (t.tolist() for t in _node_edge_templates(g))
+    peeled = {}
+    for k, cis in members.items():
+        peeled.update(zip(cis, _peel(
+            tails, heads, per_flow.get(k, {}), master.sources[k],
+            [(comms[ci].dst, master.F * comms[ci].demand) for ci in cis])))
+    flows = {(ci, e): v for ci in range(len(comms))
+             for e, v in _path_sum(peeled[ci]).items() if v > FLOW_EPS}
+    return LinkFlowSolution(F=master.F, commodities=list(comms), flows=flows,
+                            graph=g, F_lo=master.F_lo, F_hi=master.F_hi)
+
+
+def mcf_link(
+    g: Digraph,
+    commodities: list[Commodity] | None = None,
+    force: bool = False,
+) -> LinkFlowSolution:
+    """Optimal concurrent rate F and per-commodity link flows.
+
+    The master LP with one flow per commodity, so C * E flow variables
+    (``_build_master_model``). Conservation is modeled as an inequality
+    (received >= sent at intermediates) and tightened afterwards by peeling
+    each commodity's flow (``_peel``), so the returned flows conserve
+    exactly and deliver exactly F * demand. F is certified by ``[F_lo,
+    F_hi]`` (``_bracket``).
+    """
+    _check_size(g, force)
+    comms = _commodities(g, commodities)
+    group = range(len(comms))
+    return _split_flows(comms, group,
+                        _solve_flows(g, [c.src for c in comms], group, comms))
+
+
+def solve_master(
+    g: Digraph,
+    commodities: list[Commodity] | None = None,
+    want_flows: bool = True,
+) -> SourceFlowSolution:
+    """Source-grouped master LP; returns optimal F and per-source edge flows.
+
+    The same LP as ``mcf_link`` with one flow per source, which carries all
+    of that source's commodities. It solves max concurrent flow as its
+    reciprocal (Shahrokhi-Matula): the demands are fixed and the LP
+    minimizes the edge-utilization scale U, so F = 1 / U and the flows are
+    x * F. Every solve is certified by ``[F_lo, F_hi]`` (``_bracket``). The
+    flows, a vertex of the LP, feed flow decomposition; with
+    ``want_flows=False`` none are returned, the solver skips its crossover
+    from the interior optimum to a vertex (about half the time on large
+    graphs) and F is F_lo.
+    """
+    comms = _commodities(g, commodities)
+    sources = sorted({c.src for c in comms})
+    sidx = {s: si for si, s in enumerate(sources)}
+    return _solve_flows(g, sources, [sidx[c.src] for c in comms], comms,
+                        want_flows)
 
 
 def mcf_decomposed(
@@ -486,30 +455,13 @@ def mcf_decomposed(
     needed (topology studies), and the master LP then stops at an interior
     optimum (``solve_master``).
     """
-    comms = commodities if commodities is not None else all_to_all_commodities(range(g.n))
+    comms = _commodities(g, commodities)
     master = solve_master(g, comms, want_flows=want_flows)
-    bracket = dict(F_lo=master.F_lo, F_hi=master.F_hi)
     if not want_flows:
         return LinkFlowSolution(F=master.F, commodities=list(comms), flows={},
-                                graph=g, **bracket)
-    per_source: dict[int, dict[int, float]] = {}
-    for (si, e), v in master.flows.items():
-        per_source.setdefault(si, {})[e] = v
-    tails, heads = (t.tolist() for t in _node_edge_templates(g))
-    results = {}
-    for si, s in enumerate(master.sources):
-        dests = sorted({c.dst for c in comms if c.src == s})
-        peeled = _peel(tails, heads, per_source.get(si, {}), s,
-                       [(d, master.F) for d in dests])
-        results[s] = {d: _path_sum(paths) for d, paths in zip(dests, peeled)}
-    flows = {}
-    for ci, com in enumerate(comms):
-        for e, v in results[com.src][com.dst].items():
-            if v > FLOW_EPS:
-                flows[(ci, e)] = v
-    return LinkFlowSolution(F=master.F, commodities=list(comms), flows=flows,
-                            graph=g, **bracket)
-
+                                graph=g, F_lo=master.F_lo, F_hi=master.F_hi)
+    sidx = {s: si for si, s in enumerate(master.sources)}
+    return _split_flows(comms, [sidx[c.src] for c in comms], master)
 
 # ---------------------------------------------------------------------------
 # time-stepped MCF
@@ -533,9 +485,7 @@ def mcf_timestepped(
     """
     if l_max < 1:
         raise McfError("l_max must be >= 1")
-    comms = commodities if commodities is not None else all_to_all_commodities(range(g.n))
-    if not comms:
-        raise McfError("no commodities")
+    comms = _commodities(g, commodities)
     N, E, T = g.n, g.num_edges, l_max
     sources = sorted({c.src for c in comms})
     S = len(sources)
@@ -658,29 +608,18 @@ def mcf_path(g: Digraph, pathset):
 def save_solution(sol, path: str) -> None:
     """Serialize a link or time-stepped solution to JSON."""
     if isinstance(sol, TimeExpandedSolution):
-        doc = {
-            "kind": "ts",
-            "l_max": sol.l_max,
-            "U": [float(u) for u in sol.U],
-            "flows": [
-                [sol.commodities[ci].src, sol.commodities[ci].dst,
-                 *sol.graph.edges[e][:2], v, t]
-                for (ci, e, t), v in sorted(sol.flows.items())
-            ],
-        }
+        doc = {"kind": "ts", "l_max": sol.l_max, "U": [float(u) for u in sol.U]}
     elif isinstance(sol, LinkFlowSolution):
-        doc = {
-            "kind": "link",
-            "F": sol.F,
-            "commodities": [[c.src, c.dst, c.demand] for c in sol.commodities],
-            "flows": [
-                [sol.commodities[ci].src, sol.commodities[ci].dst,
-                 *sol.graph.edges[e][:2], v]
-                for (ci, e), v in sorted(sol.flows.items())
-            ],
-        }
+        doc = {"kind": "link", "F": sol.F}
     else:
         raise McfError(f"cannot serialize {type(sol).__name__}")
+    doc["commodities"] = [[c.src, c.dst, c.demand] for c in sol.commodities]
+    # a time-stepped flow key, and so its record, ends with the step
+    doc["flows"] = [
+        [sol.commodities[ci].src, sol.commodities[ci].dst,
+         *sol.graph.edges[e][:2], v, *step]
+        for (ci, e, *step), v in sorted(sol.flows.items())
+    ]
     with open(path, "w") as fh:
         json.dump(doc, fh)
         fh.write("\n")
@@ -699,23 +638,26 @@ def load_solution(path: str, g: Digraph):
         return _json_field(path, doc, key, parse, McfError)
 
     kind = get("kind", str)
+    if kind not in ("ts", "link"):
+        raise McfError(f"{path}: unknown solution kind {kind!r}")
+    if kind == "ts" and "commodities" not in doc:
+        # older time-stepped files list none: unit demands in (s, d) order
+        comms = [Commodity(s, d) for s, d in get(
+            "flows", lambda fl: sorted({(r[0], r[1]) for r in fl}))]
+    else:
+        # entries are [s, d, demand]; older files hold [s, d] for unit demand
+        comms = get("commodities", lambda cs: [Commodity(*c) for c in cs])
+    cidx = {(c.src, c.dst): i for i, c in enumerate(comms)}
     if kind == "ts":
-        recs = get("flows", lambda fl: [(s, d, eidx[(u, v)], t, rate)
-                                          for s, d, u, v, rate, t in fl])
-        pairs = sorted({(s, d) for s, d, *_ in recs})
-        cidx = {p: i for i, p in enumerate(pairs)}
         return TimeExpandedSolution(
             l_max=get("l_max", int),
             U=get("U", lambda u: np.asarray(u, dtype=float)),
-            commodities=[Commodity(s, d) for s, d in pairs],
-            flows={(cidx[(s, d)], e, t): rate for s, d, e, t, rate in recs},
+            commodities=comms,
+            flows=get("flows", lambda fl: {(cidx[(s, d)], eidx[(u, v)], t): rate
+                                           for s, d, u, v, rate, t in fl}),
             graph=g)
-    if kind == "link":
-        # entries are [s, d, demand]; older files hold [s, d] for unit demand
-        comms = get("commodities", lambda cs: [Commodity(*c) for c in cs])
-        cidx = {(c.src, c.dst): i for i, c in enumerate(comms)}
-        flows = get("flows", lambda fl: {(cidx[(s, d)], eidx[(u, v)]): rate
-                                           for s, d, u, v, rate in fl})
-        return LinkFlowSolution(F=get("F", float), commodities=comms,
-                                flows=flows, graph=g)
-    raise McfError(f"{path}: unknown solution kind {kind!r}")
+    return LinkFlowSolution(
+        F=get("F", float), commodities=comms,
+        flows=get("flows", lambda fl: {(cidx[(s, d)], eidx[(u, v)]): rate
+                                       for s, d, u, v, rate in fl}),
+        graph=g)

@@ -123,6 +123,32 @@ class TestDecomposed:
         assert dc.F == pytest.approx(lk.F, abs=1e-6)
         check_conservation(g, dc, tol=1e-6)
 
+    @pytest.mark.parametrize("g, comms", [
+        (gen_torus([3], bidirectional=False),
+         [Commodity(0, 1, 2.0), Commodity(1, 2)]),
+        (gen_torus([3, 3]),
+         [Commodity(s, d, 1.0 + (s + 2 * d) % 3 / 2)
+          for s in range(9) for d in range(9) if s != d]),
+    ], ids=["ring3", "torus3x3"])
+    def test_non_unit_demands_match_link(self, g, comms):
+        lk = mcf_link(g, comms)
+        dc = mcf_decomposed(g, comms)
+        assert dc.F == pytest.approx(lk.F, rel=1e-9)
+        check_conservation(g, dc)
+        assert dc.gap <= 1e-9
+
+    def test_unsorted_commodities_match_link(self):
+        # sources interleaved and each source's destinations out of order
+        g = gen_torus([3, 3])
+        comms = [Commodity(s, d) for s, d in
+                 [(5, 1), (2, 7), (5, 0), (8, 3), (2, 4), (0, 8), (5, 8)]]
+        lk = mcf_link(g, comms)
+        dc = mcf_decomposed(g, comms)
+        assert dc.F == pytest.approx(lk.F, rel=1e-9)
+        for sol in (lk, dc):
+            assert sol.commodities == comms
+            assert max(verify_flow(g, sol).values()) <= 1e-9
+
     def test_master_only_fast_path(self):
         g = gen_torus([3, 3])
         dc = mcf_decomposed(g, want_flows=False)
@@ -180,7 +206,8 @@ class TestMaster:
         # above (Shahrokhi-Matula); equality proves the LP optimal
         g = make()
         comms = all_to_all_commodities(range(g.n))
-        sol = solve_lp(_build_master_model(g, list(range(g.n)), comms))
+        sol = solve_lp(_build_master_model(
+            g, list(range(g.n)), [c.src for c in comms], comms))
         E = g.num_edges
         ell = -sol.duals_ub[:E]
         assert ell.min() >= -1e-12
@@ -226,8 +253,9 @@ class TestCertificate:
         # 64 * 252 + 1 variables: the master LP takes the interior-point
         # branch, where crossover is a large share of the solve
         g = gen_gen_kautz(64, 4)
+        comms = all_to_all_commodities(range(g.n))
         model = _build_master_model(g, list(range(g.n)),
-                                    all_to_all_commodities(range(g.n)))
+                                    [c.src for c in comms], comms)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             interior_lp = solve_lp(model, crossover=False)
@@ -549,6 +577,29 @@ class TestSolutionJson:
         p.write_text('{"kind": "tree"}')
         with pytest.raises(McfError, match="unknown solution kind 'tree'"):
             load_solution(str(p), gen_torus([3], bidirectional=False))
+
+    @pytest.mark.parametrize("comms", [
+        [Commodity(0, 1, 2.0), Commodity(1, 2)],
+        [Commodity(1, 2), Commodity(0, 1)],
+    ], ids=["demand", "order"])
+    def test_ts_roundtrip_keeps_commodities(self, tmp_path, comms):
+        g = gen_torus([3], bidirectional=False)
+        ts = mcf_timestepped(g, 2, comms)
+        p = tmp_path / "ts.json"
+        save_solution(ts, str(p))
+        back = load_solution(str(p), g)
+        assert back.commodities == comms
+        assert back.flows == ts.flows
+
+    def test_ts_file_without_commodities_loads_as_unit(self, tmp_path):
+        g = gen_torus([3], bidirectional=False)
+        p = tmp_path / "old.json"
+        p.write_text(json.dumps({
+            "kind": "ts", "l_max": 2, "U": [1.0, 1.0],
+            "flows": [[1, 2, 1, 2, 1.0, 1], [0, 1, 0, 1, 1.0, 0]]}))
+        back = load_solution(str(p), g)
+        assert back.commodities == [Commodity(0, 1), Commodity(1, 2)]
+        assert back.flows == {(0, 0, 0): 1.0, (1, 1, 1): 1.0}
 
     def test_ts_roundtrip(self, tmp_path):
         g = gen_torus([3], bidirectional=False)
