@@ -8,3 +8,17 @@ schedules, and evaluates topologies against analytical lower bounds.
 __version__ = "0.1.0"
 
 from .graphs import Digraph, GraphError, load_graph, save_graph   # noqa: F401
+
+
+def domain_errors() -> tuple[type[Exception], ...]:
+    """The package's error classes and OSError: failures of the input, not
+    bugs. Imported only when asked for, so that importing the package stays
+    cheap."""
+    from .deadlock import DeadlockError
+    from .evaluate import EvalError
+    from .lp import LpError
+    from .mcf import McfError
+    from .paths import RouteError
+    from .schedule import ScheduleError
+    return (GraphError, McfError, LpError, RouteError, ScheduleError,
+            EvalError, DeadlockError, OSError)

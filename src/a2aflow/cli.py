@@ -20,7 +20,7 @@ import os
 import sys
 import time
 
-from . import __version__
+from . import __version__, domain_errors
 from .graphs import (GraphError, augment_host_bottleneck, diameter,
                      gen_complete_bipartite, gen_de_bruijn, gen_gen_kautz,
                      gen_hypercube, gen_random_regular,
@@ -410,18 +410,6 @@ _COMMANDS = {
 }
 
 
-def _domain_errors() -> tuple[type[Exception], ...]:
-    """The errors main reports; imported only once a command raises."""
-    from .deadlock import DeadlockError
-    from .evaluate import EvalError
-    from .lp import LpError
-    from .mcf import McfError
-    from .paths import RouteError
-    from .schedule import ScheduleError
-    return (GraphError, McfError, LpError, RouteError, ScheduleError,
-            EvalError, DeadlockError, OSError)
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -430,7 +418,7 @@ def main(argv: list[str] | None = None) -> int:
               for name in ("graph", "sol", "routes", "sched")]
     try:
         outputs = _COMMANDS[args.command](args)
-    except _domain_errors() as ex:
+    except domain_errors() as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 1
     _write_manifest(args, [p for p in inputs if p], outputs, started)

@@ -8,15 +8,13 @@ packed into the fewest layers whose CDGs stay acyclic.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .graphs import Digraph
 
 __all__ = [
-    "ChannelDependencyGraph",
     "LayerAssignment",
     "DeadlockError",
-    "build_cdg",
     "lash_sequential",
     "verify_layers",
 ]
@@ -24,14 +22,6 @@ __all__ = [
 
 class DeadlockError(RuntimeError):
     pass
-
-
-@dataclass
-class ChannelDependencyGraph:
-    """Arcs between link indices; multiplicity collapsed."""
-
-    num_links: int
-    arcs: set[tuple[int, int]] = field(default_factory=set)
 
 
 @dataclass
@@ -55,14 +45,6 @@ def _route_links(g: Digraph, path) -> list[int]:
     except KeyError as ex:
         raise DeadlockError(
             f"route {path} uses nonexistent link {ex.args[0]}") from None
-
-
-def build_cdg(g: Digraph, routes) -> ChannelDependencyGraph:
-    cdg = ChannelDependencyGraph(num_links=g.num_edges)
-    for path in _route_items(routes).values():
-        links = _route_links(g, path)
-        cdg.arcs.update(zip(links, links[1:]))
-    return cdg
 
 
 def _add_if_acyclic(succ: dict[int, set[int]], links: list[int]) -> bool:

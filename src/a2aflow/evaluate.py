@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import domain_errors
 from .bounds import alltoall_time_lower_bound, graph_distance_bound
 from .graphs import Digraph, gen_gen_kautz
 
@@ -183,15 +184,16 @@ def compare_topologies(
     """All-to-all time and bound ratio per labelled topology; the MCF
     algorithms add the certified gap of F to ``extra``.
 
-    Generator failures are recorded as reports with NaN times rather than
-    aborting the sweep.
+    A topology the solver rejects (one of the package's errors) is
+    recorded as a report with NaN times rather than aborting the sweep; any
+    other exception is a bug and propagates.
     """
     reports = []
     for label, g in entries:
         t0 = time.perf_counter()
         try:
             tval, F, extra = _solve_time(g, algo)
-        except Exception as ex:   # noqa: BLE001 - sweep must survive
+        except domain_errors() as ex:
             reports.append(EvalReport(label=label, n=g.n, algo=algo,
                                       alltoall_time=float("nan"),
                                       lower_bound=float("nan"),

@@ -1,9 +1,11 @@
 """Sparse LP model container and the one engine that solves it, HiGHS.
 
 ``solve_lp`` solves a continuous model with ``scipy.optimize.linprog`` and
-returns its duals, optionally without crossover to a vertex; ``solve_ilp``
-solves a mixed-integer model with ``scipy.optimize.milp``. Both run HiGHS
-with its own tolerances and limits and report its statuses as they are.
+returns its duals, optionally without crossover to a vertex and with a
+looser interior-point optimality tolerance; ``solve_ilp`` solves a
+mixed-integer model with ``scipy.optimize.milp``. Both run HiGHS with its
+own tolerances and limits unless told otherwise and report its statuses as
+they are.
 """
 from __future__ import annotations
 
@@ -89,13 +91,15 @@ class LpSolution:
         return self.status == OPTIMAL
 
 
-def solve_lp(model: LpModel, crossover: bool = True) -> LpSolution:
+def solve_lp(model: LpModel, crossover: bool = True,
+             ipm_optimality_tolerance: float | None = None) -> LpSolution:
     """Solve the continuous relaxation of `model` (integrality is ignored).
 
     Large models go to the interior-point method. ``crossover=False`` stops
     it at the interior optimum instead of a vertex: the objective and duals
     are as accurate, ``x`` has more nonzeros, and the solve takes about half
-    the time on the large flow LPs.
+    the time on the large flow LPs. ``ipm_optimality_tolerance`` replaces
+    HiGHS's default (1e-8) for that method and is ignored for small models.
     """
     from scipy.optimize import OptimizeWarning, linprog
 
@@ -103,6 +107,9 @@ def solve_lp(model: LpModel, crossover: bool = True) -> LpSolution:
     # interior point with crossover scales far better than simplex on the
     # large degenerate flow LPs; keep the default pick for small models
     method = "highs-ipm" if model.c.size >= 10_000 else "highs"
+    options = {} if crossover else {"run_crossover": "off"}
+    if method == "highs-ipm" and ipm_optimality_tolerance is not None:
+        options["ipm_optimality_tolerance"] = ipm_optimality_tolerance
     with warnings.catch_warnings():
         # linprog passes run_crossover on to HiGHS but does not know it
         warnings.filterwarnings("ignore", "Unrecognized options",
@@ -113,7 +120,7 @@ def solve_lp(model: LpModel, crossover: bool = True) -> LpSolution:
             A_eq=model.a_eq, b_eq=model.b_eq,
             bounds=np.column_stack([model.lb, model.ub]),
             method=method,
-            options={} if crossover else {"run_crossover": "off"},
+            options=options,
         )
     # an unknown code is not evidence of infeasibility; report it as is
     status = {0: OPTIMAL, 1: ITERATION_LIMIT, 2: INFEASIBLE, 3: UNBOUNDED,

@@ -15,7 +15,10 @@ time-stepped trajectories.
 
 Every static solve certifies F without trusting the solver: F_lo comes from
 the returned primal flow, F_hi from the capacity-row duals as edge lengths
-(``_bracket``). ``verify_flow`` rechecks a link solution.
+(``_bracket``). So an F-only solve needs the solver only as accurate as the
+certificate: it stops HiGHS's interior-point method at a looser optimality
+tolerance and solves again at the default only when the certified gap is too
+wide. ``verify_flow`` rechecks a link solution.
 """
 from __future__ import annotations
 
@@ -49,6 +52,11 @@ __all__ = [
 ]
 
 FLOW_EPS = 1e-12
+# F-only master solves stop the interior-point method at this optimality
+# tolerance (HiGHS's default is 1e-8) and re-solve at the default only when
+# the certified gap 1 - F_lo / F_hi is above F_ONLY_GAP
+F_ONLY_IPM_TOL = 1e-7
+F_ONLY_GAP = 2e-7
 LINK_SIZE_WARN = 150
 LINK_SIZE_HARD = 400
 
@@ -287,7 +295,17 @@ def _commodities(g: Digraph,
     comms = commodities if commodities is not None else all_to_all_commodities(range(g.n))
     if not comms:
         raise McfError("no commodities")
+    _check_distinct(comms)
     return comms
+
+
+def _check_distinct(comms: list[Commodity], where: str = "") -> None:
+    """Flow records are keyed (src, dst), so a repeated pair is ambiguous."""
+    seen = set()
+    for c in comms:
+        if (c.src, c.dst) in seen:
+            raise McfError(f"{where}repeated commodity ({c.src}, {c.dst})")
+        seen.add((c.src, c.dst))
 
 
 def _check_size(g: Digraph, force: bool):
@@ -346,19 +364,28 @@ def _solve_flows(g: Digraph, roots: list[int], group, comms: list[Commodity],
 
     Returns F = 1 / U and the flows x * F keyed (flow index, edge); with
     ``want_flows=False`` the solver stops at an interior optimum, no flows
-    are returned and F is F_lo.
+    are returned and F is F_lo. That solve first runs at the loose
+    ``F_ONLY_IPM_TOL`` and again at HiGHS's default tolerance only when the
+    certified gap misses ``F_ONLY_GAP``.
     """
-    sol = solve_lp(_build_master_model(g, roots, group, comms),
-                   crossover=want_flows)
-    if sol.status == "infeasible":
-        raise McfError("master LP infeasible: a commodity has no path "
-                       "(graph not strongly connected)")
-    if not sol.optimal:
-        raise McfError(f"master LP did not solve: {sol.status} {sol.message}")
+    model = _build_master_model(g, roots, group, comms)
     E = g.num_edges
-    # minimizing U, the capacity rows' duals are <= 0
-    F_lo, F_hi = _bracket(g, comms, group, sol.x[:-1].reshape(len(roots), E),
-                          -sol.duals_ub[:E])
+    # the certificate, not HiGHS's tolerance, decides when F is good enough
+    for tol in ((None,) if want_flows else (F_ONLY_IPM_TOL, None)):
+        sol = solve_lp(model, crossover=want_flows,
+                       ipm_optimality_tolerance=tol)
+        if sol.status == "infeasible":
+            raise McfError("master LP infeasible: a commodity has no path "
+                           "(graph not strongly connected)")
+        if not sol.optimal:
+            raise McfError(
+                f"master LP did not solve: {sol.status} {sol.message}")
+        # minimizing U, the capacity rows' duals are <= 0
+        F_lo, F_hi = _bracket(g, comms, group,
+                              sol.x[:-1].reshape(len(roots), E),
+                              -sol.duals_ub[:E])
+        if F_lo >= (1.0 - F_ONLY_GAP) * F_hi:
+            break
     # an interior optimum's U lies a little above the utilization of its own
     # flow; F_lo is the rate that flow is checked to carry
     F = 1.0 / float(sol.x[-1]) if want_flows else F_lo
@@ -433,7 +460,9 @@ def solve_master(
     flows, a vertex of the LP, feed flow decomposition; with
     ``want_flows=False`` none are returned, the solver skips its crossover
     from the interior optimum to a vertex (about half the time on large
-    graphs) and F is F_lo.
+    graphs) and stops its interior-point method at ``F_ONLY_IPM_TOL``; it
+    solves again at HiGHS's default tolerance only when the gap is above
+    ``F_ONLY_GAP``. F is then F_lo.
     """
     comms = _commodities(g, commodities)
     sources = sorted({c.src for c in comms})
@@ -647,6 +676,7 @@ def load_solution(path: str, g: Digraph):
     else:
         # entries are [s, d, demand]; older files hold [s, d] for unit demand
         comms = get("commodities", lambda cs: [Commodity(*c) for c in cs])
+    _check_distinct(comms, f"{path}: ")
     cidx = {(c.src, c.dst): i for i, c in enumerate(comms)}
     if kind == "ts":
         return TimeExpandedSolution(

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from a2aflow.deadlock import (DeadlockError, LayerAssignment, build_cdg,
+from a2aflow.deadlock import (DeadlockError, LayerAssignment,
                               lash_sequential, verify_layers)
 from a2aflow.graphs import Digraph, gen_random_regular, gen_torus, puncture
 from a2aflow.mcf import mcf_decomposed
@@ -43,27 +43,6 @@ def first_fit_reference(g, routes, max_layers=8):
     return {k: li for li, layer in enumerate(members) for k in layer}
 
 
-class TestBuildCdg:
-    def test_two_hop_route(self):
-        g = Digraph.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)])
-        cdg = build_cdg(g, {(0, 2): (0, 1, 2)})
-        assert cdg.arcs == {(g.edge_index[(0, 1)], g.edge_index[(1, 2)])}
-
-    def test_empty(self):
-        g = gen_torus([4])
-        assert build_cdg(g, {}).arcs == set()
-
-    def test_multiplicity_collapsed(self):
-        g = Digraph.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)])
-        cdg = build_cdg(g, {(0, 2): (0, 1, 2), (1, 0): (1, 2, 0)})
-        assert len(cdg.arcs) == 2
-
-    def test_missing_edge_rejected(self):
-        g = gen_torus([4])
-        with pytest.raises(DeadlockError):
-            build_cdg(g, {(0, 2): (0, 2)})
-
-
 class TestLashSequential:
     def test_adversarial_pair_needs_two_layers(self):
         g, routes = opposing_wrap_routes()
@@ -99,6 +78,10 @@ class TestLashSequential:
         g = gen_torus([5, 5])
         la = lash_sequential(g, dor_routes(g))
         assert 2 <= la.num_layers <= 4
+
+    def test_missing_edge_rejected(self):
+        with pytest.raises(DeadlockError, match="nonexistent link"):
+            lash_sequential(gen_torus([4]), {(0, 2): (0, 2)})
 
     def test_route_cyclic_on_its_own(self):
         g = gen_torus([3])
@@ -146,7 +129,9 @@ class TestVerifyLayers:
         bad = LayerAssignment(layers={k: 0 for k in routes})
         ok, cert = verify_layers(g, routes, bad)
         assert not ok and cert["layer"] == 0 and cert["cycle"]
-        arcs = build_cdg(g, routes).arcs
+        # the dependency arcs: consecutive links of one route
+        arcs = {(g.edge_index[(a, b)], g.edge_index[(b, c)])
+                for p in routes.values() for a, b, c in zip(p, p[1:], p[2:])}
         cycle = cert["cycle"]
         assert all((a, b) in arcs
                    for a, b in zip(cycle, cycle[1:] + cycle[:1]))

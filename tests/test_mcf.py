@@ -15,8 +15,9 @@ from a2aflow.graphs import (Digraph, augment_host_bottleneck,
                             diameter, gen_complete_bipartite, gen_de_bruijn,
                             gen_gen_kautz, gen_hypercube, gen_random_regular,
                             gen_torus, puncture)
-from a2aflow.lp import solve_lp
-from a2aflow.mcf import (Commodity, LinkFlowSolution, McfError,
+from a2aflow import mcf
+from a2aflow.lp import INFEASIBLE, ITERATION_LIMIT, LpSolution, solve_lp
+from a2aflow.mcf import (F_ONLY_GAP, F_ONLY_IPM_TOL, Commodity, LinkFlowSolution, McfError,
                          _build_master_model, _path_sum, _peel,
                          all_to_all_commodities, load_solution,
                          mcf_decomposed, mcf_link, mcf_path, mcf_timestepped,
@@ -71,6 +72,20 @@ def check_timestepped(g, ts, tol=1e-9):
     assert (load <= cap * ts.U[None, :] + tol).all()
 
 
+def record_solves(monkeypatch):
+    """The ipm_optimality_tolerance of every solve_lp call the MCF solvers
+    make from now on."""
+    calls = []
+    real = mcf.solve_lp
+
+    def recording(model, **kwargs):
+        calls.append(kwargs.get("ipm_optimality_tolerance"))
+        return real(model, **kwargs)
+
+    monkeypatch.setattr(mcf, "solve_lp", recording)
+    return calls
+
+
 class TestCommodity:
     def test_rejects_self(self):
         with pytest.raises(McfError):
@@ -113,6 +128,17 @@ class TestLinkMcf:
             401, [(i, (i + 1) % 401, 1.0) for i in range(401)])
         with pytest.raises(McfError):
             mcf_link(g)
+
+    @pytest.mark.parametrize("solve", [
+        mcf_link, mcf_decomposed, solve_master,
+        lambda g, comms: mcf_timestepped(g, 2, comms),
+    ], ids=["link", "decomposed", "master", "timestepped"])
+    def test_repeated_commodity_rejected(self, solve):
+        # flow records are keyed (src, dst): a repeated pair used to save
+        # and load back with one copy's flow filed under the other
+        g = gen_torus([3], bidirectional=False)
+        with pytest.raises(McfError, match=r"repeated commodity \(0, 2\)"):
+            solve(g, [Commodity(0, 2), Commodity(0, 2)])
 
 
 class TestDecomposed:
@@ -276,6 +302,52 @@ class TestCertificate:
             assert sol.F_lo <= sol.F_hi
             assert sol.gap <= 1e-6
             assert sol.F_lo * (1 - 1e-12) <= sol.F <= sol.F_hi * (1 + 1e-12)
+
+    def test_f_only_solves_once_at_loose_tolerance(self, gk64, monkeypatch):
+        _, _, vertex, _ = gk64
+        calls = record_solves(monkeypatch)
+        sol = mcf_decomposed(gen_gen_kautz(64, 4), want_flows=False)
+        assert calls == [F_ONLY_IPM_TOL]
+        assert sol.gap <= F_ONLY_GAP
+        assert sol.F == sol.F_lo
+        assert sol.F == pytest.approx(vertex.F, rel=1e-6)
+
+    def test_f_only_resolves_at_default_tolerance(self, monkeypatch):
+        g = gen_gen_kautz(64, 4)
+        with monkeypatch.context() as m:
+            m.setattr(mcf, "F_ONLY_IPM_TOL", None)
+            default = solve_master(g, want_flows=False)
+        monkeypatch.setattr(mcf, "F_ONLY_GAP", 0.0)
+        calls = record_solves(monkeypatch)
+        sol = solve_master(g, want_flows=False)
+        assert calls == [F_ONLY_IPM_TOL, None]
+        assert sol.F == pytest.approx(default.F, rel=1e-12)
+        assert sol.F_hi == pytest.approx(default.F_hi, rel=1e-12)
+
+    def test_f_only_infeasible_raises(self):
+        g = Digraph.from_edges(3, [(0, 1, 1.0), (1, 0, 1.0)])
+        with pytest.raises(McfError, match="master LP infeasible: a "
+                           "commodity has no path"):
+            solve_master(g, want_flows=False)
+
+    @pytest.mark.parametrize("status, message", [
+        (INFEASIBLE, "master LP infeasible: a commodity has no path"),
+        (ITERATION_LIMIT, "master LP did not solve: iteration-limit"),
+    ])
+    def test_f_only_resolve_status_checked(self, monkeypatch, status,
+                                           message):
+        # the re-solve's status is checked like the first solve's
+        monkeypatch.setattr(mcf, "F_ONLY_GAP", -1.0)
+        real = mcf.solve_lp
+
+        def second_fails(model, **kwargs):
+            if kwargs["ipm_optimality_tolerance"] is None:
+                return LpSolution(status=status, objective=np.nan, x=None)
+            return real(model, **kwargs)
+
+        monkeypatch.setattr(mcf, "solve_lp", second_fails)
+        with pytest.raises(McfError, match=message):
+            solve_master(gen_torus([3, 3]), want_flows=False)
 
     @pytest.mark.parametrize("make", [
         lambda: gen_torus([3, 3]),
@@ -569,6 +641,18 @@ class TestSolutionJson:
         p = tmp_path / "bad.json"
         p.write_text(text)
         with pytest.raises(McfError, match=field) as exc:
+            load_solution(str(p), gen_torus([3], bidirectional=False))
+        assert str(p) in str(exc.value)
+
+    @pytest.mark.parametrize("doc", [
+        {"kind": "link", "F": 0.5},
+        {"kind": "ts", "l_max": 2, "U": [1.0, 1.0]},
+    ], ids=["link", "ts"])
+    def test_repeated_commodity_in_file_rejected(self, tmp_path, doc):
+        p = tmp_path / "dup.json"
+        p.write_text(json.dumps(
+            {**doc, "commodities": [[0, 2], [0, 2]], "flows": []}))
+        with pytest.raises(McfError, match="repeated commodity") as exc:
             load_solution(str(p), gen_torus([3], bidirectional=False))
         assert str(p) in str(exc.value)
 
