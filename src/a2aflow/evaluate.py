@@ -10,6 +10,7 @@ import bisect
 import multiprocessing
 import queue
 import time
+import traceback
 from collections import defaultdict
 from dataclasses import dataclass, field
 
@@ -219,8 +220,10 @@ def _bench_task(algo: str, n: int, d: int) -> float:
 def _bench_child(results, algo: str, n: int, d: int) -> None:
     try:
         results.put(("ok", _bench_task(algo, n, d)))
-    except Exception as ex:   # noqa: BLE001 - reported in the parent
+    except domain_errors() as ex:
         results.put(("error", str(ex)))
+    except Exception:   # noqa: BLE001 - a bug, raised again in the parent
+        results.put(("bug", traceback.format_exc()))
 
 
 def bench_runtimes(
@@ -232,7 +235,9 @@ def bench_runtimes(
     """Wall-clock per (algo, n) on generalized Kautz graphs.
 
     Each run executes in its own process so timeouts can be enforced;
-    timed-out runs are recorded with runtime None.
+    timed-out runs are recorded with runtime None, runs failing with one of
+    the package's errors with that error. Any other exception is a bug and
+    is raised here as a RuntimeError holding the run's traceback.
     """
     rows = []
     for algo in algos:
@@ -252,6 +257,9 @@ def bench_runtimes(
                 kind, value = results.get(timeout=1.0)
             except queue.Empty:
                 kind, value = "error", f"worker exited with code {proc.exitcode}"
+            if kind == "bug":
+                raise RuntimeError(
+                    f"bench run {algo} n={n} d={d} failed:\n{value}")
             if kind == "ok":
                 rows.append({**row, "runtime_s": value, "timeout": False})
             else:

@@ -8,10 +8,12 @@ Time-stepped is one flow per source on the time-expanded graph with holdover
 arcs for buffering; path-based is the path model it shares with the
 congestion ILP (``paths._path_model``). All four fix the demands and minimize
 the edge-utilization scale U (F is 1 / U), so U sits only in the capacity
-rows. Per-commodity flows are recovered by one shared flow decomposition
-(``_peel``), so they conserve exactly and deliver exactly their demand; it
-also splits flows into routes (``paths.extract_widest_paths``) and
-time-stepped trajectories.
+rows.
+
+One flow decomposition (``_peel``) splits each solved flow into
+per-commodity paths or time-stepped trajectories that deliver exactly their
+demand. Solutions keep them, sum their ``flows`` from them, and route
+extraction and the time-stepped lowering read them as they are.
 
 Every static solve certifies F without trusting the solver: F_lo comes from
 the returned primal flow, F_hi from the capacity-row duals as edge lengths
@@ -32,7 +34,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .graphs import Digraph, _json_field, _read_json
-from .lp import LpModel, LpSolution, solve_lp
+from .lp import LpModel, solve_lp
 
 __all__ = [
     "Commodity",
@@ -85,19 +87,40 @@ def all_to_all_commodities(nodes) -> list[Commodity]:
 
 @dataclass
 class LinkFlowSolution:
-    """Concurrent rate F plus per-commodity per-edge flows.
+    """Concurrent rate F plus each commodity's weighted paths.
 
-    ``flows`` maps (commodity index, edge index) -> rate; entries below
-    FLOW_EPS are dropped. ``F_lo <= F <= F_hi`` is the certified bracket on
-    the optimal rate (NaN when the solution was loaded from a file).
+    ``paths[ci]`` lists the (edge index list, rate) pairs that ``_peel``
+    split commodity ci's flow into, carrying F * demand; ``paths`` is empty
+    when the solve returned no flows. ``flows`` maps (ci, edge index) -> rate
+    summed from them, without entries within FLOW_EPS of 0. ``F_lo <= F <=
+    F_hi`` is the certified bracket on the optimal rate (NaN when loaded).
     """
 
     F: float
     commodities: list[Commodity]
-    flows: dict[tuple[int, int], float]
+    paths: list[list[tuple[list[int], float]]]
     graph: Digraph = field(repr=False)
     F_lo: float = math.nan
     F_hi: float = math.nan
+
+    @classmethod
+    def from_flows(cls, F: float, commodities: list[Commodity],
+                   flows: dict[tuple[int, int], float],
+                   graph: Digraph) -> LinkFlowSolution:
+        """Peel each commodity's arc rates, (ci, edge) -> rate, into paths
+        carrying F * demand; flow left on a cycle is dropped."""
+        by_comm: list[dict[int, float]] = [{} for _ in commodities]
+        for (ci, e), v in flows.items():
+            by_comm[ci][e] = v
+        tails, heads = (t.tolist() for t in _node_edge_templates(graph))
+        return cls(F=F, commodities=list(commodities), graph=graph, paths=[
+            _peel(tails, heads, x, c.src, [(c.dst, F * c.demand)])[0]
+            for c, x in zip(commodities, by_comm)])
+
+    @property
+    def flows(self) -> dict[tuple[int, int], float]:
+        return {(ci, e): v for ci in range(len(self.paths))
+                for e, v in self.flow_of(ci).items()}
 
     @property
     def gap(self) -> float:
@@ -105,7 +128,8 @@ class LinkFlowSolution:
         return 1.0 - self.F_lo / self.F_hi
 
     def flow_of(self, ci: int) -> dict[int, float]:
-        return {e: v for (c, e), v in self.flows.items() if c == ci}
+        return {e: v for e, v in _path_sum(self.paths[ci]).items()
+                if abs(v) > FLOW_EPS}
 
 
 @dataclass
@@ -123,8 +147,20 @@ class TimeExpandedSolution:
     l_max: int
     U: np.ndarray                           # per-step utilization bound
     commodities: list[Commodity]
-    flows: dict[tuple[int, int, int], float]  # (ci, edge, step) -> shard fraction
+    # per commodity, (hops, shard fraction) pairs: the (step, edge index)
+    # transport hops of one path up to its first arrival; waiting is implicit
+    trajectories: list[list[tuple[tuple[tuple[int, int], ...], float]]]
     graph: Digraph = field(repr=False)
+
+    @property
+    def flows(self) -> dict[tuple[int, int, int], float]:
+        """(ci, edge, step) -> shard fraction, summed from the trajectories."""
+        flows: dict[tuple[int, int, int], float] = {}
+        for ci, trs in enumerate(self.trajectories):
+            for hops, w in trs:
+                for t, e in hops:
+                    flows[(ci, e, t)] = flows.get((ci, e, t), 0.0) + w
+        return flows
 
     @property
     def total_utilization(self) -> float:
@@ -418,9 +454,8 @@ def _split_flows(comms: list[Commodity], group,
         peeled.update(zip(cis, _peel(
             tails, heads, per_flow.get(k, {}), master.sources[k],
             [(comms[ci].dst, master.F * comms[ci].demand) for ci in cis])))
-    flows = {(ci, e): v for ci in range(len(comms))
-             for e, v in _path_sum(peeled[ci]).items() if v > FLOW_EPS}
-    return LinkFlowSolution(F=master.F, commodities=list(comms), flows=flows,
+    return LinkFlowSolution(F=master.F, commodities=list(comms),
+                            paths=[peeled[ci] for ci in range(len(comms))],
                             graph=g, F_lo=master.F_lo, F_hi=master.F_hi)
 
 
@@ -487,7 +522,7 @@ def mcf_decomposed(
     comms = _commodities(g, commodities)
     master = solve_master(g, comms, want_flows=want_flows)
     if not want_flows:
-        return LinkFlowSolution(F=master.F, commodities=list(comms), flows={},
+        return LinkFlowSolution(F=master.F, commodities=list(comms), paths=[],
                                 graph=g, F_lo=master.F_lo, F_hi=master.F_hi)
     sidx = {s: si for si, s in enumerate(master.sources)}
     return _split_flows(comms, [sidx[c.src] for c in comms], master)
@@ -580,7 +615,7 @@ def mcf_timestepped(
     by_src: dict[int, list[int]] = {s: [] for s in sources}
     for ci, c in enumerate(comms):
         by_src[c.src].append(ci)
-    flows: dict[tuple[int, int, int], float] = {}
+    trajectories = [[] for _ in comms]
     for si, s in enumerate(sources):
         x = sol.x[si * A:(si + 1) * A]
         nz = np.flatnonzero(x > FLOW_EPS)
@@ -589,19 +624,25 @@ def mcf_timestepped(
                        s, [(T * N + comms[ci].dst, comms[ci].demand) for ci in cis])
         for ci, paths in zip(cis, peeled):
             d = comms[ci].dst
+            merged: dict[tuple[tuple[int, int], ...], float] = {}
             for arcs, w in paths:
                 # holdover arcs are implicit waiting. A path may reach d
                 # before step T, leave and return; the commodity's share ends
-                # at its first arrival, or d would receive more than its demand
+                # at its first arrival, or d would receive more than its
+                # demand. Paths that differ only after it are one trajectory
+                hops = []
                 for a in arcs:
                     if a >= E * T:
                         continue
                     k, e = divmod(a, E)
-                    flows[(ci, e, k)] = flows.get((ci, e, k), 0.0) + w
+                    hops.append((k, e))
                     if heads[e] == d:
                         break
+                merged[tuple(hops)] = merged.get(tuple(hops), 0.0) + w
+            trajectories[ci] = list(merged.items())
     return TimeExpandedSolution(l_max=T, U=np.asarray(sol.x[S * A:]),
-                                commodities=list(comms), flows=flows, graph=g)
+                                commodities=list(comms),
+                                trajectories=trajectories, graph=g)
 
 
 # ---------------------------------------------------------------------------
@@ -635,30 +676,65 @@ def mcf_path(g: Digraph, pathset):
 
 
 def save_solution(sol, path: str) -> None:
-    """Serialize a link or time-stepped solution to JSON."""
+    """Serialize a link or time-stepped solution to JSON.
+
+    A link file holds each commodity's arc rates as [s, d, u, v, rate]
+    records under ``flows``. A time-stepped file holds ``trajectories``: per
+    commodity index, [hops, shard fraction] pairs whose hops are [step, u, v].
+    """
+    edges = sol.graph.edges
+    comms = [[c.src, c.dst, c.demand] for c in sol.commodities]
     if isinstance(sol, TimeExpandedSolution):
-        doc = {"kind": "ts", "l_max": sol.l_max, "U": [float(u) for u in sol.U]}
+        doc = {"kind": "ts", "l_max": sol.l_max, "U": [float(u) for u in sol.U],
+               "commodities": comms, "trajectories": {
+                   ci: [[[[t, *edges[e][:2]] for t, e in hops], w]
+                        for hops, w in trs]
+                   for ci, trs in enumerate(sol.trajectories)}}
     elif isinstance(sol, LinkFlowSolution):
-        doc = {"kind": "link", "F": sol.F}
+        doc = {"kind": "link", "F": sol.F, "commodities": comms, "flows": [
+            [*comms[ci][:2], *edges[e][:2], v]
+            for (ci, e), v in sorted(sol.flows.items())]}
     else:
         raise McfError(f"cannot serialize {type(sol).__name__}")
-    doc["commodities"] = [[c.src, c.dst, c.demand] for c in sol.commodities]
-    # a time-stepped flow key, and so its record, ends with the step
-    doc["flows"] = [
-        [sol.commodities[ci].src, sol.commodities[ci].dst,
-         *sol.graph.edges[e][:2], v, *step]
-        for (ci, e, *step), v in sorted(sol.flows.items())
-    ]
     with open(path, "w") as fh:
-        json.dump(doc, fh)
+        fh.write(json.dumps(doc))
         fh.write("\n")
+
+
+def _check_causal(path: str, g: Digraph, T: int, com: Commodity,
+                  trajectories) -> None:
+    """McfError naming ``path`` unless every trajectory of ``com`` joins its
+    source to its destination through hops at strictly increasing steps in
+    [0, T), arriving only at its last hop, and they carry its demand."""
+    where = f"{path}: commodity ({com.src},{com.dst})"
+    for hops, _ in trajectories:
+        node, last = com.src, -1
+        for t, e in hops:
+            u, v, _ = g.edges[e]
+            if node == com.dst:
+                raise McfError(f"{where}: leaves its destination at step {t}")
+            if u != node:
+                raise McfError(f"{where}: hop {u}->{v} at step {t} does not "
+                               f"continue from node {node}")
+            if not last < t < T:
+                raise McfError(f"{where}: hop at step {t} after step {last}; "
+                               f"steps must increase within [0, {T})")
+            node, last = v, t
+        if node != com.dst:
+            raise McfError(f"{where}: trajectory ends at node {node}")
+    total = sum(w for _, w in trajectories)
+    if abs(total - com.demand) > 1e-9:
+        raise McfError(f"{where}: trajectories carry {total:.12g}, not its "
+                       f"demand {com.demand:.12g}")
 
 
 def load_solution(path: str, g: Digraph):
     """Inverse of save_solution; needs the graph for edge indexing.
 
-    Text that is not JSON, a missing field or a short record raises
-    McfError naming the file and the field.
+    A link file's arc rates are peeled once into paths; time-stepped
+    trajectories are checked by ``_check_causal``. Text that is not JSON, a
+    missing field, a short record or a flow that fails a check raises
+    McfError naming the file.
     """
     doc = _read_json(path, McfError)
     eidx = g.edge_index
@@ -669,25 +745,30 @@ def load_solution(path: str, g: Digraph):
     kind = get("kind", str)
     if kind not in ("ts", "link"):
         raise McfError(f"{path}: unknown solution kind {kind!r}")
-    if kind == "ts" and "commodities" not in doc:
-        # older time-stepped files list none: unit demands in (s, d) order
-        comms = [Commodity(s, d) for s, d in get(
-            "flows", lambda fl: sorted({(r[0], r[1]) for r in fl}))]
-    else:
-        # entries are [s, d, demand]; older files hold [s, d] for unit demand
-        comms = get("commodities", lambda cs: [Commodity(*c) for c in cs])
-    _check_distinct(comms, f"{path}: ")
-    cidx = {(c.src, c.dst): i for i, c in enumerate(comms)}
     if kind == "ts":
-        return TimeExpandedSolution(
-            l_max=get("l_max", int),
-            U=get("U", lambda u: np.asarray(u, dtype=float)),
-            commodities=comms,
-            flows=get("flows", lambda fl: {(cidx[(s, d)], eidx[(u, v)], t): rate
-                                           for s, d, u, v, rate, t in fl}),
-            graph=g)
-    return LinkFlowSolution(
-        F=get("F", float), commodities=comms,
-        flows=get("flows", lambda fl: {(cidx[(s, d)], eidx[(u, v)]): rate
-                                       for s, d, u, v, rate in fl}),
-        graph=g)
+        l_max = get("l_max", int)
+        U = get("U", lambda u: np.asarray(u, dtype=float))
+        if "trajectories" not in doc and "flows" in doc:
+            raise McfError(
+                f"{path}: time-stepped file holds 'flows', the format before "
+                "'trajectories'; solve it again")
+    # entries are [s, d, demand]; older files hold [s, d] for unit demand
+    comms = get("commodities", lambda cs: [Commodity(*c) for c in cs])
+    _check_distinct(comms, f"{path}: ")
+    if kind == "ts":
+        trajectories = get("trajectories", lambda tr: [
+            [(tuple((int(t), eidx[(u, v)]) for t, u, v in hops), float(w))
+             for hops, w in tr[str(ci)]]
+            for ci in range(len(comms))])
+        for com, trs in zip(comms, trajectories):
+            _check_causal(path, g, l_max, com, trs)
+        return TimeExpandedSolution(l_max=l_max, U=U, commodities=comms,
+                                    trajectories=trajectories, graph=g)
+    cidx = {(c.src, c.dst): i for i, c in enumerate(comms)}
+    F = get("F", float)
+    flows = get("flows", lambda fl: {(cidx[(s, d)], eidx[(u, v)]): rate
+                                     for s, d, u, v, rate in fl})
+    try:
+        return LinkFlowSolution.from_flows(F, comms, flows, g)
+    except McfError as ex:
+        raise McfError(f"{path}: {ex}") from None

@@ -2,7 +2,7 @@
 
 Produces two route containers: WeightedPathSet (multi-path with rates) and
 RouteTable (single path per commodity). Includes path extraction from
-link-flow solutions (flow decomposition by the MCF solvers' peel),
+link-flow solutions (the paths the MCF solvers peeled), link-disjoint paths,
 shortest-path heuristics, dimension-ordered routing for tori, and an ILP
 that picks one path per commodity minimizing edge congestion.
 """
@@ -21,7 +21,7 @@ import scipy.sparse as sp
 
 from .graphs import Digraph, _json_field, _read_json
 from .lp import LpModel, solve_ilp
-from .mcf import _peel
+from .mcf import McfError, _peel
 
 __all__ = [
     "WeightedPathSet",
@@ -169,14 +169,20 @@ def enum_paths_bounded(
 # link-disjoint paths
 
 def disjoint_paths(g: Digraph) -> WeightedPathSet:
-    """Maximal link-disjoint path set per commodity via unit-cap max-flow."""
+    """Maximal link-disjoint path set per commodity: a unit-capacity max-flow
+    split by the MCF solvers' peel (``_peel``), shortest first, weights 0."""
+    tails = [u for u, _, _ in g.edges]
+    heads = [v for _, v, _ in g.edges]
     out: dict[tuple[int, int], list] = {}
     for s in range(g.n):
         for d in range(g.n):
             if s == d:
                 continue
-            flow = _unit_maxflow(g, s, d)
-            out[(s, d)] = [(p, 0.0) for p in _decompose_unit_flow(g, flow, s, d)]
+            used = sorted(_unit_maxflow(g, s, d))
+            (peeled,) = _peel(tails, heads, dict.fromkeys(used, 1.0), s,
+                              [(d, sum(tails[e] == s for e in used))])
+            out[(s, d)] = [((s, *(heads[a] for a in arcs)), 0.0)
+                           for arcs, _ in peeled]
     return WeightedPathSet(paths=out)
 
 
@@ -211,52 +217,24 @@ def _unit_maxflow(g: Digraph, s: int, d: int) -> set[int]:
             node = u
 
 
-def _decompose_unit_flow(g: Digraph, used: set[int], s: int, d: int):
-    """Peel the unit flow into edge-disjoint s->d paths, smallest-next-hop first."""
-    succ: dict[int, list[tuple[int, int]]] = {}
-    for e in used:
-        u, v, _ = g.edges[e]
-        succ.setdefault(u, []).append((v, e))
-    for u in succ:
-        succ[u].sort()
-    paths = []
-    while succ.get(s):
-        path = [s]
-        node = s
-        while node != d:
-            v, e = succ[node].pop(0)
-            path.append(v)
-            node = v
-        paths.append(tuple(path))
-    return paths
-
-
 # ---------------------------------------------------------------------------
 # path extraction
 
 def extract_widest_paths(g: Digraph, sol) -> WeightedPathSet:
-    """Path decomposition of a LinkFlowSolution by the shared flow peel.
+    """Node paths of a LinkFlowSolution, each with the rate it carries.
 
-    Per commodity, shortest s->d paths are peeled off its flow (``_peel``,
-    the routine the MCF solvers use) until they carry F * demand; each path
-    is recorded with the rate it carries. Flow left on a cycle carries
-    nothing to d and is dropped. Raises McfError when a commodity's flow
-    delivers less than F * demand, e.g. for a solution built without flows.
+    The paths are the ones its solver peeled off each commodity's flow
+    (``_peel``); no flow is decomposed again. Raises McfError for a solution
+    built without flows (``want_flows=False``).
     """
-    by_comm: dict[int, dict[int, float]] = {}
-    for (ci, e), v in sol.flows.items():
-        by_comm.setdefault(ci, {})[e] = v
-    tails = [u for u, _, _ in g.edges]
+    if not sol.paths:
+        raise McfError("solution has no flows to extract paths from")
     heads = [v for _, v, _ in g.edges]
-    out: dict[tuple[int, int], list] = {}
-    for ci, com in enumerate(sol.commodities):
-        (peeled,) = _peel(tails, heads, by_comm.get(ci, {}), com.src,
-                          [(com.dst, sol.F * com.demand)])
-        # each peeled path empties an arc or completes the amount, so no
-        # path comes twice
-        out[(com.src, com.dst)] = sorted(
-            ((com.src, *(heads[a] for a in arcs)), w) for arcs, w in peeled)
-    return WeightedPathSet(paths=out)
+    # a peel never yields one path twice for a commodity
+    return WeightedPathSet(paths={
+        (com.src, com.dst): sorted(
+            ((com.src, *(heads[a] for a in arcs)), w) for arcs, w in plist)
+        for com, plist in zip(sol.commodities, sol.paths)})
 
 
 # ---------------------------------------------------------------------------
@@ -470,23 +448,19 @@ def eval_link_load(g: Digraph, routing) -> tuple[float, np.ndarray]:
     return (float(norm.max()) if len(norm) else 0.0), norm
 
 
-def _weight_str(w: float) -> str:
-    f = Fraction(w).limit_denominator(10 ** 9)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-
 def save_routes(routing, path: str) -> None:
+    """Routes as JSON, with each weight written as the exact float."""
     ps = routing.as_pathset() if isinstance(routing, RouteTable) else routing
     doc = {
         "routes": [
             {"s": s, "d": d,
-             "paths": [{"nodes": list(p), "weight": _weight_str(w)}
+             "paths": [{"nodes": list(p), "weight": float(w)}
                        for p, w in plist]}
             for (s, d), plist in sorted(ps.paths.items())
         ]
     }
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
+        fh.write(json.dumps(doc))
         fh.write("\n")
 
 
@@ -494,8 +468,9 @@ def load_routes(path: str) -> WeightedPathSet:
     """Inverse of save_routes. Text that is not JSON, a missing field or a
     short record raises RouteError naming the file and the field."""
     def record(rec):
+        # older files write weights as fraction strings
         return (rec["s"], rec["d"]), [
-            (tuple(p["nodes"]), float(Fraction(str(p["weight"]))))
+            (tuple(p["nodes"]), float(Fraction(p["weight"])))
             for p in rec["paths"]]
 
     doc = _read_json(path, RouteError)

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .graphs import Digraph
-from .mcf import _peel
 
 __all__ = [
     "Chunking",
@@ -148,65 +147,6 @@ def _chunk_counts(weight_lists, q_max: int):
 # ---------------------------------------------------------------------------
 # time-stepped lowering
 
-def _decompose_trajectories(g: Digraph, com, flow: dict, T: int):
-    """Split one commodity's time-expanded flow into weighted trajectories.
-
-    ``flow`` maps (edge, step) -> rate for commodity ``com`` over steps
-    0..T-1. It is rebuilt as a flow on the commodity's time-expanded DAG,
-    the dynamic-flow model ``mcf_timestepped`` solves: a transport arc
-    (u, t) -> (v, t+1) per flow entry, and a holdover arc (u, k) -> (u, k+1)
-    carrying what u holds after step k, with the source holding the demand
-    at step 0. The (s, 0) -> (d, T) paths of that flow are peeled with the
-    shared ``_peel``; a trajectory is the list of (t, edge) transport hops
-    of one path. Raises ScheduleError when the flow cannot be scheduled: a
-    node sends more than it holds, flow leaves the destination, a hop lies
-    outside steps 0..T-1, or after step T anything other than the demand at
-    the destination is held.
-    """
-    tol = 1e-9
-    N, s, d = g.n, com.src, com.dst
-    # transport arcs are numbered before holdovers, so the peel's BFS
-    # prefers sending to waiting and finds earliest-departure trajectories
-    hops = sorted((t, e) for e, t in flow)
-    m = len(hops)
-    tails = [t * N + g.edges[e][0] for t, e in hops]
-    heads = [(t + 1) * N + g.edges[e][1] for t, e in hops]
-    x = {a: flow[(e, t)] for a, (t, e) in enumerate(hops)}
-    held = {s: com.demand}
-    a = 0
-    for k in range(T):
-        received: dict[int, float] = {}
-        while a < m and hops[a][0] == k:
-            u, v = tails[a] - k * N, heads[a] - (k + 1) * N
-            if u == d:
-                raise ScheduleError(
-                    f"commodity ({s},{d}) sends flow out of its destination")
-            held[u] = held.get(u, 0.0) - x[a]
-            received[v] = received.get(v, 0.0) + x[a]
-            a += 1
-        for u, h in held.items():
-            if h < -tol:
-                raise ScheduleError(
-                    f"commodity ({s},{d}): node {u} sends {-h:.3g} more than "
-                    f"it holds at step {k}")
-            if h > 0.0:
-                x[len(tails)] = h
-                tails.append(k * N + u)
-                heads.append((k + 1) * N + u)
-        for v, r in received.items():
-            held[v] = held.get(v, 0.0) + r
-    if a < m:
-        raise ScheduleError(
-            f"commodity ({s},{d}) sends at a step outside [0, {T})")
-    if abs(held.pop(d, 0.0) - com.demand) > tol or any(
-            abs(h) > tol for h in held.values()):
-        raise ScheduleError(
-            f"commodity ({s},{d}) does not end with exactly its demand "
-            "at the destination")
-    (paths,) = _peel(tails, heads, x, s, [(T * N + d, com.demand)])
-    return [([hops[a] for a in arcs if a < m], w) for arcs, w in paths]
-
-
 def compile_timestep_schedule(
     g: Digraph,
     ts,
@@ -215,24 +155,19 @@ def compile_timestep_schedule(
 ) -> ChunkedSchedule:
     """Chunked per-step link schedule from a TimeExpandedSolution.
 
-    Each commodity's flow is decomposed into trajectories, trajectory weights
-    are quantized to chunks of m/Q bytes by the rule the path lowering uses
-    (``_chunk_counts``), and every chunk follows its trajectory hop by hop
-    (buffering between hops). Delivery of all shards is then structural;
+    Each commodity's trajectories, as its solver peeled them, have their
+    weights quantized to chunks of m/Q bytes by the rule the path lowering
+    uses (``_chunk_counts``), and every chunk follows its trajectory hop by
+    hop (buffering between hops). Delivery of all shards is then structural;
     quantization affects only per-step link volumes. Every commodity must
     have unit demand: its shard is the m bytes it sends.
     """
-    by_comm: dict[int, dict] = {}
-    for (ci, e, t), v in ts.flows.items():
-        by_comm.setdefault(ci, {})[(e, t)] = v
-    trajs = []
-    for ci, com in enumerate(ts.commodities):
+    for com in ts.commodities:
         if com.demand != 1.0:
             raise ScheduleError(
                 f"commodity ({com.src},{com.dst}) has demand {com.demand}; "
                 "time-stepped schedules need unit demands")
-        trajs.append(_decompose_trajectories(g, com, by_comm.get(ci, {}),
-                                             ts.l_max))
+    trajs = ts.trajectories
     Q, counts = _chunk_counts([[w for _, w in tr] for tr in trajs], q_max)
     sched = ChunkedSchedule(n=g.n, nsteps=ts.l_max, chunk_bytes=m / Q, Q=Q,
                             mode="ts")

@@ -181,7 +181,7 @@ class TestSolveAndRoutes:
         rc, stdout, _ = run(capsys, "routes", "--algo", "ilp",
                             "--graph", graph, "--out", routes)
         assert rc == 0
-        assert float(stdout.rsplit("=", 1)[1]) == pytest.approx(16.0, abs=1e-6)
+        assert float(stdout.rsplit("=", 1)[1]) == pytest.approx(15.0, abs=1e-6)
 
 
 class TestCompileEval:

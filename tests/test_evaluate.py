@@ -179,6 +179,24 @@ class TestBench:
         assert bad["runtime_s"] is None and bad["timeout"] is False
         assert "unknown algorithm" in bad["error"]
 
+    def test_bug_raises(self, monkeypatch):
+        # a worker's exception other than the package's errors is a bug,
+        # not an error row; fork so the worker inherits the patched solver
+        import multiprocessing
+
+        from a2aflow import domain_errors, evaluate
+
+        def broken(*args, **kwargs):
+            raise TypeError("bug in solver")
+
+        monkeypatch.setattr(mcf, "mcf_decomposed", broken)
+        monkeypatch.setattr(evaluate, "multiprocessing",
+                            multiprocessing.get_context("fork"))
+        with pytest.raises(RuntimeError,
+                           match="TypeError: bug in solver") as exc:
+            bench_runtimes([8], 2, ["decomp"], timeout_s=120)
+        assert not isinstance(exc.value, domain_errors())
+
     def test_timeout_terminates_run(self):
         (row,) = bench_runtimes([64], 4, ["decomp"], timeout_s=0.01)
         assert row == {"algo": "decomp", "n": 64, "d": 4,

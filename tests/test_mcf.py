@@ -18,7 +18,7 @@ from a2aflow.graphs import (Digraph, augment_host_bottleneck,
 from a2aflow import mcf
 from a2aflow.lp import INFEASIBLE, ITERATION_LIMIT, LpSolution, solve_lp
 from a2aflow.mcf import (F_ONLY_GAP, F_ONLY_IPM_TOL, Commodity, LinkFlowSolution, McfError,
-                         _build_master_model, _path_sum, _peel,
+                         _build_master_model, _path_sum, _peel, _split_flows,
                          all_to_all_commodities, load_solution,
                          mcf_decomposed, mcf_link, mcf_path, mcf_timestepped,
                          save_solution, solve_master, verify_flow)
@@ -40,34 +40,26 @@ def check_conservation(g, sol, tol=1e-9):
 
 
 def check_timestepped(g, ts, tol=1e-9):
-    """Per-commodity checks of a TimeExpandedSolution against its U_t."""
-    from a2aflow.schedule import _decompose_trajectories
-
+    """Per-commodity checks of a TimeExpandedSolution's trajectories, and of
+    the flows summed from them against its U_t."""
     T = ts.l_max
-    by_comm: dict[int, dict] = {}
+    for com, trs in zip(ts.commodities, ts.trajectories):
+        assert sum(w for _, w in trs) == pytest.approx(com.demand, abs=tol)
+        assert len({hops for hops, _ in trs}) == len(trs)
+        for hops, w in trs:
+            assert w > 0
+            node, last = com.src, -1
+            for t, e in hops:
+                u, v, _ = g.edges[e]
+                # joined hops at increasing steps, never back into the source
+                assert u == node and last < t < T and v != com.src
+                node, last = v, t
+            # the trajectory ends at its first arrival
+            arrivals = [g.edges[e][1] == com.dst for _, e in hops]
+            assert arrivals == [False] * (len(hops) - 1) + [True]
     load = np.zeros((g.num_edges, T))
-    for (ci, e, t), v in ts.flows.items():
-        by_comm.setdefault(ci, {})[(e, t)] = v
+    for (_, e, t), v in ts.flows.items():
         load[e, t] += v
-    for ci, com in enumerate(ts.commodities):
-        flow = by_comm[ci]
-        sent = np.zeros((g.n, T))
-        recv = np.zeros((g.n, T))
-        for (e, t), v in flow.items():
-            u, w, _ = g.edges[e]
-            assert w != com.src and u != com.dst
-            sent[u, t] += v
-            recv[w, t] += v
-        assert recv[com.dst].sum() == pytest.approx(com.demand, abs=tol)
-        for u in range(g.n):
-            if u in (com.src, com.dst):
-                continue
-            # sent by step t <= received before step t
-            assert (np.cumsum(sent[u]) <= np.cumsum(recv[u]) - recv[u]
-                    + tol).all()
-            assert sent[u].sum() == pytest.approx(recv[u].sum(), abs=tol)
-        for hops, _ in _decompose_trajectories(g, com, flow, T):
-            assert sum(g.edges[e][1] == com.dst for _, e in hops) == 1
     cap = np.asarray(g.capacities)[:, None]
     assert (load <= cap * ts.U[None, :] + tol).all()
 
@@ -370,32 +362,30 @@ class TestCertificate:
         u, v, _ = next(ed for ed in g.edges
                        if not {c0.src, c0.dst} & set(ed[:2]))
 
-        def corrupt(change):
-            flows = dict(sol.flows)
-            change(flows)
+        def corrupt(ci, extra=(), scale=1.0):
+            # commodity ci's paths scaled, plus weighted arc lists that
+            # need not be paths
+            paths = list(sol.paths)
+            paths[ci] = [(arcs, w * scale) for arcs, w in paths[ci]]
+            paths[ci] += extra
             return verify_flow(g, LinkFlowSolution(
-                F=sol.F, commodities=sol.commodities, flows=flows, graph=g))
-
-        def add(flows, ci, e, amount):
-            flows[(ci, e)] = flows.get((ci, e), 0.0) + amount
+                F=sol.F, commodities=sol.commodities, paths=paths, graph=g))
 
         # a 2-cycle above capacity keeps every balance but overloads
         a, b, cap = g.edges[0]
-        res = corrupt(lambda f: (add(f, 0, eidx[(a, b)], cap + 1.0),
-                                 add(f, 0, eidx[(b, a)], cap + 1.0)))
+        res = corrupt(0, [([eidx[(a, b)], eidx[(b, a)]], cap + 1.0)])
         assert res["capacity"] >= 1.0
         assert max(res["conservation"], res["delivery"]) <= 1e-9
         # a stray arc between two intermediates of commodity 0
-        res = corrupt(lambda f: add(f, 0, eidx[(u, v)], 1e-3))
+        res = corrupt(0, [([eidx[(u, v)]], 1e-3)])
         assert res["conservation"] == pytest.approx(1e-3)
         assert res["delivery"] <= 1e-9
         # half of commodity 0's flow: still conserved, under-delivered
-        res = corrupt(lambda f: f.update(
-            {k: w / 2 for k, w in f.items() if k[0] == 0}))
+        res = corrupt(0, scale=0.5)
         assert res["delivery"] == pytest.approx(sol.F / 2)
         assert res["conservation"] <= 1e-9
         # a negative flow is a capacity (bound) violation
-        res = corrupt(lambda f: add(f, 1, eidx[(a, b)], -5.0))
+        res = corrupt(1, [([eidx[(a, b)]], -5.0)])
         assert res["capacity"] >= 5.0 - 1e-9
 
 
@@ -405,44 +395,68 @@ class TestPeel:
     def test_exact_split_of_master_flow(self, kind, seed, k):
         g = small_graph(kind, seed, k)
         master = solve_master(g)
-        tails = [u for u, _, _ in g.edges]
+        comms = all_to_all_commodities(range(g.n))
+        sidx = {s: si for si, s in enumerate(master.sources)}
+        sol = _split_flows(comms, [sidx[c.src] for c in comms], master)
         heads = [v for _, v, _ in g.edges]
-        comms, flows = [], {}
-        for si, s in enumerate(master.sources):
-            x = {e: v for (i, e), v in master.flows.items() if i == si}
-            dests = [d for d in range(g.n) if d != s]
-            split = _peel(tails, heads, x, s, [(d, master.F) for d in dests])
-            total = np.zeros(g.num_edges)
-            for d, paths in zip(dests, split):
-                flow = _path_sum(paths)
-                comms.append(Commodity(s, d))
-                flows.update({(len(comms) - 1, e): v for e, v in flow.items()})
-                bal = np.zeros(g.n)
-                for e, v in flow.items():
-                    u, w, _ = g.edges[e]
-                    bal[u] += v
-                    bal[w] -= v
-                    total[e] += v
-                assert -bal[d] == pytest.approx(master.F, abs=1e-9)
-                assert bal[s] == pytest.approx(master.F, abs=1e-9)
-                others = [bal[u] for u in range(g.n) if u not in (s, d)]
-                assert max(map(abs, others), default=0.0) <= 1e-12
-            for e in range(g.num_edges):
-                assert total[e] <= x.get(e, 0.0) + 1e-12
-        # extraction re-peels each commodity's flow into simple paths that
-        # carry exactly that flow
-        sol = LinkFlowSolution(F=master.F, commodities=comms, flows=flows,
-                               graph=g)
-        wps = extract_widest_paths(g, sol)
+        total = np.zeros((len(master.sources), g.num_edges))
         for ci, com in enumerate(comms):
-            carried = np.zeros(g.num_edges)
-            for path, w in wps.paths[(com.src, com.dst)]:
-                assert len(set(path)) == len(path)
-                for a, b in zip(path, path[1:]):
-                    carried[g.edge_index[(a, b)]] += w
-            for e in range(g.num_edges):
-                assert carried[e] == pytest.approx(flows.get((ci, e), 0.0),
-                                                   abs=1e-9)
+            s, d = com.src, com.dst
+            assert sum(w for _, w in sol.paths[ci]) == pytest.approx(
+                master.F, abs=1e-9)
+            for arcs, w in sol.paths[ci]:
+                nodes = [s, *(heads[a] for a in arcs)]
+                assert w > 0 and nodes[-1] == d
+                assert len(set(nodes)) == len(nodes)
+                assert all(g.edges[a][0] == u for a, u in zip(arcs, nodes))
+            bal = np.zeros(g.n)
+            for e, v in sol.flow_of(ci).items():
+                u, w, _ = g.edges[e]
+                bal[u] += v
+                bal[w] -= v
+                total[sidx[s], e] += v
+            assert -bal[d] == pytest.approx(master.F, abs=1e-9)
+            assert bal[s] == pytest.approx(master.F, abs=1e-9)
+            others = [bal[u] for u in range(g.n) if u not in (s, d)]
+            assert max(map(abs, others), default=0.0) <= 1e-12
+        # each source's commodities together use no more than its flow
+        for (si, e), v in master.flows.items():
+            total[si, e] -= v
+        assert total.max() <= 1e-12
+        # extraction returns exactly the stored paths as node tuples
+        wps = extract_widest_paths(g, sol)
+        for com, plist in zip(comms, sol.paths):
+            assert wps.paths[(com.src, com.dst)] == sorted(
+                ((com.src, *(heads[a] for a in arcs)), w) for arcs, w in plist)
+
+    @pytest.mark.parametrize("pipeline", ["static", "timestepped"])
+    def test_pipeline_peels_only_in_the_solver(self, monkeypatch, pipeline):
+        # route extraction and the time-stepped lowering read the paths and
+        # trajectories the solver peeled; neither decomposes a flow again
+        from a2aflow import paths, schedule
+        from a2aflow.evaluate import replay_timestep_schedule
+        from a2aflow.schedule import compile_timestep_schedule
+
+        g = gen_gen_kautz(27, 4)
+        sol = (mcf_decomposed(g) if pipeline == "static"
+               else mcf_timestepped(g, diameter(g)))
+        calls = []
+
+        def counting(*args):
+            calls.append(args[3])
+            return _peel(*args)
+
+        for module in (mcf, paths, schedule):
+            if hasattr(module, "_peel"):
+                monkeypatch.setattr(module, "_peel", counting)
+        if pipeline == "static":
+            wps = extract_widest_paths(g, sol)
+            assert sum(map(len, wps.paths.values())) == 777
+        else:
+            T, delivered = replay_timestep_schedule(
+                g, compile_timestep_schedule(g, sol))
+            assert delivered
+        assert calls == []
 
     def test_short_flow_rejected(self):
         # arcs 0 -> 1 -> 2 -> 0 of a 3-ring
@@ -616,6 +630,16 @@ class TestSolutionJson:
         assert paths == extract_widest_paths(g, sol).paths
         assert paths[(0, 1)] == [((0, 1), pytest.approx(1.0))]
 
+    def test_link_short_flow_rejected(self, tmp_path):
+        # the file's flow carries 0.25 of commodity (0, 1)'s F * demand 0.5
+        p = tmp_path / "short.json"
+        p.write_text(json.dumps({
+            "kind": "link", "F": 0.5, "commodities": [[0, 1, 1.0]],
+            "flows": [[0, 1, 0, 1, 0.25]]}))
+        with pytest.raises(McfError, match="recovered only 0.25") as exc:
+            load_solution(str(p), gen_torus([3], bidirectional=False))
+        assert str(p) in str(exc.value)
+
     def test_link_two_element_commodities_load_as_unit(self, tmp_path):
         g = gen_torus([3], bidirectional=False)
         p = tmp_path / "old.json"
@@ -646,7 +670,7 @@ class TestSolutionJson:
 
     @pytest.mark.parametrize("doc", [
         {"kind": "link", "F": 0.5},
-        {"kind": "ts", "l_max": 2, "U": [1.0, 1.0]},
+        {"kind": "ts", "l_max": 2, "U": [1.0, 1.0], "trajectories": {}},
     ], ids=["link", "ts"])
     def test_repeated_commodity_in_file_rejected(self, tmp_path, doc):
         p = tmp_path / "dup.json"
@@ -673,17 +697,44 @@ class TestSolutionJson:
         save_solution(ts, str(p))
         back = load_solution(str(p), g)
         assert back.commodities == comms
+        assert back.trajectories == ts.trajectories
         assert back.flows == ts.flows
 
-    def test_ts_file_without_commodities_loads_as_unit(self, tmp_path):
-        g = gen_torus([3], bidirectional=False)
+    @pytest.mark.parametrize("doc", [
+        {"flows": [[1, 2, 1, 2, 1.0, 1], [0, 1, 0, 1, 1.0, 0]]},
+        {"commodities": [[0, 1, 1.0]]},
+    ], ids=["summed-flows", "nothing"])
+    def test_ts_file_without_trajectories_rejected(self, tmp_path, doc):
+        # time-stepped files used to hold summed flows; those cannot be
+        # split into trajectories again without the time-expanded graph
         p = tmp_path / "old.json"
+        p.write_text(json.dumps(
+            {"kind": "ts", "l_max": 2, "U": [1.0, 1.0], **doc}))
+        with pytest.raises(McfError, match="'trajectories'") as exc:
+            load_solution(str(p), gen_torus([3], bidirectional=False))
+        assert str(p) in str(exc.value)
+
+    # 3-ring edges 0 -> 1, 1 -> 2, 2 -> 0; hops are [step, u, v]
+    @pytest.mark.parametrize("dst, l_max, hops, weight, match", [
+        (2, 3, [[0, 0, 1], [1, 2, 0]], 1.0, "does not continue from node 1"),
+        (2, 3, [[0, 0, 1]], 1.0, "ends at node 1"),
+        (2, 3, [[1, 0, 1], [1, 1, 2]], 1.0, r"step 1 after step 1; .*\[0, 3\)"),
+        (2, 3, [[0, 0, 1], [3, 1, 2]], 1.0, r"step 3 after step 0; .*\[0, 3\)"),
+        (1, 4, [[0, 0, 1], [1, 1, 2], [2, 2, 0], [3, 0, 1]], 1.0,
+         "leaves its destination at step 1"),
+        (1, 1, [[0, 0, 1]], 1.5, "carry 1.5, not its demand 1"),
+    ], ids=["broken-chain", "ends-short", "non-increasing-step",
+            "step-past-l_max", "leaves-dst", "weights-not-demand"])
+    def test_ts_acausal_trajectory_rejected(self, tmp_path, dst, l_max, hops,
+                                            weight, match):
+        p = tmp_path / "ts.json"
         p.write_text(json.dumps({
-            "kind": "ts", "l_max": 2, "U": [1.0, 1.0],
-            "flows": [[1, 2, 1, 2, 1.0, 1], [0, 1, 0, 1, 1.0, 0]]}))
-        back = load_solution(str(p), g)
-        assert back.commodities == [Commodity(0, 1), Commodity(1, 2)]
-        assert back.flows == {(0, 0, 0): 1.0, (1, 1, 1): 1.0}
+            "kind": "ts", "l_max": l_max, "U": [1.0] * l_max,
+            "commodities": [[0, dst, 1.0]],
+            "trajectories": {"0": [[hops, weight]]}}))
+        with pytest.raises(McfError, match=match) as exc:
+            load_solution(str(p), gen_torus([3], bidirectional=False))
+        assert str(p) in str(exc.value)
 
     def test_ts_roundtrip(self, tmp_path):
         g = gen_torus([3], bidirectional=False)
@@ -694,3 +745,4 @@ class TestSolutionJson:
         assert back.l_max == ts.l_max
         assert back.total_utilization == pytest.approx(ts.total_utilization)
         assert set(back.flows) == set(ts.flows)
+        assert back.trajectories == ts.trajectories

@@ -128,9 +128,10 @@ class TestExtractWidest:
         # 0 -> 1 -> 2 plus a circulation 1 -> 3 -> 1
         g = Digraph.from_edges(4, [(0, 1, 1.0), (1, 2, 1.0), (1, 3, 1.0),
                                    (3, 1, 1.0)])
-        sol = LinkFlowSolution(F=0.5, commodities=[Commodity(0, 2)],
-                               flows={(0, 0): 0.5, (0, 1): 0.5, (0, 2): 0.25,
-                                      (0, 3): 0.25}, graph=g)
+        sol = LinkFlowSolution.from_flows(
+            F=0.5, commodities=[Commodity(0, 2)],
+            flows={(0, 0): 0.5, (0, 1): 0.5, (0, 2): 0.25, (0, 3): 0.25},
+            graph=g)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             wp = extract_widest_paths(g, sol)
@@ -243,7 +244,7 @@ class TestIlp:
     def test_genkautz27_optimum(self):
         g = gen_gen_kautz(27, 4)
         table, load, gap = ilp_min_congestion(g, disjoint_paths(g), alpha=0.0)
-        assert load == pytest.approx(16.0, abs=1e-6)
+        assert load == pytest.approx(15.0, abs=1e-6)
         assert gap == pytest.approx(0.0, abs=1e-9)
         assert eval_link_load(g, table)[0] == pytest.approx(load, abs=1e-6)
         assert load >= 1 / solve_master(g).F - 1e-6
@@ -294,6 +295,21 @@ class TestRoutesJson:
         with pytest.raises(RouteError, match=field) as exc:
             load_routes(str(p))
         assert str(p) in str(exc.value)
+
+    def test_genkautz27_roundtrip_is_exact(self, tmp_path):
+        g = gen_gen_kautz(27, 4)
+        wp = extract_widest_paths(g, mcf_decomposed(g))
+        p = tmp_path / "r.json"
+        save_routes(wp, str(p))
+        assert load_routes(str(p)).paths == wp.paths
+
+    def test_fraction_string_weights_load(self, tmp_path):
+        p = tmp_path / "old.json"
+        p.write_text('{"routes": [{"s": 0, "d": 1, "paths": ['
+                     '{"nodes": [0, 1], "weight": "1/3"}, '
+                     '{"nodes": [0, 2, 1], "weight": "2/3"}]}]}')
+        assert load_routes(str(p)).paths == {
+            (0, 1): [((0, 1), 1 / 3), ((0, 2, 1), 2 / 3)]}
 
     def test_route_table_roundtrip(self, tmp_path):
         g = gen_torus([3], bidirectional=False)

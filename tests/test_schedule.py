@@ -85,27 +85,13 @@ class TestCompileTimestep:
         T, ok = replay_timestep_schedule(g, sched)
         assert ok
 
-    # 3-ring edges: 0 is 0 -> 1, 1 is 1 -> 2, 2 is 2 -> 0; flows map
-    # (edge, step) -> rate of the single commodity
-    @pytest.mark.parametrize("com, l_max, flow, match", [
-        # 1.5 units sent into d by a source holding 1
-        (Commodity(0, 1), 1, {(0, 0): 1.5}, "more than it holds"),
-        # node 1 sends 0.5 at step 0, before anything reaches it
-        (Commodity(0, 2), 2, {(0, 0): 1.0, (1, 0): 0.5, (1, 1): 1.0},
-         "node 1 sends"),
-        (Commodity(0, 1, 2.0), 1, {(0, 0): 2.0}, "unit demands"),
-        # half the shard leaves d at step 1 and comes back at step 3
-        (Commodity(0, 1), 4, {(0, 0): 1.0, (1, 1): 0.5, (2, 2): 0.5,
-                              (0, 3): 0.5}, "out of its destination"),
-        # the shard stops at node 1
-        (Commodity(0, 2), 2, {(0, 0): 1.0}, "exactly its demand"),
-    ])
-    def test_unschedulable_flow_rejected(self, com, l_max, flow, match):
+    def test_non_unit_demand_rejected(self):
+        # 3-ring edge 0 is 0 -> 1
         g = gen_torus([3], bidirectional=False)
         ts = TimeExpandedSolution(
-            l_max=l_max, U=np.ones(l_max), commodities=[com],
-            flows={(0, e, t): v for (e, t), v in flow.items()}, graph=g)
-        with pytest.raises(ScheduleError, match=match):
+            l_max=1, U=np.ones(1), commodities=[Commodity(0, 1, 2.0)],
+            trajectories=[[(((0, 0),), 2.0)]], graph=g)
+        with pytest.raises(ScheduleError, match="unit demands"):
             compile_timestep_schedule(g, ts)
 
 
