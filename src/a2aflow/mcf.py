@@ -17,10 +17,11 @@ extraction and the time-stepped lowering read them as they are.
 
 Every static solve certifies F without trusting the solver: F_lo comes from
 the returned primal flow, F_hi from the capacity-row duals as edge lengths
-(``_bracket``). So an F-only solve needs the solver only as accurate as the
-certificate: it stops HiGHS's interior-point method at a looser optimality
-tolerance and solves again at the default only when the certified gap is too
-wide. ``verify_flow`` rechecks a link solution.
+over the whole graph (``_bracket``). So an F-only solve needs the LP only as
+large and as accurate as the certificate: it first solves over each source's
+forward arcs at a looser interior-point optimality tolerance, and the
+certified gap decides whether all arcs, then HiGHS's default tolerance, are
+needed. ``verify_flow`` rechecks a link solution.
 """
 from __future__ import annotations
 
@@ -55,8 +56,8 @@ __all__ = [
 
 FLOW_EPS = 1e-12
 # F-only master solves stop the interior-point method at this optimality
-# tolerance (HiGHS's default is 1e-8) and re-solve at the default only when
-# the certified gap 1 - F_lo / F_hi is above F_ONLY_GAP
+# tolerance (HiGHS's default is 1e-8), on forward arcs first, and re-solve
+# only while the certified gap 1 - F_lo / F_hi is above F_ONLY_GAP
 F_ONLY_IPM_TOL = 1e-7
 F_ONLY_GAP = 2e-7
 LINK_SIZE_WARN = 150
@@ -356,31 +357,47 @@ def _check_size(g: Digraph, force: bool):
         )
 
 
-def _build_master_model(g: Digraph, roots: list[int], group,
-                        comms: list[Commodity]) -> LpModel:
-    """min U over flows x[k, e] (at k * E + e) out of ``roots[k]``, and U.
+def _forward_arcs(g: Digraph, roots: list[int]) -> np.ndarray:
+    """(K, E) mask of the arcs u -> v with hop(roots[k], v) >= hop(roots[k],
+    u): flow k never moves back towards its root on them. Every BFS-tree arc
+    is forward, so each node reachable from a root stays reachable."""
+    from scipy.sparse.csgraph import shortest_path
 
-    Commodity ci travels in flow ``group[ci]``. Rows 0..E-1 are
+    tails, heads = _node_edge_templates(g)
+    hop = shortest_path(sp.csr_matrix((np.ones(g.num_edges), (tails, heads)),
+                                      shape=(g.n, g.n)),
+                        directed=True, unweighted=True, indices=roots)
+    return hop[:, heads] >= hop[:, tails]
+
+
+def _build_master_model(g: Digraph, roots: list[int], group,
+                        comms: list[Commodity], arcs=None) -> LpModel:
+    """min U over flows x[k, e] out of ``roots[k]``, and U.
+
+    Commodity ci travels in flow ``group[ci]``. Columns are the x[k, e] with
+    ``arcs[k, e]`` (default all) in row-major order, then U. Rows 0..E-1 are
     sum_k x[k, e] - cap_e * U <= 0; then per flow k and node u != roots[k],
     out - in <= -(demand of the flow's commodities to u), 0 elsewhere.
     """
     N, E, K = g.n, g.num_edges, len(roots)
+    arcs = np.ones((K, E), dtype=bool) if arcs is None else arcs
+    n = int(arcs.sum())
     tails, heads = _node_edge_templates(g)
     eidx = np.arange(E)
     src = np.asarray(roots)[:, None]
-    cols = np.arange(K)[:, None] * E + eidx
+    cols = np.cumsum(arcs).reshape(K, E) - 1
     # flow k's row of node u (its root's row is left out)
     base = E + np.arange(K)[:, None] * (N - 1)
-    keep_out, keep_in = tails != src, heads != src
+    keep_out, keep_in = (tails != src) & arcs, (heads != src) & arcs
     a_ub = sp.csr_matrix(
-        (np.concatenate([np.ones(K * E), -np.asarray(g.capacities, dtype=float),
+        (np.concatenate([np.ones(n), -np.asarray(g.capacities, dtype=float),
                          np.ones(keep_out.sum()), -np.ones(keep_in.sum())]),
-         (np.concatenate([np.tile(eidx, K), eidx,
+         (np.concatenate([np.broadcast_to(eidx, (K, E))[arcs], eidx,
                           (base + tails - (tails > src))[keep_out],
                           (base + heads - (heads > src))[keep_in]]),
-          np.concatenate([cols.ravel(), np.full(E, K * E),
+          np.concatenate([cols[arcs], np.full(E, n),
                           cols[keep_out], cols[keep_in]]))),
-        shape=(E + K * (N - 1), K * E + 1),
+        shape=(E + K * (N - 1), n + 1),
     )
     k = np.asarray(group)
     s = src[k, 0]
@@ -388,9 +405,9 @@ def _build_master_model(g: Digraph, roots: list[int], group,
     b_ub = np.zeros(E + K * (N - 1))
     np.add.at(b_ub, E + k * (N - 1) + d - (d > s), [-c.demand for c in comms])
     # flow back into its own root never helps; pin it to zero
-    ub = np.full(K * E + 1, np.inf)
-    ub[cols[~keep_in]] = 0.0
-    return LpModel(c=np.r_[np.zeros(K * E), 1.0], sense="min", a_ub=a_ub,
+    ub = np.full(n + 1, np.inf)
+    ub[cols[arcs & ~keep_in]] = 0.0
+    return LpModel(c=np.r_[np.zeros(n), 1.0], sense="min", a_ub=a_ub,
                    b_ub=b_ub, ub=ub)
 
 
@@ -400,26 +417,31 @@ def _solve_flows(g: Digraph, roots: list[int], group, comms: list[Commodity],
 
     Returns F = 1 / U and the flows x * F keyed (flow index, edge); with
     ``want_flows=False`` the solver stops at an interior optimum, no flows
-    are returned and F is F_lo. That solve first runs at the loose
-    ``F_ONLY_IPM_TOL`` and again at HiGHS's default tolerance only when the
-    certified gap misses ``F_ONLY_GAP``.
+    are returned and F is F_lo. Those solves climb a ladder and stop at the
+    first rung whose certified gap is within ``F_ONLY_GAP``: forward arcs
+    only (``_forward_arcs``) at the loose ``F_ONLY_IPM_TOL``, then all arcs
+    at that tolerance, then all arcs at HiGHS's default. ``_bracket`` bounds
+    F over the whole graph for any flow, so a smaller LP is as good as its
+    certificate.
     """
-    model = _build_master_model(g, roots, group, comms)
-    E = g.num_edges
-    # the certificate, not HiGHS's tolerance, decides when F is good enough
-    for tol in ((None,) if want_flows else (F_ONLY_IPM_TOL, None)):
-        sol = solve_lp(model, crossover=want_flows,
-                       ipm_optimality_tolerance=tol)
+    K, E = len(roots), g.num_edges
+    every = np.ones((K, E), dtype=bool)
+    ladder = ([(every, None)] if want_flows else
+              [(_forward_arcs(g, roots), F_ONLY_IPM_TOL),
+               (every, F_ONLY_IPM_TOL), (every, None)])
+    for arcs, tol in ladder:
+        sol = solve_lp(_build_master_model(g, roots, group, comms, arcs),
+                       crossover=want_flows, ipm_optimality_tolerance=tol)
         if sol.status == "infeasible":
             raise McfError("master LP infeasible: a commodity has no path "
                            "(graph not strongly connected)")
         if not sol.optimal:
             raise McfError(
                 f"master LP did not solve: {sol.status} {sol.message}")
+        x = np.zeros((K, E))
+        x[arcs] = sol.x[:-1]
         # minimizing U, the capacity rows' duals are <= 0
-        F_lo, F_hi = _bracket(g, comms, group,
-                              sol.x[:-1].reshape(len(roots), E),
-                              -sol.duals_ub[:E])
+        F_lo, F_hi = _bracket(g, comms, group, x, -sol.duals_ub[:E])
         if F_lo >= (1.0 - F_ONLY_GAP) * F_hi:
             break
     # an interior optimum's U lies a little above the utilization of its own
@@ -427,7 +449,7 @@ def _solve_flows(g: Digraph, roots: list[int], group, comms: list[Commodity],
     F = 1.0 / float(sol.x[-1]) if want_flows else F_lo
     flows = {}
     if want_flows:
-        x = sol.x[:-1] * F
+        x = x.ravel() * F
         nz = np.flatnonzero(x > FLOW_EPS)
         flows = {divmod(i, E): v for i, v in zip(nz.tolist(), x[nz].tolist())}
     return SourceFlowSolution(F=F, sources=list(roots), flows=flows, graph=g,
@@ -495,9 +517,10 @@ def solve_master(
     flows, a vertex of the LP, feed flow decomposition; with
     ``want_flows=False`` none are returned, the solver skips its crossover
     from the interior optimum to a vertex (about half the time on large
-    graphs) and stops its interior-point method at ``F_ONLY_IPM_TOL``; it
-    solves again at HiGHS's default tolerance only when the gap is above
-    ``F_ONLY_GAP``. F is then F_lo.
+    graphs) and stops its interior-point method at ``F_ONLY_IPM_TOL``. That
+    solve first keeps only each source's forward arcs and adds the rest, then
+    HiGHS's default tolerance, only while the certified gap is above
+    ``F_ONLY_GAP`` (``_solve_flows``). F is then F_lo.
     """
     comms = _commodities(g, commodities)
     sources = sorted({c.src for c in comms})

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .graphs import Digraph
+from .mcf import TimeExpandedSolution
 
 __all__ = [
     "Chunking",
@@ -162,6 +163,9 @@ def compile_timestep_schedule(
     quantization affects only per-step link volumes. Every commodity must
     have unit demand: its shard is the m bytes it sends.
     """
+    if not isinstance(ts, TimeExpandedSolution):
+        raise ScheduleError("time-stepped lowering needs a time-stepped "
+                            f"solution (kind 'ts'), got {type(ts).__name__}")
     for com in ts.commodities:
         if com.demand != 1.0:
             raise ScheduleError(

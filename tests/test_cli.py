@@ -213,6 +213,20 @@ class TestCompileEval:
                             str(tmp_path / "s.xml"))
         assert rc == 1 and str(bad) in stderr and "'kind'" in stderr
 
+    def test_link_solution_in_ts_mode_is_domain_error(self, tmp_path,
+                                                      capsys):
+        g = str(tmp_path / "t9.json")
+        sol = str(tmp_path / "sol.json")
+        assert run(capsys, "gen", "--topo", "torus", "--dims", "3,3",
+                   "--out", g)[0] == 0
+        assert run(capsys, "solve", "--algo", "decomp", "--graph", g,
+                   "--out", sol)[0] == 0
+        rc, _, stderr = run(capsys, "compile", "--mode", "ts", "--graph", g,
+                            "--sol", sol, "--out", str(tmp_path / "s.xml"))
+        assert rc == 1
+        assert "time-stepped solution (kind 'ts'), got LinkFlowSolution" \
+            in stderr
+
     def test_non_integer_xml_attribute_is_domain_error(self, tmp_path,
                                                        capsys):
         g = str(tmp_path / "ring.json")

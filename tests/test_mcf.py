@@ -18,7 +18,8 @@ from a2aflow.graphs import (Digraph, augment_host_bottleneck,
 from a2aflow import mcf
 from a2aflow.lp import INFEASIBLE, ITERATION_LIMIT, LpSolution, solve_lp
 from a2aflow.mcf import (F_ONLY_GAP, F_ONLY_IPM_TOL, Commodity, LinkFlowSolution, McfError,
-                         _build_master_model, _path_sum, _peel, _split_flows,
+                         _build_master_model, _forward_arcs, _path_sum, _peel,
+                         _split_flows,
                          all_to_all_commodities, load_solution,
                          mcf_decomposed, mcf_link, mcf_path, mcf_timestepped,
                          save_solution, solve_master, verify_flow)
@@ -65,13 +66,13 @@ def check_timestepped(g, ts, tol=1e-9):
 
 
 def record_solves(monkeypatch):
-    """The ipm_optimality_tolerance of every solve_lp call the MCF solvers
-    make from now on."""
+    """(column count, ipm_optimality_tolerance) of every solve_lp call the
+    MCF solvers make from now on."""
     calls = []
     real = mcf.solve_lp
 
     def recording(model, **kwargs):
-        calls.append(kwargs.get("ipm_optimality_tolerance"))
+        calls.append((model.n_vars, kwargs.get("ipm_optimality_tolerance")))
         return real(model, **kwargs)
 
     monkeypatch.setattr(mcf, "solve_lp", recording)
@@ -206,6 +207,19 @@ def small_graph(kind, seed, k):
     return puncture(gen_torus([3, 3, 3]), "edges", k, seed=seed)
 
 
+# the same graphs with each capacity drawn from {0.05, 1, 5}: forward arcs
+# often miss the optimum there, so F-only solves fall back to all arcs
+MIXED_GRAPHS = dict(**SMALL_GRAPHS, cap_seed=st.integers(0, 10_000))
+
+
+def mixed_graph(kind, seed, k, cap_seed):
+    g = small_graph(kind, seed, k)
+    caps = np.random.default_rng(cap_seed).choice([0.05, 1.0, 5.0],
+                                                  g.num_edges)
+    return Digraph.from_edges(g.n, [(u, v, c) for (u, v, _), c
+                                    in zip(g.edges, caps)])
+
+
 class TestMaster:
     def test_unreachable_commodity_raises(self):
         # node 2 has no edges, so no commodity to or from it has a path
@@ -297,30 +311,64 @@ class TestCertificate:
 
     def test_f_only_solves_once_at_loose_tolerance(self, gk64, monkeypatch):
         _, _, vertex, _ = gk64
+        g = gen_gen_kautz(64, 4)
         calls = record_solves(monkeypatch)
-        sol = mcf_decomposed(gen_gen_kautz(64, 4), want_flows=False)
-        assert calls == [F_ONLY_IPM_TOL]
+        sol = mcf_decomposed(g, want_flows=False)
+        # forward arcs only: 13,080 of the 64 * 252 = 16,128 flow columns
+        forward = int(_forward_arcs(g, list(range(g.n))).sum())
+        assert forward == 13_080
+        assert calls == [(forward + 1, F_ONLY_IPM_TOL)]
         assert sol.gap <= F_ONLY_GAP
         assert sol.F == sol.F_lo
         assert sol.F == pytest.approx(vertex.F, rel=1e-6)
 
     def test_f_only_resolves_at_default_tolerance(self, monkeypatch):
         g = gen_gen_kautz(64, 4)
+        # one F-only solve of the full LP at HiGHS's default tolerance
         with monkeypatch.context() as m:
             m.setattr(mcf, "F_ONLY_IPM_TOL", None)
+            m.setattr(mcf, "_forward_arcs", lambda g, roots: np.ones(
+                (len(roots), g.num_edges), dtype=bool))
             default = solve_master(g, want_flows=False)
         monkeypatch.setattr(mcf, "F_ONLY_GAP", 0.0)
         calls = record_solves(monkeypatch)
         sol = solve_master(g, want_flows=False)
-        assert calls == [F_ONLY_IPM_TOL, None]
+        assert calls == [(13_081, F_ONLY_IPM_TOL), (16_129, F_ONLY_IPM_TOL),
+                         (16_129, None)]
         assert sol.F == pytest.approx(default.F, rel=1e-12)
         assert sol.F_hi == pytest.approx(default.F_hi, rel=1e-12)
 
-    def test_f_only_infeasible_raises(self):
+    def test_f_only_infeasible_raises(self, monkeypatch):
         g = Digraph.from_edges(3, [(0, 1, 1.0), (1, 0, 1.0)])
+        calls = record_solves(monkeypatch)
         with pytest.raises(McfError, match="master LP infeasible: a "
                            "commodity has no path"):
             solve_master(g, want_flows=False)
+        assert len(calls) == 1
+
+    def test_f_only_falls_back_to_all_arcs(self, monkeypatch):
+        # on forward arcs, flow from 0 to 2 must take the thin arc 0->2
+        # (U = 100); the full LP routes it 0->1->3->2, back towards root 0
+        g = Digraph.from_edges(4, [
+            (0, 1, 10), (0, 2, 0.01), (1, 3, 10), (3, 2, 10), (2, 0, 10),
+            (1, 0, 10), (3, 0, 10), (2, 3, 10), (3, 1, 10)])
+        assert not _forward_arcs(g, [0])[0, g.edge_index[(3, 2)]]
+        calls = record_solves(monkeypatch)
+        sol = solve_master(g, want_flows=False)
+        assert [tol for _, tol in calls] == [F_ONLY_IPM_TOL, F_ONLY_IPM_TOL]
+        assert calls[0][0] < calls[1][0] == 4 * g.num_edges + 1
+        assert sol.F == pytest.approx(solve_master(g).F, rel=1e-6)
+        assert sol.F_lo == sol.F <= sol.F_hi * (1 + 1e-12)
+
+    @settings(max_examples=20, deadline=None)
+    @given(**MIXED_GRAPHS)
+    def test_f_only_matches_vertex_mixed_capacities(self, kind, seed, k,
+                                                    cap_seed):
+        g = mixed_graph(kind, seed, k, cap_seed)
+        sol = solve_master(g, want_flows=False)
+        assert sol.F == pytest.approx(solve_master(g).F, rel=1e-6)
+        # where the bracket closes, F_lo and F_hi may differ by rounding
+        assert sol.F_lo == sol.F <= sol.F_hi * (1 + 1e-12)
 
     @pytest.mark.parametrize("status, message", [
         (INFEASIBLE, "master LP infeasible: a commodity has no path"),
