@@ -156,7 +156,8 @@ def eval_path_alltoall(g: Digraph, wps, m: float = 1.0,
 
 def _solve_time(g: Digraph, algo: str) -> tuple[float, float | None, dict]:
     """(alltoall time 1/F or max load, F or None, extra report fields) for
-    one algorithm; the MCF solvers add their certified gap."""
+    one algorithm; the MCF solvers add their certified gap and how many LP
+    solves it took."""
     from .mcf import mcf_decomposed, mcf_link, mcf_path
     from .paths import (disjoint_paths, eval_link_load, ilp_min_congestion,
                         sssp_routes)
@@ -164,7 +165,8 @@ def _solve_time(g: Digraph, algo: str) -> tuple[float, float | None, dict]:
     if algo in ("decomp", "link"):
         sol = (mcf_decomposed(g, want_flows=False) if algo == "decomp"
                else mcf_link(g, force=True))
-        return 1.0 / sol.F, sol.F, {"gap": sol.gap}
+        return 1.0 / sol.F, sol.F, {"gap": sol.gap,
+                                    "lp_solves": sol.lp_solves}
     if algo == "pmcf-disjoint":
         F, _ = mcf_path(g, disjoint_paths(g))
         return 1.0 / F, F, {}
@@ -183,7 +185,8 @@ def compare_topologies(
     algo: str = "decomp",
 ) -> list[EvalReport]:
     """All-to-all time and bound ratio per labelled topology; the MCF
-    algorithms add the certified gap of F to ``extra``.
+    algorithms add the certified gap of F and the number of LP solves behind
+    it (0 when the even shortest-path split certified F) to ``extra``.
 
     A topology the solver rejects (one of the package's errors) is
     recorded as a report with NaN times rather than aborting the sweep; any

@@ -18,10 +18,12 @@ extraction and the time-stepped lowering read them as they are.
 Every static solve certifies F without trusting the solver: F_lo comes from
 the returned primal flow, F_hi from the capacity-row duals as edge lengths
 over the whole graph (``_bracket``). So an F-only solve needs the LP only as
-large and as accurate as the certificate: it first solves over each source's
-forward arcs at a looser interior-point optimality tolerance, and the
-certified gap decides whether all arcs, then HiGHS's default tolerance, are
-needed. ``verify_flow`` rechecks a link solution.
+large and as accurate as the certificate, or not at all: it first certifies
+the even split of every commodity over its fewest-hop paths with hop
+lengths, which closes on tori and hypercubes; then it solves over each
+source's forward arcs at a looser interior-point optimality tolerance, and
+the certified gap decides whether all arcs, then HiGHS's default tolerance,
+are needed. ``verify_flow`` rechecks a link solution.
 """
 from __future__ import annotations
 
@@ -94,7 +96,8 @@ class LinkFlowSolution:
     split commodity ci's flow into, carrying F * demand; ``paths`` is empty
     when the solve returned no flows. ``flows`` maps (ci, edge index) -> rate
     summed from them, without entries within FLOW_EPS of 0. ``F_lo <= F <=
-    F_hi`` is the certified bracket on the optimal rate (NaN when loaded).
+    F_hi`` is the certified bracket on the optimal rate (NaN when loaded);
+    ``lp_solves`` counts the LP solves behind it (None when loaded).
     """
 
     F: float
@@ -103,6 +106,7 @@ class LinkFlowSolution:
     graph: Digraph = field(repr=False)
     F_lo: float = math.nan
     F_hi: float = math.nan
+    lp_solves: int | None = None
 
     @classmethod
     def from_flows(cls, F: float, commodities: list[Commodity],
@@ -141,6 +145,7 @@ class SourceFlowSolution:
     graph: Digraph = field(repr=False)
     F_lo: float              # certified bracket on the optimal rate
     F_hi: float
+    lp_solves: int           # 0 when the even shortest-path split certified F
 
 
 @dataclass
@@ -201,7 +206,8 @@ def _bracket(g: Digraph, comms: list[Commodity], rows, x: sp.csr_matrix,
     it is taken off. F_hi: for any edge lengths ell >= 0, every concurrent
     flow of rate F has sum_e c_e ell_e >= F sum_c demand_c dist_ell(c)
     (Shahrokhi-Matula, JACM 1990); the LP's capacity-row duals make the two
-    sides meet.
+    sides meet. Where they meet, rounding may put F_lo above F_hi: F_hi is
+    raised to F_lo within 1e-12 relative, and a larger excess is an error.
     """
     from scipy.sparse.csgraph import shortest_path
 
@@ -218,7 +224,7 @@ def _bracket(g: Digraph, comms: list[Commodity], rows, x: sp.csr_matrix,
     end[rows, src] = end[rows, dst] = True
     stray = np.where(end, 0.0, np.maximum(-net, 0.0)).sum(axis=1)
     delta = ((net[rows, dst] - stray[rows]) / demand).min()
-    util = (np.asarray(x.sum(axis=0)).ravel() / cap).max()
+    util = (np.asarray(x.sum(axis=0)).ravel() / cap).max(initial=0.0)
     F_lo = delta / util if delta > 0 else 0.0
 
     ell = np.maximum(ell, 0.0)
@@ -228,8 +234,14 @@ def _bracket(g: Digraph, comms: list[Commodity], rows, x: sp.csr_matrix,
         sp.csr_matrix((ell, (tails, heads)), shape=(g.n, g.n)),
         directed=True, indices=sources)
     total = demand @ dist[si, dst]
-    F_hi = cap @ ell / total if total > 0 else math.inf
-    return float(F_lo), float(F_hi)
+    F_lo = float(F_lo)
+    F_hi = float(cap @ ell / total) if total > 0 else math.inf
+    if F_lo > F_hi:
+        if F_lo > F_hi * (1.0 + 1e-12):
+            raise McfError(f"certificate failed: F_lo {F_lo!r} above F_hi "
+                           f"{F_hi!r}")
+        F_hi = F_lo
+    return F_lo, F_hi
 
 
 def verify_flow(g: Digraph, sol: LinkFlowSolution) -> dict[str, float]:
@@ -357,17 +369,63 @@ def _check_size(g: Digraph, force: bool):
         )
 
 
+def _hops(g: Digraph, roots: list[int]) -> np.ndarray:
+    """(K, N) hop counts from each of ``roots``; inf where unreachable."""
+    from scipy.sparse.csgraph import shortest_path
+
+    tails, heads = _node_edge_templates(g)
+    return shortest_path(sp.csr_matrix((np.ones(g.num_edges), (tails, heads)),
+                                       shape=(g.n, g.n)),
+                         directed=True, unweighted=True, indices=roots)
+
+
 def _forward_arcs(g: Digraph, roots: list[int]) -> np.ndarray:
     """(K, E) mask of the arcs u -> v with hop(roots[k], v) >= hop(roots[k],
     u): flow k never moves back towards its root on them. Every BFS-tree arc
     is forward, so each node reachable from a root stays reachable."""
-    from scipy.sparse.csgraph import shortest_path
-
     tails, heads = _node_edge_templates(g)
-    hop = shortest_path(sp.csr_matrix((np.ones(g.num_edges), (tails, heads)),
-                                      shape=(g.n, g.n)),
-                        directed=True, unweighted=True, indices=roots)
+    hop = _hops(g, roots)
     return hop[:, heads] >= hop[:, tails]
+
+
+def _even_split(g: Digraph, roots: list[int], group,
+                comms: list[Commodity]) -> np.ndarray:
+    """(K, E) flows x[k, e] that split each commodity of flow ``group[ci]``
+    evenly over all its fewest-hop paths out of ``roots[k]``.
+
+    Path counting after Brandes (J. Math. Sociol. 2001), for all roots at
+    once: a forward pass over the hop layers counts the shortest paths sigma
+    from each root, and a backward pass gives each arc u -> v of the
+    shortest-path DAG the share sigma_u / sigma_v of what enters v, which
+    is v's demand plus what leaves v on the DAG. A destination no root
+    reaches receives nothing.
+    """
+    N, E, K = g.n, g.num_edges, len(roots)
+    tails, heads = _node_edge_templates(g)
+    eidx = np.arange(E)
+    into = sp.csr_matrix((np.ones(E), (eidx, heads)), shape=(E, N))
+    out_of = sp.csr_matrix((np.ones(E), (eidx, tails)), shape=(E, N))
+    hop = _hops(g, roots)
+    layer = hop[:, heads]
+    dag = np.isfinite(layer) & (layer == hop[:, tails] + 1)
+    layer = np.where(dag, layer, 0)
+    depth = int(layer.max(initial=0))
+    sigma = np.zeros((K, N))
+    sigma[np.arange(K), roots] = 1.0
+    for h in range(1, depth + 1):
+        sigma += np.where(layer == h, sigma[:, tails], 0.0) @ into
+    share = np.divide(sigma[:, tails], sigma[:, heads],
+                      out=np.zeros((K, E)), where=dag)
+    # demand at each node plus, once its layer is done, the flow leaving it
+    through = np.zeros((K, N))
+    np.add.at(through, (np.asarray(group), [c.dst for c in comms]),
+              [c.demand for c in comms])
+    x = np.zeros((K, E))
+    for h in range(depth, 0, -1):
+        xh = np.where(layer == h, through[:, heads] * share, 0.0)
+        through += xh @ out_of
+        x += xh
+    return x
 
 
 def _build_master_model(g: Digraph, roots: list[int], group,
@@ -416,20 +474,35 @@ def _solve_flows(g: Digraph, roots: list[int], group, comms: list[Commodity],
     """Solve ``_build_master_model`` and certify its F by ``_bracket``.
 
     Returns F = 1 / U and the flows x * F keyed (flow index, edge); with
-    ``want_flows=False`` the solver stops at an interior optimum, no flows
-    are returned and F is F_lo. Those solves climb a ladder and stop at the
-    first rung whose certified gap is within ``F_ONLY_GAP``: forward arcs
-    only (``_forward_arcs``) at the loose ``F_ONLY_IPM_TOL``, then all arcs
-    at that tolerance, then all arcs at HiGHS's default. ``_bracket`` bounds
-    F over the whole graph for any flow, so a smaller LP is as good as its
-    certificate.
+    ``want_flows=False`` no flows are returned and F is F_lo. Those solves
+    climb a ladder and stop at the first rung whose certified gap is within
+    ``F_ONLY_GAP``. Rung 0 needs no LP: the even shortest-path split
+    (``_even_split``) certified with hop lengths, which closes when it loads
+    every arc alike, as on tori and hypercubes with equal capacities. Then
+    the LP stops at an interior optimum: forward arcs only
+    (``_forward_arcs``) at the loose ``F_ONLY_IPM_TOL``, then all arcs at
+    that tolerance, then all arcs at HiGHS's default. ``_bracket`` bounds F
+    over the whole graph for any flow, so a smaller LP, or none, is as good
+    as its certificate.
     """
     K, E = len(roots), g.num_edges
+
+    def closed(F_lo: float, F_hi: float) -> bool:
+        # a graph that is not strongly connected gives F_lo = F_hi = 0
+        return F_lo > 0 and F_lo >= (1.0 - F_ONLY_GAP) * F_hi
+
+    if not want_flows:
+        F_lo, F_hi = _bracket(g, comms, group,
+                              _even_split(g, roots, group, comms), np.ones(E))
+        if closed(F_lo, F_hi):
+            return SourceFlowSolution(F=F_lo, sources=list(roots), flows={},
+                                      graph=g, F_lo=F_lo, F_hi=F_hi,
+                                      lp_solves=0)
     every = np.ones((K, E), dtype=bool)
     ladder = ([(every, None)] if want_flows else
               [(_forward_arcs(g, roots), F_ONLY_IPM_TOL),
                (every, F_ONLY_IPM_TOL), (every, None)])
-    for arcs, tol in ladder:
+    for lp_solves, (arcs, tol) in enumerate(ladder, 1):
         sol = solve_lp(_build_master_model(g, roots, group, comms, arcs),
                        crossover=want_flows, ipm_optimality_tolerance=tol)
         if sol.status == "infeasible":
@@ -442,7 +515,7 @@ def _solve_flows(g: Digraph, roots: list[int], group, comms: list[Commodity],
         x[arcs] = sol.x[:-1]
         # minimizing U, the capacity rows' duals are <= 0
         F_lo, F_hi = _bracket(g, comms, group, x, -sol.duals_ub[:E])
-        if F_lo >= (1.0 - F_ONLY_GAP) * F_hi:
+        if closed(F_lo, F_hi):
             break
     # an interior optimum's U lies a little above the utilization of its own
     # flow; F_lo is the rate that flow is checked to carry
@@ -453,7 +526,7 @@ def _solve_flows(g: Digraph, roots: list[int], group, comms: list[Commodity],
         nz = np.flatnonzero(x > FLOW_EPS)
         flows = {divmod(i, E): v for i, v in zip(nz.tolist(), x[nz].tolist())}
     return SourceFlowSolution(F=F, sources=list(roots), flows=flows, graph=g,
-                              F_lo=F_lo, F_hi=F_hi)
+                              F_lo=F_lo, F_hi=F_hi, lp_solves=lp_solves)
 
 
 def _split_flows(comms: list[Commodity], group,
@@ -478,7 +551,8 @@ def _split_flows(comms: list[Commodity], group,
             [(comms[ci].dst, master.F * comms[ci].demand) for ci in cis])))
     return LinkFlowSolution(F=master.F, commodities=list(comms),
                             paths=[peeled[ci] for ci in range(len(comms))],
-                            graph=g, F_lo=master.F_lo, F_hi=master.F_hi)
+                            graph=g, F_lo=master.F_lo, F_hi=master.F_hi,
+                            lp_solves=master.lp_solves)
 
 
 def mcf_link(
@@ -517,10 +591,12 @@ def solve_master(
     flows, a vertex of the LP, feed flow decomposition; with
     ``want_flows=False`` none are returned, the solver skips its crossover
     from the interior optimum to a vertex (about half the time on large
-    graphs) and stops its interior-point method at ``F_ONLY_IPM_TOL``. That
-    solve first keeps only each source's forward arcs and adds the rest, then
-    HiGHS's default tolerance, only while the certified gap is above
-    ``F_ONLY_GAP`` (``_solve_flows``). F is then F_lo.
+    graphs) and stops its interior-point method at ``F_ONLY_IPM_TOL``. No LP
+    is solved when the even split of each commodity over its fewest-hop paths
+    is certified within ``F_ONLY_GAP``; otherwise the solve first keeps only
+    each source's forward arcs and adds the rest, then HiGHS's default
+    tolerance, only while the certified gap is above ``F_ONLY_GAP``
+    (``_solve_flows``). F is then F_lo, and ``lp_solves`` counts the solves.
     """
     comms = _commodities(g, commodities)
     sources = sorted({c.src for c in comms})
@@ -546,7 +622,8 @@ def mcf_decomposed(
     master = solve_master(g, comms, want_flows=want_flows)
     if not want_flows:
         return LinkFlowSolution(F=master.F, commodities=list(comms), paths=[],
-                                graph=g, F_lo=master.F_lo, F_hi=master.F_hi)
+                                graph=g, F_lo=master.F_lo, F_hi=master.F_hi,
+                                lp_solves=master.lp_solves)
     sidx = {s: si for si, s in enumerate(master.sources)}
     return _split_flows(comms, [sidx[c.src] for c in comms], master)
 

@@ -276,6 +276,7 @@ class TestBoundCompare:
         assert rows[0]["label"] == "genkautz-27"
         assert rows[0]["ratio"] >= 1.0 - 1e-9
         assert 0.0 <= rows[0]["gap"] <= 1e-6
+        assert rows[0]["lp_solves"] == 1
 
     def test_compare_csv_stdout(self, capsys):
         rc, stdout, _ = run(capsys, "compare", "--topos", "torus",

@@ -145,6 +145,8 @@ class TestCompare:
         for r in reports:
             assert r.ratio >= 1.0 - 1e-9
             assert r.alltoall_time == pytest.approx(1 / r.F)
+        # the even shortest-path split certifies the torus without an LP
+        assert [r.extra["lp_solves"] for r in reports] == [1, 0]
 
     def test_generator_failure_recorded(self):
         from a2aflow.graphs import Digraph

@@ -18,8 +18,8 @@ from a2aflow.graphs import (Digraph, augment_host_bottleneck,
 from a2aflow import mcf
 from a2aflow.lp import INFEASIBLE, ITERATION_LIMIT, LpSolution, solve_lp
 from a2aflow.mcf import (F_ONLY_GAP, F_ONLY_IPM_TOL, Commodity, LinkFlowSolution, McfError,
-                         _build_master_model, _forward_arcs, _path_sum, _peel,
-                         _split_flows,
+                         _build_master_model, _even_split, _forward_arcs,
+                         _net_inflow, _path_sum, _peel, _split_flows,
                          all_to_all_commodities, load_solution,
                          mcf_decomposed, mcf_link, mcf_path, mcf_timestepped,
                          save_solution, solve_master, verify_flow)
@@ -318,6 +318,7 @@ class TestCertificate:
         forward = int(_forward_arcs(g, list(range(g.n))).sum())
         assert forward == 13_080
         assert calls == [(forward + 1, F_ONLY_IPM_TOL)]
+        assert sol.lp_solves == 1
         assert sol.gap <= F_ONLY_GAP
         assert sol.F == sol.F_lo
         assert sol.F == pytest.approx(vertex.F, rel=1e-6)
@@ -339,12 +340,15 @@ class TestCertificate:
         assert sol.F_hi == pytest.approx(default.F_hi, rel=1e-12)
 
     def test_f_only_infeasible_raises(self, monkeypatch):
-        g = Digraph.from_edges(3, [(0, 1, 1.0), (1, 0, 1.0)])
-        calls = record_solves(monkeypatch)
-        with pytest.raises(McfError, match="master LP infeasible: a "
-                           "commodity has no path"):
-            solve_master(g, want_flows=False)
-        assert len(calls) == 1
+        # the even split delivers nothing to node 2, so F_lo = F_hi = 0 and
+        # rung 0 falls through to the LP; with no arcs at all its arrays are
+        # empty
+        for edges in ([(0, 1, 1.0), (1, 0, 1.0)], []):
+            calls = record_solves(monkeypatch)
+            with pytest.raises(McfError, match="master LP infeasible: a "
+                               "commodity has no path"):
+                solve_master(Digraph.from_edges(3, edges), want_flows=False)
+            assert len(calls) == 1
 
     def test_f_only_falls_back_to_all_arcs(self, monkeypatch):
         # on forward arcs, flow from 0 to 2 must take the thin arc 0->2
@@ -357,8 +361,9 @@ class TestCertificate:
         sol = solve_master(g, want_flows=False)
         assert [tol for _, tol in calls] == [F_ONLY_IPM_TOL, F_ONLY_IPM_TOL]
         assert calls[0][0] < calls[1][0] == 4 * g.num_edges + 1
+        assert sol.lp_solves == 2
         assert sol.F == pytest.approx(solve_master(g).F, rel=1e-6)
-        assert sol.F_lo == sol.F <= sol.F_hi * (1 + 1e-12)
+        assert sol.F_lo == sol.F <= sol.F_hi
 
     @settings(max_examples=20, deadline=None)
     @given(**MIXED_GRAPHS)
@@ -367,8 +372,83 @@ class TestCertificate:
         g = mixed_graph(kind, seed, k, cap_seed)
         sol = solve_master(g, want_flows=False)
         assert sol.F == pytest.approx(solve_master(g).F, rel=1e-6)
-        # where the bracket closes, F_lo and F_hi may differ by rounding
-        assert sol.F_lo == sol.F <= sol.F_hi * (1 + 1e-12)
+        assert sol.F_lo == sol.F <= sol.F_hi
+
+    @pytest.mark.parametrize("make", [
+        lambda: gen_torus([10, 10]),
+        lambda: gen_torus([4, 4, 4]),
+        lambda: gen_hypercube(5),
+        lambda: gen_torus([4, 4]),
+        lambda: gen_hypercube(4),
+    ], ids=["torus10x10", "torus4x4x4", "hypercube5", "torus4x4",
+            "hypercube4"])
+    def test_even_split_needs_no_lp(self, make, monkeypatch):
+        # on an edge-transitive graph with equal capacities the even
+        # shortest-path split loads every arc alike, so it meets the
+        # hop-length bound sum cap / sum dist
+        g = make()
+        calls = record_solves(monkeypatch)
+        sol = solve_master(g, want_flows=False)
+        assert calls == [] and sol.lp_solves == 0
+        tails, heads = (np.array(t) for t in zip(*[e[:2] for e in g.edges]))
+        hops = shortest_path(sp.csr_matrix((np.ones(g.num_edges),
+                                            (tails, heads))), unweighted=True)
+        bound = sum(g.capacities) / hops.sum()
+        assert sol.F == pytest.approx(bound, rel=1e-12)
+        assert sol.F == sol.F_lo <= sol.F_hi
+        assert 1.0 - sol.F_lo / sol.F_hi <= 1e-12
+        # the vertex solves of the larger graphs take seconds
+        if g.n <= 16:
+            assert sol.F == pytest.approx(solve_master(g).F, rel=1e-6)
+
+    def test_even_split_misses_falls_through(self, monkeypatch):
+        # torus 8x4 loads its short rings' arcs more than its long ones'
+        g = gen_torus([8, 4])
+        calls = record_solves(monkeypatch)
+        sol = solve_master(g, want_flows=False)
+        assert len(calls) == sol.lp_solves >= 1
+        assert 1.0 - sol.F_lo / sol.F_hi <= F_ONLY_GAP
+        assert sol.F == pytest.approx(solve_master(g).F, rel=1e-6)
+
+    # random, punctured, and both with capacities from {0.05, 1, 5}
+    @settings(max_examples=20, deadline=None)
+    @given(**MIXED_GRAPHS, mixed=st.booleans())
+    def test_even_split_delivers(self, kind, seed, k, cap_seed, mixed):
+        g = (mixed_graph(kind, seed, k, cap_seed) if mixed
+             else small_graph(kind, seed, k))
+        comms = all_to_all_commodities(range(g.n))
+        x = _even_split(g, list(range(g.n)), [c.src for c in comms], comms)
+        assert x.min() >= 0.0
+        # each root sends 1 to every other node: net inflow -(N - 1) at the
+        # root and 1 everywhere else
+        want = np.ones((g.n, g.n)) - g.n * np.eye(g.n)
+        net = _net_inflow(g, sp.csr_matrix(x)).toarray()
+        assert np.abs(net - want).max() <= 1e-12
+        sol = solve_master(g, want_flows=False)
+        if sol.lp_solves == 0:
+            assert sol.F == pytest.approx(solve_master(g).F, rel=1e-6)
+
+    def test_bracket_never_inverted(self):
+        # rounding put F_lo one step above F_hi on this mixed-capacity
+        # gen_random_regular(7, 3, seed=1) before F_hi was raised to F_lo
+        sol = mcf_decomposed(mixed_graph("rrg", 1, 1, 1), want_flows=False)
+        assert sol.F_lo <= sol.F_hi and sol.gap >= 0.0
+
+    @pytest.mark.parametrize("scale, closes", [(1 + 1e-13, True),
+                                               (1 + 1e-9, False)])
+    def test_bracket_excess(self, monkeypatch, scale, closes):
+        # a flow that claims to deliver more than it does: within 1e-12 the
+        # excess is taken as rounding, above it the certificate fails
+        real = mcf._net_inflow
+        monkeypatch.setattr(mcf, "_net_inflow",
+                            lambda g, x: real(g, x) * scale)
+        g = gen_torus([4, 4])
+        if closes:
+            sol = solve_master(g, want_flows=False)
+            assert sol.lp_solves == 0 and sol.F_lo == sol.F_hi
+        else:
+            with pytest.raises(McfError, match="certificate failed"):
+                solve_master(g, want_flows=False)
 
     @pytest.mark.parametrize("status, message", [
         (INFEASIBLE, "master LP infeasible: a commodity has no path"),
