@@ -6,9 +6,17 @@ looser interior-point optimality tolerance; ``solve_ilp`` solves a
 mixed-integer model with ``scipy.optimize.milp``. Both run HiGHS with its
 own tolerances and limits unless told otherwise and report its statuses as
 they are.
+
+A solve without crossover wants any optimum, so it may solve a smaller LP
+with the same optimum: colour refinement groups interchangeable rows and
+columns into the coarsest equitable partition, whose quotient LP has one row
+and one column per class, and its solution lifts back to the model's primal
+and duals (Grohe, Kersting, Mladenov, Selman, ESA 2014). ``solved_vars``
+reports the column count HiGHS solved.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 from dataclasses import dataclass
@@ -85,6 +93,7 @@ class LpSolution:
     iterations: int = 0
     gap: float | None = None       # only set by solve_ilp
     message: str = ""
+    solved_vars: int = 0           # columns of the LP HiGHS solved
 
     @property
     def optimal(self) -> bool:
@@ -95,21 +104,35 @@ def solve_lp(model: LpModel, crossover: bool = True,
              ipm_optimality_tolerance: float | None = None) -> LpSolution:
     """Solve the continuous relaxation of `model` (integrality is ignored).
 
-    Large models go to the interior-point method. ``crossover=False`` stops
-    it at the interior optimum instead of a vertex: the objective and duals
-    are as accurate, ``x`` has more nonzeros, and the solve takes about half
-    the time on the large flow LPs. ``ipm_optimality_tolerance`` replaces
-    HiGHS's default (1e-8) for that method and is ignored for small models.
+    A model solved as it is goes to the interior-point method when it has
+    10,000 columns or more, else to HiGHS's default pick. ``crossover=False``
+    asks for any optimum: the interior-point method stops at an interior
+    one, whose objective and duals are as accurate and whose ``x`` has more
+    nonzeros. Such a solve refines the model's rows and columns into their
+    coarsest equitable partition; when that has fewer columns, the
+    interior-point method solves the quotient (``_quotient``), whatever its
+    size, and the solution is lifted back. ``ipm_optimality_tolerance``
+    replaces HiGHS's default (1e-8) for the interior-point method; the
+    default pick ignores it.
     """
-    from scipy.optimize import OptimizeWarning, linprog
-
-    sign = 1.0 if model.sense == "min" else -1.0
+    quotient = None if crossover else _quotient(model)
     # interior point with crossover scales far better than simplex on the
     # large degenerate flow LPs; keep the default pick for small models
-    method = "highs-ipm" if model.c.size >= 10_000 else "highs"
+    method = ("highs-ipm" if model.c.size >= 10_000 or quotient is not None
+              else "highs")
     options = {} if crossover else {"run_crossover": "off"}
     if method == "highs-ipm" and ipm_optimality_tolerance is not None:
         options["ipm_optimality_tolerance"] = ipm_optimality_tolerance
+    if quotient is None:
+        return _linprog(model, method, options)
+    small, rows, cols = quotient
+    return _lift(model, _linprog(small, method, options), rows, cols)
+
+
+def _linprog(model: LpModel, method: str, options: dict) -> LpSolution:
+    from scipy.optimize import OptimizeWarning, linprog
+
+    sign = 1.0 if model.sense == "min" else -1.0
     with warnings.catch_warnings():
         # linprog passes run_crossover on to HiGHS but does not know it
         warnings.filterwarnings("ignore", "Unrecognized options",
@@ -137,8 +160,184 @@ def solve_lp(model: LpModel, crossover: bool = True,
         status=status, objective=obj, x=x,
         duals_ub=duals_ub, duals_eq=duals_eq,
         iterations=int(getattr(res, "nit", 0) or 0),
-        message=res.message,
+        message=res.message, solved_vars=model.n_vars,
     )
+
+
+# ---------------------------------------------------------------------------
+# the quotient of an LP by colour refinement (Grohe, Kersting, Mladenov,
+# Selman, "Dimension Reduction via Colour Refinement", ESA 2014)
+
+def _mix(h: np.ndarray) -> np.ndarray:
+    """splitmix64's finaliser: spreads uint64 keys over all 64 bits."""
+    h = h + np.uint64(0x9E3779B97F4A7C15)
+    h = (h ^ (h >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    h = (h ^ (h >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return h ^ (h >> np.uint64(31))
+
+
+def _classes(*keys: np.ndarray) -> np.ndarray:
+    """Class of each position by its tuple of keys, numbered in the sorted
+    order of the tuples, so the numbering does not depend on the order of
+    the positions."""
+    order = np.lexsort(keys[::-1])
+    step = np.zeros(order.size, dtype=bool)
+    for k in keys:
+        k = k[order]
+        step[1:] |= k[1:] != k[:-1]
+    cls = np.empty(order.size, dtype=np.int64)
+    cls[order] = np.cumsum(step)
+    return cls
+
+
+def _count(cls: np.ndarray) -> int:
+    return int(cls.max(initial=-1)) + 1
+
+
+def _refine(a: sp.csr_matrix, rows: np.ndarray,
+            cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Colour refinement of the rows and columns of `a`, starting from the
+    classes ``rows`` and ``cols``.
+
+    Each round splits every column class by the multiset of (row class,
+    coefficient) over its columns' nonzeros, then every row class the same
+    way, until the class counts stop changing or every column is alone.
+    Multisets are compared by a sum of 64-bit hashes, so a collision could
+    keep together what should split; ``_equitable`` checks the result.
+    """
+    coo = a.tocoo()
+    _, label = np.unique(coo.data, return_inverse=True)
+    width = np.uint64(_count(label))
+    label = label.astype(np.uint64).ravel()
+
+    def grouped(major, minor, size):
+        # each row's (or column's) nonzeros: neighbours, labels, bounds
+        order = np.argsort(major, kind="stable")
+        return (minor[order], label[order],
+                np.searchsorted(major[order], np.arange(size + 1)))
+
+    by_col = grouped(coo.col, coo.row, a.shape[1])
+    by_row = grouped(coo.row, coo.col, a.shape[0])
+
+    def split(own, other, nbr, lab, ptr):
+        total = np.zeros(nbr.size + 1, dtype=np.uint64)
+        np.cumsum(_mix(other[nbr].astype(np.uint64) * width + lab),
+                  out=total[1:])
+        return _classes(own, total[ptr[1:]] - total[ptr[:-1]])
+
+    while True:
+        counts = (_count(rows), _count(cols))
+        cols = split(cols, rows, *by_col)
+        if _count(cols) == cols.size:
+            return rows, cols
+        rows = split(rows, cols, *by_row)
+        if (_count(rows), _count(cols)) == counts:
+            return rows, cols
+
+
+def _first(cls: np.ndarray) -> np.ndarray:
+    """The first member of each class."""
+    return np.unique(cls, return_index=True)[1]
+
+
+def _indicator(cls: np.ndarray) -> sp.csr_matrix:
+    """P[j, J] = 1 when position j is in class J."""
+    return sp.csr_matrix((np.ones(cls.size), (np.arange(cls.size), cls)),
+                         shape=(cls.size, _count(cls)))
+
+
+def _stack(model: LpModel):
+    """([a_ub; a_eq], is-equality mask, [b_ub; b_eq])."""
+    blocks = [(sp.csr_matrix(a), np.asarray(b, dtype=float), eq)
+              for a, b, eq in ((model.a_ub, model.b_ub, False),
+                               (model.a_eq, model.b_eq, True))
+              if a is not None]
+    a = sp.vstack([m for m, _, _ in blocks], format="csr")
+    kind = np.concatenate([np.full(b.size, eq) for _, b, eq in blocks])
+    return a, kind, np.concatenate([b for _, b, _ in blocks])
+
+
+def _quotient(model: LpModel):
+    """(quotient model, row classes, column classes) of `model`, or None.
+
+    Columns start in classes by (c, lb, ub) and rows by (kind, rhs), and
+    ``_refine`` splits them over the stacked ``[a_ub; a_eq]``. The quotient
+    has one column per column class, with c summed over the class, and one
+    row per row class: a representative row with its coefficients summed
+    over each column class. When the partition is equitable, the mean of a
+    feasible x over each class is feasible with the same objective, so the
+    quotient has the model's optimum. None when the partition is discrete
+    (nothing to gain) or ``_equitable`` rejects it; then the model is solved
+    as it is.
+    """
+    if model.a_ub is None and model.a_eq is None:
+        return None
+    a, kind, rhs = _stack(model)
+    rows, cols = _refine(a, _classes(kind, rhs),
+                         _classes(model.c, model.lb, model.ub))
+    if (_count(cols) == model.n_vars
+            or not _equitable(model, a, kind, rhs, rows, cols)):
+        return None
+    rep_row, rep_col = _first(rows), _first(cols)
+    p = _indicator(cols)
+    b = (a @ p).tocsr()[rep_row]
+    eq, rhs = kind[rep_row], rhs[rep_row]
+    ub_rows = model.a_ub is not None
+    eq_rows = model.a_eq is not None
+    small = LpModel(c=p.T @ model.c, sense=model.sense,
+                    a_ub=b[~eq] if ub_rows else None,
+                    b_ub=rhs[~eq] if ub_rows else None,
+                    a_eq=b[eq] if eq_rows else None,
+                    b_eq=rhs[eq] if eq_rows else None,
+                    lb=model.lb[rep_col], ub=model.ub[rep_col])
+    return small, rows, cols
+
+
+def _equitable(model: LpModel, a: sp.csr_matrix, kind: np.ndarray,
+               rhs: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> bool:
+    """Whether (rows, cols) is an equitable partition of ``a`` (``_stack``)
+    that keeps c, lb, ub, each row's kind and its rhs constant on classes.
+
+    Checked exactly: A @ P must be constant on row classes and A.T @ Q on
+    column classes, where P and Q are the column and row class indicators.
+    """
+    rep_row, rep_col = _first(rows)[rows], _first(cols)[cols]
+    if not (np.array_equal(kind, kind[rep_row])
+            and np.array_equal(rhs, rhs[rep_row])
+            and all(np.array_equal(v, v[rep_col])
+                    for v in (model.c, model.lb, model.ub))):
+        return False
+    for sums, rep in (((a @ _indicator(cols)).tocsr(), rep_row),
+                      ((a.T @ _indicator(rows)).tocsr(), rep_col)):
+        if (sums - sums[rep]).count_nonzero():
+            return False
+    return True
+
+
+def _lift(model: LpModel, sol: LpSolution, rows: np.ndarray,
+          cols: np.ndarray) -> LpSolution:
+    """The quotient's solution `sol` on `model`: x_j = y[class of j], and
+    row i's dual z[class of i] / |class of i|. Each reduced cost of `model`
+    is the quotient's divided by its column's class size, so the lifted
+    duals are dual-feasible with the same objective."""
+    if sol.x is None:
+        return sol
+    x = sol.x[cols]
+    duals_ub = duals_eq = None
+    if sol.optimal:
+        n_ub = model.b_ub.size if model.a_ub is not None else 0
+        eq = np.zeros(_count(rows), dtype=bool)
+        eq[rows[n_ub:]] = True
+        z = np.empty(eq.size)
+        for mask, d in ((~eq, sol.duals_ub), (eq, sol.duals_eq)):
+            if d is not None:
+                z[mask] = d
+        y = (z / np.bincount(rows))[rows]
+        duals_ub = y[:n_ub] if model.a_ub is not None else None
+        duals_eq = y[n_ub:] if model.a_eq is not None else None
+    return dataclasses.replace(
+        sol, x=x, duals_ub=duals_ub, duals_eq=duals_eq,
+        objective=float(model.c @ x) if sol.optimal else math.nan)
 
 
 def solve_ilp(model: LpModel, alpha: float = 0.0) -> LpSolution:
@@ -167,11 +366,13 @@ def solve_ilp(model: LpModel, alpha: float = 0.0) -> LpSolution:
     status = {0: OPTIMAL, 1: ITERATION_LIMIT, 2: INFEASIBLE,
               3: UNBOUNDED}.get(res.status, f"highs-status-{res.status}")
     if res.x is None:
-        return LpSolution(status, math.nan, None, message=res.message)
+        return LpSolution(status, math.nan, None, message=res.message,
+                          solved_vars=model.n_vars)
     x = np.asarray(res.x)
     obj = float(model.c @ x)
     # without integer variables HiGHS solves the LP and reports no MIP bound
     bound = sign * (res.mip_dual_bound if res.mip_dual_bound is not None
                     else res.fun)
     gap = max(0.0, sign * (obj - bound)) / max(abs(bound), 1e-12)
-    return LpSolution(status, obj, x, gap=gap, message=res.message)
+    return LpSolution(status, obj, x, gap=gap, message=res.message,
+                      solved_vars=model.n_vars)

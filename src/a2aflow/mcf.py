@@ -23,7 +23,10 @@ the even split of every commodity over its fewest-hop paths with hop
 lengths, which closes on tori and hypercubes; then it solves over each
 source's forward arcs at a looser interior-point optimality tolerance, and
 the certified gap decides whether all arcs, then HiGHS's default tolerance,
-are needed. ``verify_flow`` rechecks a link solution.
+are needed. Those interior solves run on the LP's quotient by colour
+refinement (``lp.solve_lp``): where sources see the graph alike, one column
+stands for a class of interchangeable flow variables, as one flow per
+source stands for its commodities. ``verify_flow`` rechecks a link solution.
 """
 from __future__ import annotations
 
@@ -97,7 +100,8 @@ class LinkFlowSolution:
     when the solve returned no flows. ``flows`` maps (ci, edge index) -> rate
     summed from them, without entries within FLOW_EPS of 0. ``F_lo <= F <=
     F_hi`` is the certified bracket on the optimal rate (NaN when loaded);
-    ``lp_solves`` counts the LP solves behind it (None when loaded).
+    ``lp_solves`` counts the LP solves behind it and ``lp_vars`` is the
+    column count HiGHS solved in the last of them (None when loaded).
     """
 
     F: float
@@ -107,6 +111,7 @@ class LinkFlowSolution:
     F_lo: float = math.nan
     F_hi: float = math.nan
     lp_solves: int | None = None
+    lp_vars: int | None = None
 
     @classmethod
     def from_flows(cls, F: float, commodities: list[Commodity],
@@ -146,6 +151,7 @@ class SourceFlowSolution:
     F_lo: float              # certified bracket on the optimal rate
     F_hi: float
     lp_solves: int           # 0 when the even shortest-path split certified F
+    lp_vars: int             # columns HiGHS solved in the last LP solve, or 0
 
 
 @dataclass
@@ -481,9 +487,10 @@ def _solve_flows(g: Digraph, roots: list[int], group, comms: list[Commodity],
     every arc alike, as on tori and hypercubes with equal capacities. Then
     the LP stops at an interior optimum: forward arcs only
     (``_forward_arcs``) at the loose ``F_ONLY_IPM_TOL``, then all arcs at
-    that tolerance, then all arcs at HiGHS's default. ``_bracket`` bounds F
-    over the whole graph for any flow, so a smaller LP, or none, is as good
-    as its certificate.
+    that tolerance, then all arcs at HiGHS's default; ``solve_lp`` solves
+    each on its colour-refined quotient and lifts the flow and duals back.
+    ``_bracket`` bounds F over the whole graph for any flow, so a smaller
+    LP, or none, is as good as its certificate.
     """
     K, E = len(roots), g.num_edges
 
@@ -497,7 +504,7 @@ def _solve_flows(g: Digraph, roots: list[int], group, comms: list[Commodity],
         if closed(F_lo, F_hi):
             return SourceFlowSolution(F=F_lo, sources=list(roots), flows={},
                                       graph=g, F_lo=F_lo, F_hi=F_hi,
-                                      lp_solves=0)
+                                      lp_solves=0, lp_vars=0)
     every = np.ones((K, E), dtype=bool)
     ladder = ([(every, None)] if want_flows else
               [(_forward_arcs(g, roots), F_ONLY_IPM_TOL),
@@ -526,7 +533,8 @@ def _solve_flows(g: Digraph, roots: list[int], group, comms: list[Commodity],
         nz = np.flatnonzero(x > FLOW_EPS)
         flows = {divmod(i, E): v for i, v in zip(nz.tolist(), x[nz].tolist())}
     return SourceFlowSolution(F=F, sources=list(roots), flows=flows, graph=g,
-                              F_lo=F_lo, F_hi=F_hi, lp_solves=lp_solves)
+                              F_lo=F_lo, F_hi=F_hi, lp_solves=lp_solves,
+                              lp_vars=sol.solved_vars)
 
 
 def _split_flows(comms: list[Commodity], group,
@@ -552,7 +560,8 @@ def _split_flows(comms: list[Commodity], group,
     return LinkFlowSolution(F=master.F, commodities=list(comms),
                             paths=[peeled[ci] for ci in range(len(comms))],
                             graph=g, F_lo=master.F_lo, F_hi=master.F_hi,
-                            lp_solves=master.lp_solves)
+                            lp_solves=master.lp_solves,
+                            lp_vars=master.lp_vars)
 
 
 def mcf_link(
@@ -591,12 +600,15 @@ def solve_master(
     flows, a vertex of the LP, feed flow decomposition; with
     ``want_flows=False`` none are returned, the solver skips its crossover
     from the interior optimum to a vertex (about half the time on large
-    graphs) and stops its interior-point method at ``F_ONLY_IPM_TOL``. No LP
-    is solved when the even split of each commodity over its fewest-hop paths
-    is certified within ``F_ONLY_GAP``; otherwise the solve first keeps only
-    each source's forward arcs and adds the rest, then HiGHS's default
-    tolerance, only while the certified gap is above ``F_ONLY_GAP``
-    (``_solve_flows``). F is then F_lo, and ``lp_solves`` counts the solves.
+    graphs), stops its interior-point method at ``F_ONLY_IPM_TOL`` and
+    solves the LP's quotient by colour refinement, one column per class of
+    interchangeable flow variables (``lp.solve_lp``). No LP is solved when
+    the even split of each commodity over its fewest-hop paths is certified
+    within ``F_ONLY_GAP``; otherwise the solve first keeps only each source's
+    forward arcs and adds the rest, then HiGHS's default tolerance, only
+    while the certified gap is above ``F_ONLY_GAP`` (``_solve_flows``). F is
+    then F_lo, ``lp_solves`` counts the solves and ``lp_vars`` is the column
+    count HiGHS solved in the last one.
     """
     comms = _commodities(g, commodities)
     sources = sorted({c.src for c in comms})
@@ -623,7 +635,8 @@ def mcf_decomposed(
     if not want_flows:
         return LinkFlowSolution(F=master.F, commodities=list(comms), paths=[],
                                 graph=g, F_lo=master.F_lo, F_hi=master.F_hi,
-                                lp_solves=master.lp_solves)
+                                lp_solves=master.lp_solves,
+                                lp_vars=master.lp_vars)
     sidx = {s: si for si, s in enumerate(master.sources)}
     return _split_flows(comms, [sidx[c.src] for c in comms], master)
 

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from a2aflow.graphs import gen_torus
+from a2aflow import lp
+from a2aflow.graphs import gen_gen_kautz, gen_torus
 from a2aflow.lp import (INFEASIBLE, ITERATION_LIMIT, NUMERICAL, OPTIMAL,
                         LpModel, solve_ilp, solve_lp)
+from a2aflow.mcf import _build_master_model, all_to_all_commodities
 from a2aflow.paths import RouteError, disjoint_paths, ilp_min_congestion
 
 
@@ -123,6 +125,102 @@ class TestHighsStatus:
                     a_ub=np.array([[1.0]]), b_ub=np.array([1.0]))
         s = solve_lp(m)
         assert s.status == status and not s.optimal
+
+
+def _master(g):
+    comms = all_to_all_commodities(range(g.n))
+    return _build_master_model(g, list(range(g.n)), [c.src for c in comms],
+                               comms)
+
+
+def _pair_model(a: float, b: float):
+    """min load st x0 + x1 = 1, a x0 - load <= 0, b x1 - load <= 0: x0 and
+    x1 are interchangeable exactly when a == b."""
+    return LpModel(c=np.array([0.0, 0.0, 1.0]), sense="min",
+                   a_ub=np.array([[a, 0.0, -1.0], [0.0, b, -1.0]]),
+                   b_ub=np.zeros(2),
+                   a_eq=np.array([[1.0, 1.0, 0.0]]), b_eq=np.array([1.0]))
+
+
+class TestQuotient:
+    """Interior solves (crossover=False) solve the colour-refined quotient."""
+
+    # 4,097 -> 45 and 2,809 -> 1,405 columns
+    @pytest.mark.parametrize("make, size", [
+        (lambda: gen_torus([8, 4]), 45), (lambda: gen_gen_kautz(27, 4), 1405),
+    ], ids=["torus8x4", "genkautz27"])
+    def test_symmetric_master_lp(self, make, size):
+        model = _master(make())
+        full = solve_lp(model)
+        interior = solve_lp(model, crossover=False)
+        assert full.optimal and interior.optimal
+        assert full.solved_vars == model.n_vars
+        assert interior.solved_vars == size
+        # stopped at HiGHS's default optimality tolerance, 1e-8
+        assert interior.objective == pytest.approx(full.objective, rel=1e-8)
+        # the quotient's own optimum, at a vertex, is the model's
+        small, rows, cols = lp._quotient(model)
+        assert small.n_vars == size
+        q = lp._lift(model, lp._linprog(small, "highs", {}), rows, cols)
+        assert q.objective == pytest.approx(full.objective, rel=1e-9)
+        for sol in (q, interior):
+            x, y = sol.x, sol.duals_ub
+            assert x.shape == (model.n_vars,) and y.shape == model.b_ub.shape
+            # the lifted x is feasible
+            assert (model.a_ub @ x <= model.b_ub + 1e-9).all()
+            assert ((x >= -1e-9) & (x <= model.ub + 1e-9)).all()
+            # the lifted duals are dual-feasible (<= 0 when minimizing,
+            # reduced costs >= 0 on the columns without an upper bound; lb
+            # is 0 and ub 0 or inf) with the same objective
+            assert (y <= 1e-12).all()
+            r = model.c - model.a_ub.T @ y
+            assert r[np.isinf(model.ub)].min() >= -1e-9
+        assert model.b_ub @ q.duals_ub == pytest.approx(q.objective, rel=1e-9)
+        assert model.b_ub @ interior.duals_ub == pytest.approx(
+            interior.objective, rel=1e-8)
+
+    def test_equality_rows_lift(self):
+        m = _pair_model(16.0, 16.0)
+        s = solve_lp(m, crossover=False)
+        assert s.optimal and s.solved_vars == 2
+        assert s.objective == pytest.approx(8.0, rel=1e-8)
+        assert s.x == pytest.approx([0.5, 0.5, 8.0], rel=1e-8)
+        assert s.duals_ub == pytest.approx([-0.5, -0.5], rel=1e-7)
+        assert s.duals_eq == pytest.approx([8.0], rel=1e-7)
+
+    @pytest.mark.parametrize("model", [
+        _pair_model(17.0, 16.0),
+        LpModel(c=np.array([1.0, 1.0]), sense="max",
+                a_ub=np.array([[1.0, 2.0], [3.0, 1.0]]),
+                b_ub=np.array([4.0, 6.0])),
+    ], ids=["equality-rows", "no-equality-rows"])
+    def test_no_symmetry_solves_as_is(self, model):
+        s = solve_lp(model, crossover=False)
+        ref = solve_lp(model)
+        assert s.optimal and s.solved_vars == model.n_vars
+        assert s.x.shape == ref.x.shape
+        assert s.objective == pytest.approx(ref.objective, rel=1e-8)
+        assert s.duals_ub == pytest.approx(ref.duals_ub, abs=1e-7)
+
+    def test_non_equitable_partition_rejected(self, monkeypatch):
+        # keep the starting classes: x0 and x1 share (c, lb, ub) and the
+        # two <= rows (kind, rhs), but 17 != 16, so A @ P is not constant
+        # on the row class
+        m = _pair_model(17.0, 16.0)
+        monkeypatch.setattr(lp, "_refine", lambda a, rows, cols: (rows, cols))
+        assert lp._quotient(m) is None
+        s = solve_lp(m, crossover=False)
+        assert s.optimal and s.solved_vars == 3
+        assert s.objective == pytest.approx(17 * 16 / 33, rel=1e-8)
+
+    def test_vertex_solves_never_refine(self, monkeypatch):
+        def refine(*args):
+            raise AssertionError("refined a vertex solve")
+
+        monkeypatch.setattr(lp, "_refine", refine)
+        s = solve_lp(_pair_model(16.0, 16.0))
+        assert s.optimal and s.solved_vars == 3
+        assert s.objective == pytest.approx(8.0)
 
 
 def _stub_milp(monkeypatch, **result):

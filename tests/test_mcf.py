@@ -323,6 +323,27 @@ class TestCertificate:
         assert sol.F == sol.F_lo
         assert sol.F == pytest.approx(vertex.F, rel=1e-6)
 
+    def test_f_only_quotient_ignores_node_order(self):
+        # GK(64, 4) with its nodes permuted and its edges shuffled, as the
+        # benchmark's seeds relabel it: interior solves run on the quotient
+        # by colour refinement, whose size and optimum do not depend on the
+        # order of rows and columns
+        g = gen_gen_kautz(64, 4)
+        sols = []
+        for seed in (1, 2, 3):
+            rng = np.random.default_rng(seed)
+            perm = rng.permutation(g.n).tolist()
+            h = Digraph.from_edges(g.n, [
+                (perm[u], perm[v], c)
+                for u, v, c in (g.edges[i] for i in
+                                rng.permutation(g.num_edges))])
+            sols.append(mcf_decomposed(h, want_flows=False))
+        # 13,081 columns on forward arcs, 566 in the quotient
+        assert [s.lp_vars for s in sols] == [566] * 3
+        for s in sols:
+            assert s.lp_solves == 1 and s.gap <= F_ONLY_GAP
+            assert s.F == pytest.approx(sols[0].F, rel=1e-9)
+
     def test_f_only_resolves_at_default_tolerance(self, monkeypatch):
         g = gen_gen_kautz(64, 4)
         # one F-only solve of the full LP at HiGHS's default tolerance
