@@ -7,12 +7,13 @@ mixed-integer model with ``scipy.optimize.milp``. Both run HiGHS with its
 own tolerances and limits unless told otherwise and report its statuses as
 they are.
 
-A solve without crossover wants any optimum, so it may solve a smaller LP
-with the same optimum: colour refinement groups interchangeable rows and
-columns into the coarsest equitable partition, whose quotient LP has one row
-and one column per class, and its solution lifts back to the model's primal
-and duals (Grohe, Kersting, Mladenov, Selman, ESA 2014). ``solved_vars``
-reports the column count HiGHS solved.
+Every continuous solve may solve a smaller LP with the same optimum: colour
+refinement groups interchangeable rows and columns into the coarsest
+equitable partition, whose quotient LP has one row and one column per
+class, and its solution lifts back to the model's primal and duals (Grohe,
+Kersting, Mladenov, Selman, ESA 2014). A lifted vertex of the quotient is
+an optimum of the model, constant on each class, but not in general a
+vertex of it. ``solved_vars`` reports the column count HiGHS solved.
 """
 from __future__ import annotations
 
@@ -104,18 +105,20 @@ def solve_lp(model: LpModel, crossover: bool = True,
              ipm_optimality_tolerance: float | None = None) -> LpSolution:
     """Solve the continuous relaxation of `model` (integrality is ignored).
 
-    A model solved as it is goes to the interior-point method when it has
-    10,000 columns or more, else to HiGHS's default pick. ``crossover=False``
-    asks for any optimum: the interior-point method stops at an interior
-    one, whose objective and duals are as accurate and whose ``x`` has more
-    nonzeros. Such a solve refines the model's rows and columns into their
-    coarsest equitable partition; when that has fewer columns, the
-    interior-point method solves the quotient (``_quotient``), whatever its
-    size, and the solution is lifted back. ``ipm_optimality_tolerance``
-    replaces HiGHS's default (1e-8) for the interior-point method; the
-    default pick ignores it.
+    Every solve refines the model's rows and columns into their coarsest
+    equitable partition. When that has fewer columns, the interior-point
+    method solves the quotient (``_quotient``), whatever its size, and the
+    solution is lifted back (``_lift``): an exactly feasible optimum of the
+    model, constant on each class of interchangeable columns. A model
+    solved as it is goes to the interior-point method when it has 10,000
+    columns or more, else to HiGHS's default pick. ``crossover`` only
+    decides whether the LP HiGHS solves ends at a vertex; without it the
+    interior-point method stops at an interior optimum, whose objective and
+    duals are as accurate and whose ``x`` has more nonzeros.
+    ``ipm_optimality_tolerance`` replaces HiGHS's default (1e-8) for the
+    interior-point method; the default pick ignores it.
     """
-    quotient = None if crossover else _quotient(model)
+    quotient = _quotient(model)
     # interior point with crossover scales far better than simplex on the
     # large degenerate flow LPs; keep the default pick for small models
     method = ("highs-ipm" if model.c.size >= 10_000 or quotient is not None

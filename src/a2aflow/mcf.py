@@ -23,10 +23,10 @@ the even split of every commodity over its fewest-hop paths with hop
 lengths, which closes on tori and hypercubes; then it solves over each
 source's forward arcs at a looser interior-point optimality tolerance, and
 the certified gap decides whether all arcs, then HiGHS's default tolerance,
-are needed. Those interior solves run on the LP's quotient by colour
-refinement (``lp.solve_lp``): where sources see the graph alike, one column
-stands for a class of interchangeable flow variables, as one flow per
-source stands for its commodities. ``verify_flow`` rechecks a link solution.
+are needed. Every solve runs on the LP's quotient by colour refinement
+(``lp.solve_lp``): where sources see the graph alike, one column stands for
+a class of interchangeable flow variables, as one flow per source stands
+for its commodities. ``verify_flow`` rechecks a link solution.
 """
 from __future__ import annotations
 
@@ -596,13 +596,13 @@ def solve_master(
     of that source's commodities. It solves max concurrent flow as its
     reciprocal (Shahrokhi-Matula): the demands are fixed and the LP
     minimizes the edge-utilization scale U, so F = 1 / U and the flows are
-    x * F. Every solve is certified by ``[F_lo, F_hi]`` (``_bracket``). The
-    flows, a vertex of the LP, feed flow decomposition; with
+    x * F. Every solve is certified by ``[F_lo, F_hi]`` (``_bracket``) and
+    runs on the LP's quotient by colour refinement, one column per class of
+    interchangeable flow variables (``lp.solve_lp``). The flows, an optimum
+    constant on each class, feed flow decomposition; with
     ``want_flows=False`` none are returned, the solver skips its crossover
-    from the interior optimum to a vertex (about half the time on large
-    graphs), stops its interior-point method at ``F_ONLY_IPM_TOL`` and
-    solves the LP's quotient by colour refinement, one column per class of
-    interchangeable flow variables (``lp.solve_lp``). No LP is solved when
+    from the quotient's interior optimum to a vertex and stops its
+    interior-point method at ``F_ONLY_IPM_TOL``. No LP is solved when
     the even split of each commodity over its fewest-hop paths is certified
     within ``F_ONLY_GAP``; otherwise the solve first keeps only each source's
     forward arcs and adds the rest, then HiGHS's default tolerance, only

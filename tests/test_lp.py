@@ -143,7 +143,7 @@ def _pair_model(a: float, b: float):
 
 
 class TestQuotient:
-    """Interior solves (crossover=False) solve the colour-refined quotient."""
+    """Every continuous solve runs on the colour-refined quotient."""
 
     # 4,097 -> 45 and 2,809 -> 1,405 columns
     @pytest.mark.parametrize("make, size", [
@@ -154,8 +154,7 @@ class TestQuotient:
         full = solve_lp(model)
         interior = solve_lp(model, crossover=False)
         assert full.optimal and interior.optimal
-        assert full.solved_vars == model.n_vars
-        assert interior.solved_vars == size
+        assert full.solved_vars == interior.solved_vars == size
         # stopped at HiGHS's default optimality tolerance, 1e-8
         assert interior.objective == pytest.approx(full.objective, rel=1e-8)
         # the quotient's own optimum, at a vertex, is the model's
@@ -163,7 +162,7 @@ class TestQuotient:
         assert small.n_vars == size
         q = lp._lift(model, lp._linprog(small, "highs", {}), rows, cols)
         assert q.objective == pytest.approx(full.objective, rel=1e-9)
-        for sol in (q, interior):
+        for sol in (full, q, interior):
             x, y = sol.x, sol.duals_ub
             assert x.shape == (model.n_vars,) and y.shape == model.b_ub.shape
             # the lifted x is feasible
@@ -175,18 +174,27 @@ class TestQuotient:
             assert (y <= 1e-12).all()
             r = model.c - model.a_ub.T @ y
             assert r[np.isinf(model.ub)].min() >= -1e-9
-        assert model.b_ub @ q.duals_ub == pytest.approx(q.objective, rel=1e-9)
+        for sol in (full, q):
+            assert model.b_ub @ sol.duals_ub == pytest.approx(sol.objective,
+                                                              rel=1e-9)
         assert model.b_ub @ interior.duals_ub == pytest.approx(
             interior.objective, rel=1e-8)
 
-    def test_equality_rows_lift(self):
-        m = _pair_model(16.0, 16.0)
-        s = solve_lp(m, crossover=False)
+    @staticmethod
+    def _check_pair_lift(s):
         assert s.optimal and s.solved_vars == 2
         assert s.objective == pytest.approx(8.0, rel=1e-8)
         assert s.x == pytest.approx([0.5, 0.5, 8.0], rel=1e-8)
         assert s.duals_ub == pytest.approx([-0.5, -0.5], rel=1e-7)
         assert s.duals_eq == pytest.approx([8.0], rel=1e-7)
+
+    def test_equality_rows_lift(self):
+        self._check_pair_lift(solve_lp(_pair_model(16.0, 16.0),
+                                       crossover=False))
+
+    def test_vertex_solves_refine(self):
+        # the 2-column quotient's vertex lifts to the same x and duals
+        self._check_pair_lift(solve_lp(_pair_model(16.0, 16.0)))
 
     @pytest.mark.parametrize("model", [
         _pair_model(17.0, 16.0),
@@ -212,15 +220,6 @@ class TestQuotient:
         s = solve_lp(m, crossover=False)
         assert s.optimal and s.solved_vars == 3
         assert s.objective == pytest.approx(17 * 16 / 33, rel=1e-8)
-
-    def test_vertex_solves_never_refine(self, monkeypatch):
-        def refine(*args):
-            raise AssertionError("refined a vertex solve")
-
-        monkeypatch.setattr(lp, "_refine", refine)
-        s = solve_lp(_pair_model(16.0, 16.0))
-        assert s.optimal and s.solved_vars == 3
-        assert s.objective == pytest.approx(8.0)
 
 
 def _stub_milp(monkeypatch, **result):

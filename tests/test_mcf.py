@@ -65,6 +65,17 @@ def check_timestepped(g, ts, tol=1e-9):
     assert (load <= cap * ts.U[None, :] + tol).all()
 
 
+def relabelled(g, seed):
+    """`g` with its nodes permuted and its edges shuffled; seed 0 keeps it."""
+    if not seed:
+        return g
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(g.n).tolist()
+    return Digraph.from_edges(g.n, [
+        (perm[u], perm[v], c)
+        for u, v, c in (g.edges[i] for i in rng.permutation(g.num_edges))])
+
+
 def record_solves(monkeypatch):
     """(column count, ipm_optimality_tolerance) of every solve_lp call the
     MCF solvers make from now on."""
@@ -282,8 +293,8 @@ class TestCertificate:
 
     @pytest.fixture(scope="class")
     def gk64(self):
-        # 64 * 252 + 1 variables: the master LP takes the interior-point
-        # branch, where crossover is a large share of the solve
+        # 64 * 252 + 1 variables; the master LP's quotient goes to the
+        # interior-point method, with or without crossover
         g = gen_gen_kautz(64, 4)
         comms = all_to_all_commodities(range(g.n))
         model = _build_master_model(g, list(range(g.n)),
@@ -309,6 +320,12 @@ class TestCertificate:
             assert sol.gap <= 1e-6
             assert sol.F_lo * (1 - 1e-12) <= sol.F <= sol.F_hi * (1 + 1e-12)
 
+    def test_vertex_solve_runs_on_the_quotient(self, gk64):
+        _, _, vertex, _ = gk64
+        # 16,129 columns in the model; the lifted vertex certifies tightly
+        assert vertex.lp_vars == 701 and vertex.lp_solves == 1
+        assert vertex.gap <= 1e-12
+
     def test_f_only_solves_once_at_loose_tolerance(self, gk64, monkeypatch):
         _, _, vertex, _ = gk64
         g = gen_gen_kautz(64, 4)
@@ -329,20 +346,31 @@ class TestCertificate:
         # by colour refinement, whose size and optimum do not depend on the
         # order of rows and columns
         g = gen_gen_kautz(64, 4)
-        sols = []
-        for seed in (1, 2, 3):
-            rng = np.random.default_rng(seed)
-            perm = rng.permutation(g.n).tolist()
-            h = Digraph.from_edges(g.n, [
-                (perm[u], perm[v], c)
-                for u, v, c in (g.edges[i] for i in
-                                rng.permutation(g.num_edges))])
-            sols.append(mcf_decomposed(h, want_flows=False))
+        sols = [mcf_decomposed(relabelled(g, seed), want_flows=False)
+                for seed in (1, 2, 3)]
         # 13,081 columns on forward arcs, 566 in the quotient
         assert [s.lp_vars for s in sols] == [566] * 3
         for s in sols:
             assert s.lp_solves == 1 and s.gap <= F_ONLY_GAP
             assert s.F == pytest.approx(sols[0].F, rel=1e-9)
+
+    def test_schedule_ignores_node_order(self):
+        # vertex solves run on the quotient too, so the lifted flow, its
+        # paths and their quantization are the same under every labelling
+        from a2aflow.schedule import compile_path_schedule
+
+        g = gen_gen_kautz(27, 4)
+        seen = set()
+        for seed in (0, 1, 2, 3):
+            h = relabelled(g, seed)
+            sol = mcf_decomposed(h)
+            routes, sched = compile_path_schedule(
+                h, extract_widest_paths(h, sol))
+            seen.add((sol.lp_vars, sched.Q, len(routes)))
+        assert len(seen) == 1, seen
+        (lp_vars, Q, _), = seen
+        # 2,809 columns in the model; below q_max, so no fallback
+        assert lp_vars < 2_809 and Q < 1024
 
     def test_f_only_resolves_at_default_tolerance(self, monkeypatch):
         g = gen_gen_kautz(64, 4)
@@ -600,7 +628,8 @@ class TestPeel:
                 monkeypatch.setattr(module, "_peel", counting)
         if pipeline == "static":
             wps = extract_widest_paths(g, sol)
-            assert sum(map(len, wps.paths.values())) == 777
+            assert (sum(map(len, wps.paths.values()))
+                    == sum(map(len, sol.paths)))
         else:
             T, delivered = replay_timestep_schedule(
                 g, compile_timestep_schedule(g, sol))
