@@ -3,11 +3,13 @@
 A channel dependency graph (CDG) has one node per directed link; routes that
 traverse link e1 then e2 consecutively add the arc e1 -> e2. Wormhole routing
 deadlocks exactly when a layer's CDG has a cycle, so routes are greedily
-packed into the fewest layers whose CDGs stay acyclic.
+packed into the fewest layers whose CDGs stay acyclic. Each layer's CDG is
+kept in a topological order that is repaired as arcs arrive (Pearce & Kelly,
+JEA 2006), so an arc that agrees with the order costs no search;
+``verify_layers`` rebuilds every layer from scratch with Kahn's algorithm.
 """
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 
 from .graphs import Digraph
@@ -47,28 +49,70 @@ def _route_links(g: Digraph, path) -> list[int]:
             f"route {path} uses nonexistent link {ex.args[0]}") from None
 
 
-def _add_if_acyclic(succ: dict[int, set[int]], links: list[int]) -> bool:
-    """Add a route's arcs to an acyclic layer CDG kept as link -> next links.
+class _OrderedCdg:
+    """One layer's CDG, kept acyclic and in a maintained topological order.
 
-    A new cycle passes through an added arc (a, b), and then b reaches a; on
-    one, exactly the added arcs are removed again and False is returned.
+    pos[l] is link l's place in the order (Pearce & Kelly, "A dynamic
+    topological sort algorithm for directed acyclic graphs", JEA 2006). An
+    arc a -> b with pos[a] < pos[b] agrees with the order and needs no
+    search; any other arc searches only the links placed between b and a.
     """
-    added = [(a, b) for a, b in zip(links, links[1:]) if b not in succ[a]]
-    for a, b in added:
-        succ[a].add(b)
-    for a, b in added:
-        seen, stack = {b}, [b]
+
+    def __init__(self, nlinks: int):
+        self.succ: list[set[int]] = [set() for _ in range(nlinks)]
+        self.pred: list[set[int]] = [set() for _ in range(nlinks)]
+        self.pos = list(range(nlinks))
+
+    def add_route(self, links: list[int]) -> bool:
+        """Add a route's arcs if the CDG stays acyclic.
+
+        On a cycle the arcs added so far are removed again, which leaves the
+        order valid, and False is returned.
+        """
+        succ, pred, pos = self.succ, self.pred, self.pos
+        added = []
+        for a, b in zip(links, links[1:]):
+            if b in succ[a]:
+                continue
+            if pos[a] >= pos[b] and not self._reorder(a, b):
+                for x, y in added:
+                    succ[x].discard(y)
+                    pred[y].discard(x)
+                return False
+            succ[a].add(b)
+            pred[b].add(a)
+            added.append((a, b))
+        return True
+
+    def _reorder(self, a: int, b: int) -> bool:
+        """Make room for a -> b against the order; False when b reaches a.
+
+        The links that b reaches and that sit before a, and the links that
+        reach a and sit after b, are the only ones out of place; they take
+        back their own positions, those reaching a first.
+        """
+        succ, pred, pos = self.succ, self.pred, self.pos
+        lo, hi = pos[b], pos[a]
+        fwd, stack = {b}, [b]
         while stack:
             u = stack.pop()
             if u == a:
-                for x, y in added:
-                    succ[x].discard(y)
                 return False
-            for v in succ[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-    return True
+            for w in succ[u]:
+                if w not in fwd and pos[w] <= hi:
+                    fwd.add(w)
+                    stack.append(w)
+        back, stack = {a}, [a]
+        while stack:
+            for w in pred[stack.pop()]:
+                if w not in back and pos[w] > lo:
+                    back.add(w)
+                    stack.append(w)
+        moved = (sorted(back, key=pos.__getitem__)
+                 + sorted(fwd, key=pos.__getitem__))
+        for link, p in zip(moved, sorted(pos[x] for x in moved)):
+            pos[link] = p
+        return True
 
 
 def _topo_order(nodes: set[int], arcs: set[tuple[int, int]]):
@@ -106,21 +150,24 @@ def lash_sequential(g: Digraph, routes, max_layers: int = 8) -> LayerAssignment:
 
     Each route goes to the lowest-indexed layer whose CDG stays acyclic with
     the route's arcs added; a new layer opens when none fits. Raises once
-    max_layers is exceeded, naming the offending route.
+    max_layers is exceeded, naming the offending route. A layer's CDG keeps
+    a topological order of its links: an arc that agrees with it is taken
+    without a search, any other searches only the links ordered between its
+    ends, and a rejected route's arcs are removed again.
     """
     items = _route_items(routes)
-    layers: list[dict[int, set[int]]] = []
+    layers: list[_OrderedCdg] = []
     assignment: dict[tuple[int, int], int] = {}
     for key in sorted(items, key=lambda k: (-len(items[k]), k)):
         links = _route_links(g, items[key])
-        li = next((i for i, succ in enumerate(layers)
-                   if _add_if_acyclic(succ, links)), len(layers))
+        li = next((i for i, cdg in enumerate(layers) if cdg.add_route(links)),
+                  len(layers))
         if li == len(layers):
             if li >= max_layers:
                 raise DeadlockError(f"route {key} does not fit within "
                                     f"{max_layers} layers")
-            layers.append(defaultdict(set))
-            if not _add_if_acyclic(layers[li], links):
+            layers.append(_OrderedCdg(g.num_edges))
+            if not layers[li].add_route(links):
                 raise DeadlockError(
                     f"route {key} has a cyclic dependency on its own")
         assignment[key] = li

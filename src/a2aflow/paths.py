@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 import random
 import warnings
 from collections import deque
@@ -467,11 +468,16 @@ def save_routes(routing, path: str) -> None:
 def load_routes(path: str) -> WeightedPathSet:
     """Inverse of save_routes. Text that is not JSON, a missing field or a
     short record raises RouteError naming the file and the field."""
-    def record(rec):
+    def weight(w):
         # older files write weights as fraction strings
+        w = float(Fraction(w)) if isinstance(w, str) else float(w)
+        if not math.isfinite(w):
+            raise ValueError(f"weight {w} is not finite")
+        return w
+
+    def record(rec):
         return (rec["s"], rec["d"]), [
-            (tuple(p["nodes"]), float(Fraction(p["weight"])))
-            for p in rec["paths"]]
+            (tuple(p["nodes"]), weight(p["weight"])) for p in rec["paths"]]
 
     doc = _read_json(path, RouteError)
     return WeightedPathSet(paths=dict(_json_field(

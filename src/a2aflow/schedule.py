@@ -3,8 +3,9 @@
 Two lowerings: time-stepped solutions become per-step link sends on the
 time-expanded graph, and weighted path sets become chunk-to-route
 assignments. Both quantize fractional rates into integer chunk counts at one
-shared Q by the same rule (``_chunk_counts``) and serialize to a small XML
-dialect.
+shared Q by the same rule (``_chunk_counts``, which quantizes each distinct
+weight list once) and serialize to a small XML dialect, written line by line
+and read back with ElementTree.
 """
 from __future__ import annotations
 
@@ -129,18 +130,22 @@ def _counts_at(rates, Q: int) -> tuple[int, ...]:
 def _chunk_counts(weight_lists, q_max: int):
     """One Q for all commodities, and each commodity's chunk counts at Q.
 
-    Each commodity's nonzero weights (which sum to 1) are quantized on their
-    own by ``quantize_flows``; Q is the LCM of the results, capped at q_max,
-    and a commodity whose own Q differs is recounted at Q by largest
-    remainder. Zero weights get 0 chunks; negative ones raise ScheduleError.
+    Each distinct tuple of nonzero weights (which sum to 1) is quantized
+    once by ``quantize_flows``; Q is the LCM of the results, capped at q_max,
+    and a tuple whose own Q differs is recounted once at Q by largest
+    remainder. Commodities with the same nonzero weights share the counts,
+    so a bump warning comes once per distinct weight list, not once per
+    commodity. Zero weights get 0 chunks; negative ones raise ScheduleError.
     Returns (Q, one count tuple per weight list).
     """
-    rates = [[w for w in ws if w != 0] for ws in weight_lists]
-    chunkings = [quantize_flows(r, q_max) for r in rates]
-    Q = min(math.lcm(*(c.Q for c in chunkings)), q_max)
+    rates = [tuple(w for w in ws if w != 0) for ws in weight_lists]
+    chunkings = {r: quantize_flows(r, q_max) for r in dict.fromkeys(rates)}
+    Q = min(math.lcm(*(c.Q for c in chunkings.values())), q_max)
+    at_q = {r: c.counts if c.Q == Q else _counts_at(r, Q)
+            for r, c in chunkings.items()}
     out = []
-    for ws, r, c in zip(weight_lists, rates, chunkings):
-        counts = iter(c.counts if c.Q == Q else _counts_at(r, Q))
+    for ws, r in zip(weight_lists, rates):
+        counts = iter(at_q[r])
         out.append(tuple(next(counts) if w else 0 for w in ws))
     return Q, out
 
@@ -243,27 +248,35 @@ def compile_path_schedule(
 # XML dialect
 
 def emit_schedule_xml(sched: ChunkedSchedule, path: str) -> None:
-    root = ET.Element("schedule", {
-        "n": str(sched.n),
-        "nsteps": str(sched.nsteps),
-        "chunkbytes": repr(sched.chunk_bytes),
-        "q": str(sched.Q),
-        "mode": sched.mode,
-    })
-    steps: dict[int, ET.Element] = {}
-    for ins in sched.instructions:
-        el = steps.get(ins.t)
-        if el is None:
-            el = ET.SubElement(root, "step", {"t": str(ins.t)})
-            steps[ins.t] = el
-        ET.SubElement(el, "send", {
-            "src": str(ins.src), "dst": str(ins.dst),
-            "s": str(ins.s), "d": str(ins.d),
-            "c0": str(ins.c0), "c1": str(ins.c1),
-        })
-    tree = ET.ElementTree(root)
-    ET.indent(tree)
-    tree.write(path, encoding="unicode", xml_declaration=True)
+    """Write the schedule as XML, one <step> per t in first-seen order.
+
+    The lines are written directly, two spaces per level, in the layout
+    ElementTree's ``indent`` and ``write`` give. Every attribute is an
+    integer, a float repr or the mode, which must be "ts" or "path", so
+    nothing needs escaping.
+    """
+    if sched.mode not in ("ts", "path"):
+        raise ScheduleError(f"unknown mode {sched.mode!r}")
+    steps: dict[int, list[str]] = {}
+    for i in sched.instructions:
+        steps.setdefault(i.t, []).append(
+            f'    <send src="{i.src}" dst="{i.dst}" s="{i.s}" d="{i.d}" '
+            f'c0="{i.c0}" c1="{i.c1}" />')
+    head = (f'<schedule n="{sched.n}" nsteps="{sched.nsteps}" '
+            f'chunkbytes="{sched.chunk_bytes!r}" q="{sched.Q}" '
+            f'mode="{sched.mode}"')
+    lines = ["<?xml version='1.0' encoding='utf-8'?>"]
+    if steps:
+        lines.append(head + ">")
+        for t, sends in steps.items():
+            lines.append(f'  <step t="{t}">')
+            lines.extend(sends)
+            lines.append("  </step>")
+        lines.append("</schedule>")
+    else:
+        lines.append(head + " />")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines))
 
 
 def _req(el, attr, conv=str):

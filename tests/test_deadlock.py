@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from a2aflow.deadlock import (DeadlockError, LayerAssignment,
                               lash_sequential, verify_layers)
-from a2aflow.graphs import Digraph, gen_random_regular, gen_torus, puncture
+from a2aflow.graphs import (Digraph, gen_gen_kautz, gen_random_regular,
+                            gen_torus, puncture)
 from a2aflow.mcf import mcf_decomposed
 from a2aflow.paths import dor_routes, extract_widest_paths, sssp_routes
 
@@ -88,6 +89,34 @@ class TestLashSequential:
         with pytest.raises(DeadlockError,
                            match="cyclic dependency on its own"):
             lash_sequential(g, {(0, 1): (0, 1, 2, 0, 1)})
+
+    def test_shared_arcs_stay_in_their_layer(self):
+        """A route may reuse an arc its layer already holds. A rejected
+        route leaves such an arc in place, and a later route that closes a
+        cycle through it is rejected too."""
+        # link i is i -> i + 1, and the CDG arc i -> i + 1 is walked by the
+        # nodes (i, i + 1, i + 2); a cycle needs all five arcs
+        g = gen_torus([5], bidirectional=False)
+        routes = {
+            (4, 3): (4, 0, 1, 2, 3),    # arcs 4, 0, 1
+            (1, 4): (1, 2, 3, 4),       # arcs 1 (reused) and 2
+            (2, 0): (2, 3, 4, 0),       # arcs 2 (reused) and 3: a cycle
+            (0, 2): (0, 1, 2),          # arc 0 (reused)
+            (3, 0): (3, 4, 0),          # arc 3: a cycle through arc 2
+        }
+        expected = {(4, 3): 0, (1, 4): 0, (2, 0): 1, (0, 2): 0, (3, 0): 1}
+        assert first_fit_reference(g, routes) == expected
+        assert lash_sequential(g, routes).layers == expected
+
+    def test_genkautz27_matches_first_fit_reference(self, decomp_solutions):
+        g = gen_gen_kautz(27, 4)
+        wps = extract_widest_paths(g, decomp_solutions["genkautz27"])
+        routes = {(s, d, i): p for (s, d), plist in wps.paths.items()
+                  for i, (p, _) in enumerate(plist)}
+        assert len(routes) > 700
+        la = lash_sequential(g, routes)
+        assert la.layers == first_fit_reference(g, routes)
+        assert verify_layers(g, routes, la)[0]
 
     @settings(max_examples=25, deadline=None)
     @given(st.sampled_from(["rrg", "punctured-torus"]),

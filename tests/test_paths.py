@@ -288,6 +288,12 @@ class TestRoutesJson:
          "routes"),
         ("[[0, 1]]", "routes"),
         ("routes: []", "not valid JSON"),
+        ('{"routes": [{"s": 0, "d": 1, "paths": '
+         '[{"nodes": [0, 1], "weight": NaN}]}]}', "routes"),
+        ('{"routes": [{"s": 0, "d": 1, "paths": '
+         '[{"nodes": [0, 1], "weight": Infinity}]}]}', "routes"),
+        ('{"routes": [{"s": 0, "d": 1, "paths": '
+         '[{"nodes": [0, 1], "weight": "one"}]}]}', "routes"),
     ])
     def test_malformed_file_names_file_and_field(self, tmp_path, text, field):
         p = tmp_path / "bad.json"

@@ -1,21 +1,67 @@
 """Quantization, schedule compilation, and XML serialization."""
 from __future__ import annotations
 
+import math
 import warnings
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from a2aflow.graphs import gen_hypercube, gen_torus
-from a2aflow.mcf import (Commodity, TimeExpandedSolution, mcf_link,
-                         mcf_timestepped)
+from a2aflow.graphs import diameter, gen_gen_kautz, gen_hypercube, gen_torus
+from a2aflow.mcf import (Commodity, TimeExpandedSolution, mcf_decomposed,
+                         mcf_link, mcf_timestepped)
 from a2aflow.paths import WeightedPathSet, extract_widest_paths
 from a2aflow.schedule import (ChunkedSchedule, Instruction, ScheduleError,
+                              _chunk_counts, _counts_at,
                               compile_path_schedule,
                               compile_timestep_schedule, emit_schedule_xml,
                               parse_schedule_xml, quantize_flows)
+
+
+@pytest.fixture(scope="module")
+def gk27_ts():
+    g = gen_gen_kautz(27, 4)
+    return g, mcf_timestepped(g, l_max=diameter(g))
+
+
+def chunk_counts_reference(weight_lists, q_max):
+    """``_chunk_counts`` with every commodity quantized on its own."""
+    rates = [[w for w in ws if w != 0] for ws in weight_lists]
+    chunkings = [quantize_flows(r, q_max) for r in rates]
+    Q = min(math.lcm(*(c.Q for c in chunkings)), q_max)
+    out = []
+    for ws, r, c in zip(weight_lists, rates, chunkings):
+        counts = iter(c.counts if c.Q == Q else _counts_at(r, Q))
+        out.append(tuple(next(counts) if w else 0 for w in ws))
+    return Q, out
+
+
+def emit_reference(sched, path):
+    """The schedule XML written through ElementTree and ``ET.indent``."""
+    root = ET.Element("schedule", {
+        "n": str(sched.n),
+        "nsteps": str(sched.nsteps),
+        "chunkbytes": repr(sched.chunk_bytes),
+        "q": str(sched.Q),
+        "mode": sched.mode,
+    })
+    steps = {}
+    for ins in sched.instructions:
+        el = steps.get(ins.t)
+        if el is None:
+            el = ET.SubElement(root, "step", {"t": str(ins.t)})
+            steps[ins.t] = el
+        ET.SubElement(el, "send", {
+            "src": str(ins.src), "dst": str(ins.dst),
+            "s": str(ins.s), "d": str(ins.d),
+            "c0": str(ins.c0), "c1": str(ins.c1),
+        })
+    tree = ET.ElementTree(root)
+    ET.indent(tree)
+    tree.write(path, encoding="unicode", xml_declaration=True)
 
 
 class TestQuantize:
@@ -52,6 +98,57 @@ class TestQuantize:
         assert sum(q.counts) == q.Q
         for r, c in zip(rates, q.counts):
             assert abs(c / q.Q - r) <= 1.0 / q.Q + 1e-9
+
+
+class TestChunkCounts:
+    def quiet(self, f, *args):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return f(*args)
+
+    def test_genkautz64_extracted_weights(self, decomp_solutions):
+        g = gen_gen_kautz(64, 4)
+        wps = extract_widest_paths(g, decomp_solutions["genkautz64"])
+        weights = []
+        for plist in wps.paths.values():
+            tot = sum(w for _, w in plist)
+            weights.append([w / tot for _, w in plist])
+        got = _chunk_counts(weights, 1024)
+        assert got == chunk_counts_reference(weights, 1024)
+        assert got[0] < 1024
+
+    def test_genkautz27_trajectory_weights(self, gk27_ts):
+        weights = [[w for _, w in tr] for tr in gk27_ts[1].trajectories]
+        assert len({tuple(ws) for ws in weights}) < len(weights)
+        assert self.quiet(_chunk_counts, weights, 1024) \
+            == self.quiet(chunk_counts_reference, weights, 1024)
+
+    @given(st.lists(st.lists(st.integers(min_value=0, max_value=40),
+                             min_size=1, max_size=4)
+                    .filter(lambda parts: any(parts)),
+                    min_size=1, max_size=4),
+           st.lists(st.integers(min_value=0, max_value=3), min_size=1,
+                    max_size=12),
+           st.sampled_from([6, 16, 1024]))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference(self, bases, picks, q_max):
+        """Repeated lists, zeros and, at small q_max, the q_max fallback."""
+        weights = [[p / sum(parts) for p in parts]
+                   for parts in (bases[i % len(bases)] for i in picks)]
+        try:
+            expected = self.quiet(chunk_counts_reference, weights, q_max)
+        except ScheduleError:
+            with pytest.raises(ScheduleError):
+                self.quiet(_chunk_counts, weights, q_max)
+            return
+        assert self.quiet(_chunk_counts, weights, q_max) == expected
+
+    def test_bump_warns_once_per_distinct_list(self):
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            Q, counts = _chunk_counts([[1e-5, 1 - 1e-5]] * 3, 10)
+        assert Q == 10 and counts == [(1, 9)] * 3
+        assert sum("0 chunks" in str(w.message) for w in rec) == 1
 
 
 class TestCompileTimestep:
@@ -179,6 +276,52 @@ class TestXml:
         assert back.Q == sched.Q and back.mode == sched.mode
         assert sorted(map(repr, back.instructions)) \
             == sorted(map(repr, sched.instructions))
+
+    def assert_same_bytes(self, sched, tmp_path):
+        emit_schedule_xml(sched, str(tmp_path / "direct.xml"))
+        emit_reference(sched, str(tmp_path / "etree.xml"))
+        assert (tmp_path / "direct.xml").read_bytes() \
+            == (tmp_path / "etree.xml").read_bytes()
+
+    def test_genkautz27_path_bytes(self, tmp_path):
+        g = gen_gen_kautz(27, 4)
+        wps = extract_widest_paths(g, mcf_decomposed(g))
+        _, sched = compile_path_schedule(g, wps)
+        self.assert_same_bytes(sched, tmp_path)
+
+    def test_torus_ts_bytes(self, tmp_path):
+        g = gen_torus([3, 3])
+        self.assert_same_bytes(
+            compile_timestep_schedule(g, mcf_timestepped(g, l_max=2)),
+            tmp_path)
+
+    def test_genkautz27_ts_bytes(self, gk27_ts, tmp_path):
+        sched = compile_timestep_schedule(*gk27_ts)
+        assert sched.nsteps == 3
+        self.assert_same_bytes(sched, tmp_path)
+
+    def test_unsorted_steps_bytes(self, tmp_path):
+        """Steps come out in the order their t first appears."""
+        sched = ChunkedSchedule(n=4, nsteps=3, chunk_bytes=0.1, Q=10,
+                                mode="ts", instructions=[
+                                    Instruction(2, 0, 1, 0, 3, 0, 4),
+                                    Instruction(0, 1, 2, 1, 3, 4, 10),
+                                    Instruction(2, 2, 3, 0, 3, 4, 10),
+                                    Instruction(1, 3, 0, 3, 1, 0, 10)])
+        self.assert_same_bytes(sched, tmp_path)
+        assert [int(el.get("t")) for el in ET.parse(
+            str(tmp_path / "direct.xml")).getroot()] == [2, 0, 1]
+
+    def test_empty_schedule_bytes(self, tmp_path):
+        self.assert_same_bytes(
+            ChunkedSchedule(n=2, nsteps=1, chunk_bytes=1.0, Q=1,
+                            mode="path"), tmp_path)
+
+    def test_unknown_mode_rejected(self, tmp_path):
+        sched = ChunkedSchedule(n=2, nsteps=1, chunk_bytes=1.0, Q=1,
+                                mode="wire")
+        with pytest.raises(ScheduleError, match="unknown mode 'wire'"):
+            emit_schedule_xml(sched, str(tmp_path / "s.xml"))
 
     def test_missing_nsteps_rejected(self, tmp_path):
         p = tmp_path / "bad.xml"
