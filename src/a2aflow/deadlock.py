@@ -87,9 +87,9 @@ class _OrderedCdg:
     def _reorder(self, a: int, b: int) -> bool:
         """Make room for a -> b against the order; False when b reaches a.
 
-        The links that b reaches and that sit before a, and the links that
-        reach a and sit after b, are the only ones out of place; they take
-        back their own positions, those reaching a first.
+        Only the links that b reaches and that sit before a, and the links
+        that reach a and sit after b, can be out of place. They share out
+        the positions they held, in their old order, those reaching a first.
         """
         succ, pred, pos = self.succ, self.pred, self.pos
         lo, hi = pos[b], pos[a]
