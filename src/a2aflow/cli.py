@@ -21,6 +21,7 @@ import sys
 import time
 
 from . import __version__, domain_errors
+from .evaluate import ALGOS
 from .graphs import (GraphError, augment_host_bottleneck, diameter,
                      gen_complete_bipartite, gen_de_bruijn, gen_gen_kautz,
                      gen_hypercube, gen_random_regular,
@@ -83,6 +84,15 @@ def _parse_puncture(text: str) -> tuple[str, int]:
         raise argparse.ArgumentTypeError(
             f"bad puncture {text!r}, want MODE:COUNT")
     return mode, int(count)
+
+
+def _parse_algos(text: str) -> list[str]:
+    algos = text.split(",")
+    unknown = [a for a in algos if a not in ALGOS]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown algorithm {unknown[0]!r}, choose from {', '.join(ALGOS)}")
+    return algos
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -158,14 +168,15 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma list, e.g. genkautz,torus")
     cp.add_argument("--n-range", required=True, type=_parse_dims)
     cp.add_argument("--d", type=int, required=True)
-    cp.add_argument("--algo", default="decomp")
+    cp.add_argument("--algo", default="decomp", choices=ALGOS)
     cp.add_argument("--format", default="json", choices=("json", "csv"))
     cp.add_argument("--out", default=None)
 
     bn = sub.add_parser("bench", help="algorithm runtime scaling")
     bn.add_argument("--n-range", required=True, type=_parse_dims)
     bn.add_argument("--d", type=int, required=True)
-    bn.add_argument("--algos", default="link,decomp")
+    bn.add_argument("--algos", default="link,decomp", type=_parse_algos,
+                    help="comma list of " + ",".join(ALGOS))
     bn.add_argument("--timeout", type=float, default=600.0)
     bn.add_argument("--format", default="json", choices=("json", "csv"))
     bn.add_argument("--out", default=None)
@@ -392,7 +403,7 @@ def _cmd_compare(args) -> list[str]:
 def _cmd_bench(args) -> list[str]:
     from .evaluate import bench_runtimes
 
-    rows = bench_runtimes(args.n_range, args.d, args.algos.split(","),
+    rows = bench_runtimes(args.n_range, args.d, args.algos,
                           timeout_s=args.timeout)
     return _emit_rows(rows, args.format, args.out)
 

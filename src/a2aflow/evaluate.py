@@ -27,7 +27,11 @@ __all__ = [
     "eval_path_alltoall",
     "compare_topologies",
     "bench_runtimes",
+    "ALGOS",
 ]
+
+# the algorithms compare_topologies and bench_runtimes run (``_solve_time``)
+ALGOS = ("decomp", "link", "pmcf-disjoint", "sssp", "ilp")
 
 
 class EvalError(RuntimeError):
@@ -157,7 +161,7 @@ def eval_path_alltoall(g: Digraph, wps, m: float = 1.0,
 def _solve_time(g: Digraph, algo: str) -> tuple[float, float | None, dict]:
     """(alltoall time 1/F or max load, F or None, extra report fields) for
     one algorithm; the MCF solvers add their certified gap, how many LP
-    solves it took and the column count HiGHS solved in the last one."""
+    solves it took and the column count HiGHS solved."""
     from .mcf import mcf_decomposed, mcf_link, mcf_path
     from .paths import (disjoint_paths, eval_link_load, ilp_min_congestion,
                         sssp_routes)
@@ -188,7 +192,7 @@ def compare_topologies(
     """All-to-all time and bound ratio per labelled topology; the MCF
     algorithms add the certified gap of F, the number of LP solves behind
     it (0 when the even shortest-path split certified F) and the column count
-    HiGHS solved in the last one (``lp_vars``, 0 with no LP) to ``extra``.
+    HiGHS solved (``lp_vars``, 0 with no LP) to ``extra``.
 
     A topology the solver rejects (one of the package's errors) is
     recorded as a report with NaN times rather than aborting the sweep; any

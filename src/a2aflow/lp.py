@@ -1,11 +1,9 @@
 """Sparse LP model container and the one engine that solves it, HiGHS.
 
 ``solve_lp`` solves a continuous model with ``scipy.optimize.linprog`` and
-returns its duals, optionally without crossover to a vertex and with a
-looser interior-point optimality tolerance; ``solve_ilp`` solves a
-mixed-integer model with ``scipy.optimize.milp``. Both run HiGHS with its
-own tolerances and limits unless told otherwise and report its statuses as
-they are.
+returns its duals; ``solve_ilp`` solves a mixed-integer model with
+``scipy.optimize.milp``. Both run HiGHS with its own tolerances and limits
+unless told otherwise and report its statuses as they are.
 
 Every continuous solve may solve a smaller LP with the same optimum: colour
 refinement groups interchangeable rows and columns into the coarsest
@@ -19,7 +17,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,53 +98,40 @@ class LpSolution:
         return self.status == OPTIMAL
 
 
-def solve_lp(model: LpModel, crossover: bool = True,
-             ipm_optimality_tolerance: float | None = None) -> LpSolution:
+def solve_lp(model: LpModel) -> LpSolution:
     """Solve the continuous relaxation of `model` (integrality is ignored).
 
     Every solve refines the model's rows and columns into their coarsest
     equitable partition. When that has fewer columns, the interior-point
-    method solves the quotient (``_quotient``), whatever its size, and the
-    solution is lifted back (``_lift``): an exactly feasible optimum of the
-    model, constant on each class of interchangeable columns. A model
-    solved as it is goes to the interior-point method when it has 10,000
-    columns or more, else to HiGHS's default pick. ``crossover`` only
-    decides whether the LP HiGHS solves ends at a vertex; without it the
-    interior-point method stops at an interior optimum, whose objective and
-    duals are as accurate and whose ``x`` has more nonzeros.
-    ``ipm_optimality_tolerance`` replaces HiGHS's default (1e-8) for the
-    interior-point method; the default pick ignores it.
+    method solves the quotient (``_quotient``) to a vertex, whatever its
+    size, and the vertex is lifted back (``_lift``): an exactly feasible
+    optimum of the model, constant on each class of interchangeable columns.
+    A model solved as it is goes to the interior-point method when it has
+    10,000 columns or more, else to HiGHS's default pick.
     """
     quotient = _quotient(model)
-    # interior point with crossover scales far better than simplex on the
-    # large degenerate flow LPs; keep the default pick for small models
+    # the interior-point method, ending at a vertex, scales far better than
+    # simplex on the large degenerate flow LPs; keep the default pick for
+    # small models
     method = ("highs-ipm" if model.c.size >= 10_000 or quotient is not None
               else "highs")
-    options = {} if crossover else {"run_crossover": "off"}
-    if method == "highs-ipm" and ipm_optimality_tolerance is not None:
-        options["ipm_optimality_tolerance"] = ipm_optimality_tolerance
     if quotient is None:
-        return _linprog(model, method, options)
+        return _linprog(model, method)
     small, rows, cols = quotient
-    return _lift(model, _linprog(small, method, options), rows, cols)
+    return _lift(model, _linprog(small, method), rows, cols)
 
 
-def _linprog(model: LpModel, method: str, options: dict) -> LpSolution:
-    from scipy.optimize import OptimizeWarning, linprog
+def _linprog(model: LpModel, method: str) -> LpSolution:
+    from scipy.optimize import linprog
 
     sign = 1.0 if model.sense == "min" else -1.0
-    with warnings.catch_warnings():
-        # linprog passes run_crossover on to HiGHS but does not know it
-        warnings.filterwarnings("ignore", "Unrecognized options",
-                                OptimizeWarning)
-        res = linprog(
-            sign * model.c,
-            A_ub=model.a_ub, b_ub=model.b_ub,
-            A_eq=model.a_eq, b_eq=model.b_eq,
-            bounds=np.column_stack([model.lb, model.ub]),
-            method=method,
-            options=options,
-        )
+    res = linprog(
+        sign * model.c,
+        A_ub=model.a_ub, b_ub=model.b_ub,
+        A_eq=model.a_eq, b_eq=model.b_eq,
+        bounds=np.column_stack([model.lb, model.ub]),
+        method=method,
+    )
     # an unknown code is not evidence of infeasibility; report it as is
     status = {0: OPTIMAL, 1: ITERATION_LIMIT, 2: INFEASIBLE, 3: UNBOUNDED,
               4: NUMERICAL}.get(res.status, f"highs-status-{res.status}")

@@ -17,16 +17,14 @@ extraction and the time-stepped lowering read them as they are.
 
 Every static solve certifies F without trusting the solver: F_lo comes from
 the returned primal flow, F_hi from the capacity-row duals as edge lengths
-over the whole graph (``_bracket``). So an F-only solve needs the LP only as
-large and as accurate as the certificate, or not at all: it first certifies
-the even split of every commodity over its fewest-hop paths with hop
-lengths, which closes on tori and hypercubes; then it solves over each
-source's forward arcs at a looser interior-point optimality tolerance, and
-the certified gap decides whether all arcs, then HiGHS's default tolerance,
-are needed. Every solve runs on the LP's quotient by colour refinement
-(``lp.solve_lp``): where sources see the graph alike, one column stands for
-a class of interchangeable flow variables, as one flow per source stands
-for its commodities. ``verify_flow`` rechecks a link solution.
+over the whole graph (``_bracket``). So an F-only solve needs no LP when a
+flow it can build is certified optimal: the even split of every commodity
+over its fewest-hop paths, with hop lengths, closes on tori and hypercubes.
+Otherwise it is the flow solve without the decomposition. Every solve runs
+on the LP's quotient by colour refinement (``lp.solve_lp``): where sources
+see the graph alike, one column stands for a class of interchangeable flow
+variables, as one flow per source stands for its commodities.
+``verify_flow`` rechecks a link solution.
 """
 from __future__ import annotations
 
@@ -60,10 +58,8 @@ __all__ = [
 ]
 
 FLOW_EPS = 1e-12
-# F-only master solves stop the interior-point method at this optimality
-# tolerance (HiGHS's default is 1e-8), on forward arcs first, and re-solve
-# only while the certified gap 1 - F_lo / F_hi is above F_ONLY_GAP
-F_ONLY_IPM_TOL = 1e-7
+# F-only master solves skip the LP when the even shortest-path split's
+# certified gap 1 - F_lo / F_hi is within F_ONLY_GAP
 F_ONLY_GAP = 2e-7
 LINK_SIZE_WARN = 150
 LINK_SIZE_HARD = 400
@@ -101,7 +97,7 @@ class LinkFlowSolution:
     summed from them, without entries within FLOW_EPS of 0. ``F_lo <= F <=
     F_hi`` is the certified bracket on the optimal rate (NaN when loaded);
     ``lp_solves`` counts the LP solves behind it and ``lp_vars`` is the
-    column count HiGHS solved in the last of them (None when loaded).
+    column count HiGHS solved (None when loaded).
     """
 
     F: float
@@ -151,7 +147,7 @@ class SourceFlowSolution:
     F_lo: float              # certified bracket on the optimal rate
     F_hi: float
     lp_solves: int           # 0 when the even shortest-path split certified F
-    lp_vars: int             # columns HiGHS solved in the last LP solve, or 0
+    lp_vars: int             # columns HiGHS solved, or 0
 
 
 @dataclass
@@ -385,15 +381,6 @@ def _hops(g: Digraph, roots: list[int]) -> np.ndarray:
                          directed=True, unweighted=True, indices=roots)
 
 
-def _forward_arcs(g: Digraph, roots: list[int]) -> np.ndarray:
-    """(K, E) mask of the arcs u -> v with hop(roots[k], v) >= hop(roots[k],
-    u): flow k never moves back towards its root on them. Every BFS-tree arc
-    is forward, so each node reachable from a root stays reachable."""
-    tails, heads = _node_edge_templates(g)
-    hop = _hops(g, roots)
-    return hop[:, heads] >= hop[:, tails]
-
-
 def _even_split(g: Digraph, roots: list[int], group,
                 comms: list[Commodity]) -> np.ndarray:
     """(K, E) flows x[k, e] that split each commodity of flow ``group[ci]``
@@ -435,31 +422,30 @@ def _even_split(g: Digraph, roots: list[int], group,
 
 
 def _build_master_model(g: Digraph, roots: list[int], group,
-                        comms: list[Commodity], arcs=None) -> LpModel:
+                        comms: list[Commodity]) -> LpModel:
     """min U over flows x[k, e] out of ``roots[k]``, and U.
 
-    Commodity ci travels in flow ``group[ci]``. Columns are the x[k, e] with
-    ``arcs[k, e]`` (default all) in row-major order, then U. Rows 0..E-1 are
-    sum_k x[k, e] - cap_e * U <= 0; then per flow k and node u != roots[k],
-    out - in <= -(demand of the flow's commodities to u), 0 elsewhere.
+    Commodity ci travels in flow ``group[ci]``. Columns are the x[k, e] in
+    row-major order, then U. Rows 0..E-1 are sum_k x[k, e] - cap_e * U <= 0;
+    then per flow k and node u != roots[k], out - in <= -(demand of the
+    flow's commodities to u), 0 elsewhere.
     """
     N, E, K = g.n, g.num_edges, len(roots)
-    arcs = np.ones((K, E), dtype=bool) if arcs is None else arcs
-    n = int(arcs.sum())
+    n = K * E
     tails, heads = _node_edge_templates(g)
     eidx = np.arange(E)
     src = np.asarray(roots)[:, None]
-    cols = np.cumsum(arcs).reshape(K, E) - 1
+    cols = np.arange(n).reshape(K, E)
     # flow k's row of node u (its root's row is left out)
     base = E + np.arange(K)[:, None] * (N - 1)
-    keep_out, keep_in = (tails != src) & arcs, (heads != src) & arcs
+    keep_out, keep_in = tails != src, heads != src
     a_ub = sp.csr_matrix(
         (np.concatenate([np.ones(n), -np.asarray(g.capacities, dtype=float),
                          np.ones(keep_out.sum()), -np.ones(keep_in.sum())]),
-         (np.concatenate([np.broadcast_to(eidx, (K, E))[arcs], eidx,
+         (np.concatenate([np.tile(eidx, K), eidx,
                           (base + tails - (tails > src))[keep_out],
                           (base + heads - (heads > src))[keep_in]]),
-          np.concatenate([cols[arcs], np.full(E, n),
+          np.concatenate([cols.ravel(), np.full(E, n),
                           cols[keep_out], cols[keep_in]]))),
         shape=(E + K * (N - 1), n + 1),
     )
@@ -470,7 +456,7 @@ def _build_master_model(g: Digraph, roots: list[int], group,
     np.add.at(b_ub, E + k * (N - 1) + d - (d > s), [-c.demand for c in comms])
     # flow back into its own root never helps; pin it to zero
     ub = np.full(n + 1, np.inf)
-    ub[cols[arcs & ~keep_in]] = 0.0
+    ub[cols[~keep_in]] = 0.0
     return LpModel(c=np.r_[np.zeros(n), 1.0], sense="min", a_ub=a_ub,
                    b_ub=b_ub, ub=ub)
 
@@ -479,61 +465,42 @@ def _solve_flows(g: Digraph, roots: list[int], group, comms: list[Commodity],
                  want_flows: bool = True) -> SourceFlowSolution:
     """Solve ``_build_master_model`` and certify its F by ``_bracket``.
 
-    Returns F = 1 / U and the flows x * F keyed (flow index, edge); with
-    ``want_flows=False`` no flows are returned and F is F_lo. Those solves
-    climb a ladder and stop at the first rung whose certified gap is within
-    ``F_ONLY_GAP``. Rung 0 needs no LP: the even shortest-path split
-    (``_even_split``) certified with hop lengths, which closes when it loads
-    every arc alike, as on tori and hypercubes with equal capacities. Then
-    the LP stops at an interior optimum: forward arcs only
-    (``_forward_arcs``) at the loose ``F_ONLY_IPM_TOL``, then all arcs at
-    that tolerance, then all arcs at HiGHS's default; ``solve_lp`` solves
-    each on its colour-refined quotient and lifts the flow and duals back.
-    ``_bracket`` bounds F over the whole graph for any flow, so a smaller
-    LP, or none, is as good as its certificate.
+    Returns F = 1 / U and, unless ``want_flows=False``, the flows x * F
+    keyed (flow index, edge). ``solve_lp`` solves the LP on its
+    colour-refined quotient and lifts the vertex and duals back. An F-only
+    solve first tries the even shortest-path split (``_even_split``),
+    certified with hop lengths: it closes when it loads every arc alike, as
+    on tori and hypercubes with equal capacities, and then F is its F_lo and
+    no LP is solved. ``_bracket`` bounds F over the whole graph for any
+    flow, so a flow that needs no LP is as good as its certificate.
     """
     K, E = len(roots), g.num_edges
-
-    def closed(F_lo: float, F_hi: float) -> bool:
-        # a graph that is not strongly connected gives F_lo = F_hi = 0
-        return F_lo > 0 and F_lo >= (1.0 - F_ONLY_GAP) * F_hi
-
     if not want_flows:
         F_lo, F_hi = _bracket(g, comms, group,
                               _even_split(g, roots, group, comms), np.ones(E))
-        if closed(F_lo, F_hi):
+        # a graph that is not strongly connected gives F_lo = F_hi = 0
+        if F_lo > 0 and F_lo >= (1.0 - F_ONLY_GAP) * F_hi:
             return SourceFlowSolution(F=F_lo, sources=list(roots), flows={},
                                       graph=g, F_lo=F_lo, F_hi=F_hi,
                                       lp_solves=0, lp_vars=0)
-    every = np.ones((K, E), dtype=bool)
-    ladder = ([(every, None)] if want_flows else
-              [(_forward_arcs(g, roots), F_ONLY_IPM_TOL),
-               (every, F_ONLY_IPM_TOL), (every, None)])
-    for lp_solves, (arcs, tol) in enumerate(ladder, 1):
-        sol = solve_lp(_build_master_model(g, roots, group, comms, arcs),
-                       crossover=want_flows, ipm_optimality_tolerance=tol)
-        if sol.status == "infeasible":
-            raise McfError("master LP infeasible: a commodity has no path "
-                           "(graph not strongly connected)")
-        if not sol.optimal:
-            raise McfError(
-                f"master LP did not solve: {sol.status} {sol.message}")
-        x = np.zeros((K, E))
-        x[arcs] = sol.x[:-1]
-        # minimizing U, the capacity rows' duals are <= 0
-        F_lo, F_hi = _bracket(g, comms, group, x, -sol.duals_ub[:E])
-        if closed(F_lo, F_hi):
-            break
-    # an interior optimum's U lies a little above the utilization of its own
-    # flow; F_lo is the rate that flow is checked to carry
-    F = 1.0 / float(sol.x[-1]) if want_flows else F_lo
+    sol = solve_lp(_build_master_model(g, roots, group, comms))
+    if sol.status == "infeasible":
+        raise McfError("master LP infeasible: a commodity has no path "
+                       "(graph not strongly connected)")
+    if not sol.optimal:
+        raise McfError(f"master LP did not solve: {sol.status} {sol.message}")
+    x = sol.x[:-1]
+    # minimizing U, the capacity rows' duals are <= 0
+    F_lo, F_hi = _bracket(g, comms, group, x.reshape(K, E),
+                          -sol.duals_ub[:E])
+    F = 1.0 / float(sol.x[-1])
     flows = {}
     if want_flows:
-        x = x.ravel() * F
+        x = x * F
         nz = np.flatnonzero(x > FLOW_EPS)
         flows = {divmod(i, E): v for i, v in zip(nz.tolist(), x[nz].tolist())}
     return SourceFlowSolution(F=F, sources=list(roots), flows=flows, graph=g,
-                              F_lo=F_lo, F_hi=F_hi, lp_solves=lp_solves,
+                              F_lo=F_lo, F_hi=F_hi, lp_solves=1,
                               lp_vars=sol.solved_vars)
 
 
@@ -599,16 +566,12 @@ def solve_master(
     x * F. Every solve is certified by ``[F_lo, F_hi]`` (``_bracket``) and
     runs on the LP's quotient by colour refinement, one column per class of
     interchangeable flow variables (``lp.solve_lp``). The flows, an optimum
-    constant on each class, feed flow decomposition; with
-    ``want_flows=False`` none are returned, the solver skips its crossover
-    from the quotient's interior optimum to a vertex and stops its
-    interior-point method at ``F_ONLY_IPM_TOL``. No LP is solved when
-    the even split of each commodity over its fewest-hop paths is certified
-    within ``F_ONLY_GAP``; otherwise the solve first keeps only each source's
-    forward arcs and adds the rest, then HiGHS's default tolerance, only
-    while the certified gap is above ``F_ONLY_GAP`` (``_solve_flows``). F is
-    then F_lo, ``lp_solves`` counts the solves and ``lp_vars`` is the column
-    count HiGHS solved in the last one.
+    constant on each class, feed flow decomposition. ``want_flows=False``
+    solves the same LP to the same F and returns no flows, unless the even
+    split of each commodity over its fewest-hop paths is certified within
+    ``F_ONLY_GAP``: then no LP is solved and F is that split's F_lo
+    (``_solve_flows``). ``lp_solves`` is 1, or 0 with no LP, and
+    ``lp_vars`` the column count HiGHS solved.
     """
     comms = _commodities(g, commodities)
     sources = sorted({c.src for c in comms})
@@ -627,8 +590,9 @@ def mcf_decomposed(
     Returns the same F as mcf_link. Per-commodity flows are recovered by
     peeling each source's master flow into its destinations (``_peel``), with
     no further LP. ``want_flows=False`` skips the recovery when only F is
-    needed (topology studies), and the master LP then stops at an interior
-    optimum (``solve_master``).
+    needed (topology studies); F is the same, and on graphs where the even
+    shortest-path split is certified optimal no LP is solved
+    (``solve_master``).
     """
     comms = _commodities(g, commodities)
     master = solve_master(g, comms, want_flows=want_flows)

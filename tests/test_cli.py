@@ -277,7 +277,19 @@ class TestBoundCompare:
         assert rows[0]["ratio"] >= 1.0 - 1e-9
         assert 0.0 <= rows[0]["gap"] <= 1e-6
         assert rows[0]["lp_solves"] == 1
-        assert rows[0]["lp_vars"] == 1_017
+        assert rows[0]["lp_vars"] == 1_405
+
+    @pytest.mark.parametrize("argv", [
+        ["compare", "--topos", "torus", "--n-range", "9", "--d", "4",
+         "--algo", "bogus"],
+        ["bench", "--n-range", "9", "--d", "4", "--algos", "decomp,bogus"],
+    ], ids=["compare", "bench"])
+    def test_unknown_algorithm_usage_error(self, capsys, argv):
+        # a misspelt name used to run and report a NaN row with exit 0
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 2
+        assert "bogus" in capsys.readouterr().err
 
     def test_compare_csv_stdout(self, capsys):
         rc, stdout, _ = run(capsys, "compare", "--topos", "torus",

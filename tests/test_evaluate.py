@@ -147,8 +147,8 @@ class TestCompare:
             assert r.alltoall_time == pytest.approx(1 / r.F)
         # the even shortest-path split certifies the torus without an LP
         assert [r.extra["lp_solves"] for r in reports] == [1, 0]
-        # GK27's 2,033 forward-arc columns solve as their quotient's 1,017
-        assert [r.extra["lp_vars"] for r in reports] == [1_017, 0]
+        # GK27's 2,809 columns solve as their quotient's 1,405
+        assert [r.extra["lp_vars"] for r in reports] == [1_405, 0]
 
     def test_generator_failure_recorded(self):
         from a2aflow.graphs import Digraph

@@ -152,17 +152,13 @@ class TestQuotient:
     def test_symmetric_master_lp(self, make, size):
         model = _master(make())
         full = solve_lp(model)
-        interior = solve_lp(model, crossover=False)
-        assert full.optimal and interior.optimal
-        assert full.solved_vars == interior.solved_vars == size
-        # stopped at HiGHS's default optimality tolerance, 1e-8
-        assert interior.objective == pytest.approx(full.objective, rel=1e-8)
+        assert full.optimal and full.solved_vars == size
         # the quotient's own optimum, at a vertex, is the model's
         small, rows, cols = lp._quotient(model)
         assert small.n_vars == size
-        q = lp._lift(model, lp._linprog(small, "highs", {}), rows, cols)
+        q = lp._lift(model, lp._linprog(small, "highs"), rows, cols)
         assert q.objective == pytest.approx(full.objective, rel=1e-9)
-        for sol in (full, q, interior):
+        for sol in (full, q):
             x, y = sol.x, sol.duals_ub
             assert x.shape == (model.n_vars,) and y.shape == model.b_ub.shape
             # the lifted x is feasible
@@ -174,41 +170,31 @@ class TestQuotient:
             assert (y <= 1e-12).all()
             r = model.c - model.a_ub.T @ y
             assert r[np.isinf(model.ub)].min() >= -1e-9
-        for sol in (full, q):
-            assert model.b_ub @ sol.duals_ub == pytest.approx(sol.objective,
-                                                              rel=1e-9)
-        assert model.b_ub @ interior.duals_ub == pytest.approx(
-            interior.objective, rel=1e-8)
+            assert model.b_ub @ y == pytest.approx(sol.objective, rel=1e-9)
 
-    @staticmethod
-    def _check_pair_lift(s):
+    def test_vertex_solves_refine(self):
+        # the 2-column quotient's vertex lifts to x and duals on the model,
+        # equality rows included
+        s = solve_lp(_pair_model(16.0, 16.0))
         assert s.optimal and s.solved_vars == 2
         assert s.objective == pytest.approx(8.0, rel=1e-8)
         assert s.x == pytest.approx([0.5, 0.5, 8.0], rel=1e-8)
         assert s.duals_ub == pytest.approx([-0.5, -0.5], rel=1e-7)
         assert s.duals_eq == pytest.approx([8.0], rel=1e-7)
 
-    def test_equality_rows_lift(self):
-        self._check_pair_lift(solve_lp(_pair_model(16.0, 16.0),
-                                       crossover=False))
-
-    def test_vertex_solves_refine(self):
-        # the 2-column quotient's vertex lifts to the same x and duals
-        self._check_pair_lift(solve_lp(_pair_model(16.0, 16.0)))
-
-    @pytest.mark.parametrize("model", [
-        _pair_model(17.0, 16.0),
-        LpModel(c=np.array([1.0, 1.0]), sense="max",
-                a_ub=np.array([[1.0, 2.0], [3.0, 1.0]]),
-                b_ub=np.array([4.0, 6.0])),
+    @pytest.mark.parametrize("model, x, duals_ub", [
+        (_pair_model(17.0, 16.0), [16 / 33, 17 / 33, 17 * 16 / 33],
+         [-16 / 33, -17 / 33]),
+        (LpModel(c=np.array([1.0, 1.0]), sense="max",
+                 a_ub=np.array([[1.0, 2.0], [3.0, 1.0]]),
+                 b_ub=np.array([4.0, 6.0])), [1.6, 1.2], [0.4, 0.2]),
     ], ids=["equality-rows", "no-equality-rows"])
-    def test_no_symmetry_solves_as_is(self, model):
-        s = solve_lp(model, crossover=False)
-        ref = solve_lp(model)
+    def test_no_symmetry_solves_as_is(self, model, x, duals_ub):
+        s = solve_lp(model)
         assert s.optimal and s.solved_vars == model.n_vars
-        assert s.x.shape == ref.x.shape
-        assert s.objective == pytest.approx(ref.objective, rel=1e-8)
-        assert s.duals_ub == pytest.approx(ref.duals_ub, abs=1e-7)
+        assert s.x == pytest.approx(x, rel=1e-8)
+        assert s.objective == pytest.approx(model.c @ x, rel=1e-8)
+        assert s.duals_ub == pytest.approx(duals_ub, abs=1e-7)
 
     def test_non_equitable_partition_rejected(self, monkeypatch):
         # keep the starting classes: x0 and x1 share (c, lb, ub) and the
@@ -217,7 +203,7 @@ class TestQuotient:
         m = _pair_model(17.0, 16.0)
         monkeypatch.setattr(lp, "_refine", lambda a, rows, cols: (rows, cols))
         assert lp._quotient(m) is None
-        s = solve_lp(m, crossover=False)
+        s = solve_lp(m)
         assert s.optimal and s.solved_vars == 3
         assert s.objective == pytest.approx(17 * 16 / 33, rel=1e-8)
 

@@ -17,8 +17,8 @@ from a2aflow.graphs import (Digraph, augment_host_bottleneck,
                             gen_torus, puncture)
 from a2aflow import mcf
 from a2aflow.lp import INFEASIBLE, ITERATION_LIMIT, LpSolution, solve_lp
-from a2aflow.mcf import (F_ONLY_GAP, F_ONLY_IPM_TOL, Commodity, LinkFlowSolution, McfError,
-                         _build_master_model, _even_split, _forward_arcs,
+from a2aflow.mcf import (F_ONLY_GAP, Commodity, LinkFlowSolution, McfError,
+                         _build_master_model, _even_split,
                          _net_inflow, _path_sum, _peel, _split_flows,
                          all_to_all_commodities, load_solution,
                          mcf_decomposed, mcf_link, mcf_path, mcf_timestepped,
@@ -77,14 +77,13 @@ def relabelled(g, seed):
 
 
 def record_solves(monkeypatch):
-    """(column count, ipm_optimality_tolerance) of every solve_lp call the
-    MCF solvers make from now on."""
+    """Column count of every solve_lp call the MCF solvers make from now on."""
     calls = []
     real = mcf.solve_lp
 
-    def recording(model, **kwargs):
-        calls.append((model.n_vars, kwargs.get("ipm_optimality_tolerance")))
-        return real(model, **kwargs)
+    def recording(model):
+        calls.append(model.n_vars)
+        return real(model)
 
     monkeypatch.setattr(mcf, "solve_lp", recording)
     return calls
@@ -218,8 +217,8 @@ def small_graph(kind, seed, k):
     return puncture(gen_torus([3, 3, 3]), "edges", k, seed=seed)
 
 
-# the same graphs with each capacity drawn from {0.05, 1, 5}: forward arcs
-# often miss the optimum there, so F-only solves fall back to all arcs
+# the same graphs with each capacity drawn from {0.05, 1, 5}: the even
+# shortest-path split rarely closes there, so F-only solves need the LP
 MIXED_GRAPHS = dict(**SMALL_GRAPHS, cap_seed=st.integers(0, 10_000))
 
 
@@ -294,51 +293,57 @@ class TestCertificate:
     @pytest.fixture(scope="class")
     def gk64(self):
         # 64 * 252 + 1 variables; the master LP's quotient goes to the
-        # interior-point method, with or without crossover
+        # interior-point method
         g = gen_gen_kautz(64, 4)
-        comms = all_to_all_commodities(range(g.n))
-        model = _build_master_model(g, list(range(g.n)),
-                                    [c.src for c in comms], comms)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            interior_lp = solve_lp(model, crossover=False)
             interior = mcf_decomposed(g, want_flows=False)
-        return solve_lp(model), interior_lp, mcf_decomposed(g), interior
-
-    def test_crossover_off_reaches_highs(self, gk64):
-        vertex, interior, _, _ = gk64
-        assert interior.optimal
-        assert interior.objective == pytest.approx(vertex.objective, rel=1e-6)
-        # an interior optimum spreads flow over many more variables
-        assert (interior.x > 1e-9).sum() > 1.5 * (vertex.x > 1e-9).sum()
+        return mcf_decomposed(g), interior
 
     def test_f_only_matches_vertex(self, gk64):
-        _, _, vertex, interior = gk64
-        assert interior.F == pytest.approx(vertex.F, rel=1e-6)
+        vertex, interior = gk64
+        assert interior.F == vertex.F
         for sol in (vertex, interior):
             assert sol.F_lo <= sol.F_hi
-            assert sol.gap <= 1e-6
+            assert sol.gap <= 1e-12
             assert sol.F_lo * (1 - 1e-12) <= sol.F <= sol.F_hi * (1 + 1e-12)
 
     def test_vertex_solve_runs_on_the_quotient(self, gk64):
-        _, _, vertex, _ = gk64
+        vertex, _ = gk64
         # 16,129 columns in the model; the lifted vertex certifies tightly
         assert vertex.lp_vars == 701 and vertex.lp_solves == 1
         assert vertex.gap <= 1e-12
 
-    def test_f_only_solves_once_at_loose_tolerance(self, gk64, monkeypatch):
-        _, _, vertex, _ = gk64
+    def test_f_only_solves_once(self, gk64, monkeypatch):
+        vertex, _ = gk64
         g = gen_gen_kautz(64, 4)
         calls = record_solves(monkeypatch)
         sol = mcf_decomposed(g, want_flows=False)
-        # forward arcs only: 13,080 of the 64 * 252 = 16,128 flow columns
-        forward = int(_forward_arcs(g, list(range(g.n))).sum())
-        assert forward == 13_080
-        assert calls == [(forward + 1, F_ONLY_IPM_TOL)]
-        assert sol.lp_solves == 1
-        assert sol.gap <= F_ONLY_GAP
-        assert sol.F == sol.F_lo
-        assert sol.F == pytest.approx(vertex.F, rel=1e-6)
+        # the rung-0 split misses on GenKautz; then the flow solve's LP,
+        # all 64 * 252 flow columns and U, solved as its 701-column quotient
+        assert calls == [16_129]
+        assert sol.lp_solves == 1 and sol.lp_vars == 701
+        assert (sol.F, sol.F_lo, sol.F_hi) == (vertex.F, vertex.F_lo,
+                                               vertex.F_hi)
+
+    @pytest.mark.parametrize("make", [
+        lambda: gen_gen_kautz(27, 4),
+        lambda: gen_torus([8, 4]),
+        # the optimum sends 0 -> 2 round its thin arc, over 0 -> 1 -> 3 -> 2,
+        # whose last arc leads back towards root 0
+        lambda: Digraph.from_edges(4, [
+            (0, 1, 10), (0, 2, 0.01), (1, 3, 10), (3, 2, 10), (2, 0, 10),
+            (1, 0, 10), (3, 0, 10), (2, 3, 10), (3, 1, 10)]),
+    ], ids=["genkautz27", "torus8x4", "thin-arc"])
+    def test_f_is_one_number(self, make):
+        # where the even split misses, an F-only solve is the flow solve
+        # without the decomposition: the same LP, F = 1 / U and bracket
+        g = make()
+        sol = solve_master(g, want_flows=False)
+        vertex = solve_master(g)
+        assert sol.lp_solves == vertex.lp_solves == 1
+        assert ((sol.F, sol.F_lo, sol.F_hi, sol.lp_vars)
+                == (vertex.F, vertex.F_lo, vertex.F_hi, vertex.lp_vars))
 
     def test_f_only_quotient_ignores_node_order(self):
         # GK(64, 4) with its nodes permuted and its edges shuffled, as the
@@ -348,10 +353,10 @@ class TestCertificate:
         g = gen_gen_kautz(64, 4)
         sols = [mcf_decomposed(relabelled(g, seed), want_flows=False)
                 for seed in (1, 2, 3)]
-        # 13,081 columns on forward arcs, 566 in the quotient
-        assert [s.lp_vars for s in sols] == [566] * 3
+        # 16,129 columns in the model, 701 in the quotient
+        assert [s.lp_vars for s in sols] == [701] * 3
         for s in sols:
-            assert s.lp_solves == 1 and s.gap <= F_ONLY_GAP
+            assert s.lp_solves == 1 and s.gap <= 1e-12
             assert s.F == pytest.approx(sols[0].F, rel=1e-9)
 
     def test_schedule_ignores_node_order(self):
@@ -372,22 +377,6 @@ class TestCertificate:
         # 2,809 columns in the model; below q_max, so no fallback
         assert lp_vars < 2_809 and Q < 1024
 
-    def test_f_only_resolves_at_default_tolerance(self, monkeypatch):
-        g = gen_gen_kautz(64, 4)
-        # one F-only solve of the full LP at HiGHS's default tolerance
-        with monkeypatch.context() as m:
-            m.setattr(mcf, "F_ONLY_IPM_TOL", None)
-            m.setattr(mcf, "_forward_arcs", lambda g, roots: np.ones(
-                (len(roots), g.num_edges), dtype=bool))
-            default = solve_master(g, want_flows=False)
-        monkeypatch.setattr(mcf, "F_ONLY_GAP", 0.0)
-        calls = record_solves(monkeypatch)
-        sol = solve_master(g, want_flows=False)
-        assert calls == [(13_081, F_ONLY_IPM_TOL), (16_129, F_ONLY_IPM_TOL),
-                         (16_129, None)]
-        assert sol.F == pytest.approx(default.F, rel=1e-12)
-        assert sol.F_hi == pytest.approx(default.F_hi, rel=1e-12)
-
     def test_f_only_infeasible_raises(self, monkeypatch):
         # the even split delivers nothing to node 2, so F_lo = F_hi = 0 and
         # rung 0 falls through to the LP; with no arcs at all its arrays are
@@ -399,29 +388,19 @@ class TestCertificate:
                 solve_master(Digraph.from_edges(3, edges), want_flows=False)
             assert len(calls) == 1
 
-    def test_f_only_falls_back_to_all_arcs(self, monkeypatch):
-        # on forward arcs, flow from 0 to 2 must take the thin arc 0->2
-        # (U = 100); the full LP routes it 0->1->3->2, back towards root 0
-        g = Digraph.from_edges(4, [
-            (0, 1, 10), (0, 2, 0.01), (1, 3, 10), (3, 2, 10), (2, 0, 10),
-            (1, 0, 10), (3, 0, 10), (2, 3, 10), (3, 1, 10)])
-        assert not _forward_arcs(g, [0])[0, g.edge_index[(3, 2)]]
-        calls = record_solves(monkeypatch)
-        sol = solve_master(g, want_flows=False)
-        assert [tol for _, tol in calls] == [F_ONLY_IPM_TOL, F_ONLY_IPM_TOL]
-        assert calls[0][0] < calls[1][0] == 4 * g.num_edges + 1
-        assert sol.lp_solves == 2
-        assert sol.F == pytest.approx(solve_master(g).F, rel=1e-6)
-        assert sol.F_lo == sol.F <= sol.F_hi
-
     @settings(max_examples=20, deadline=None)
     @given(**MIXED_GRAPHS)
     def test_f_only_matches_vertex_mixed_capacities(self, kind, seed, k,
                                                     cap_seed):
         g = mixed_graph(kind, seed, k, cap_seed)
         sol = solve_master(g, want_flows=False)
-        assert sol.F == pytest.approx(solve_master(g).F, rel=1e-6)
-        assert sol.F_lo == sol.F <= sol.F_hi
+        vertex = solve_master(g)
+        if sol.lp_solves:
+            assert sol.F == vertex.F
+        else:
+            # the even split's F_lo, certified within F_ONLY_GAP
+            assert sol.F == pytest.approx(vertex.F, rel=F_ONLY_GAP)
+        assert sol.F_lo * (1 - 1e-12) <= sol.F <= sol.F_hi * (1 + 1e-12)
 
     @pytest.mark.parametrize("make", [
         lambda: gen_torus([10, 10]),
@@ -455,9 +434,9 @@ class TestCertificate:
         g = gen_torus([8, 4])
         calls = record_solves(monkeypatch)
         sol = solve_master(g, want_flows=False)
-        assert len(calls) == sol.lp_solves >= 1
-        assert 1.0 - sol.F_lo / sol.F_hi <= F_ONLY_GAP
-        assert sol.F == pytest.approx(solve_master(g).F, rel=1e-6)
+        assert len(calls) == sol.lp_solves == 1
+        assert 1.0 - sol.F_lo / sol.F_hi <= 1e-12
+        assert sol.F == solve_master(g).F
 
     # random, punctured, and both with capacities from {0.05, 1, 5}
     @settings(max_examples=20, deadline=None)
@@ -505,16 +484,11 @@ class TestCertificate:
     ])
     def test_f_only_resolve_status_checked(self, monkeypatch, status,
                                            message):
-        # the re-solve's status is checked like the first solve's
+        # the F-only solve's status is checked like the flow solve's; the
+        # even split closes on the 3x3 torus, so it is made to miss
         monkeypatch.setattr(mcf, "F_ONLY_GAP", -1.0)
-        real = mcf.solve_lp
-
-        def second_fails(model, **kwargs):
-            if kwargs["ipm_optimality_tolerance"] is None:
-                return LpSolution(status=status, objective=np.nan, x=None)
-            return real(model, **kwargs)
-
-        monkeypatch.setattr(mcf, "solve_lp", second_fails)
+        monkeypatch.setattr(mcf, "solve_lp", lambda model: LpSolution(
+            status=status, objective=np.nan, x=None))
         with pytest.raises(McfError, match=message):
             solve_master(gen_torus([3, 3]), want_flows=False)
 
