@@ -188,43 +188,45 @@ def _refine(a: sp.csr_matrix, rows: np.ndarray,
 
     Each round splits every column class by the multiset of (row class,
     coefficient) over its columns' nonzeros, then every row class the same
-    way, until the class counts stop changing or every column is alone.
+    way, until a row split changes nothing or every column is alone. The
+    columns were just split by those rows, so the partition is then stable.
     Multisets are compared by a sum of 64-bit hashes, so a collision could
     keep together what should split; ``_equitable`` checks the result.
     """
-    coo = a.tocoo()
-    _, label = np.unique(coo.data, return_inverse=True)
+    _, label = np.unique(a.data, return_inverse=True)
     width = np.uint64(_count(label))
     label = label.astype(np.uint64).ravel()
-
-    def grouped(major, minor, size):
-        # each row's (or column's) nonzeros: neighbours, labels, bounds
-        order = np.argsort(major, kind="stable")
-        return (minor[order], label[order],
-                np.searchsorted(major[order], np.arange(size + 1)))
-
-    by_col = grouped(coo.col, coo.row, a.shape[1])
-    by_row = grouped(coo.row, coo.col, a.shape[0])
+    # each row's and each column's nonzeros: neighbours, labels, bounds
+    # (the conversion keeps label 0 as a stored entry)
+    by_row = (a.indices, label, a.indptr)
+    at = sp.csr_matrix((label, a.indices, a.indptr), shape=a.shape).tocsc()
+    by_col = (at.indices, at.data, at.indptr)
 
     def split(own, other, nbr, lab, ptr):
         total = np.zeros(nbr.size + 1, dtype=np.uint64)
         np.cumsum(_mix(other[nbr].astype(np.uint64) * width + lab),
                   out=total[1:])
-        return _classes(own, total[ptr[1:]] - total[ptr[:-1]])
+        sig = np.unique(total[ptr[1:]] - total[ptr[:-1]],
+                        return_inverse=True)[1].ravel()
+        # own is numbered 0, 1, ... in sorted order, so own * n + sig sorts
+        # as the pair (own, sig): the classes of ``_classes(own, sig)``
+        return np.unique(own * own.size + sig, return_inverse=True)[1].ravel()
 
     while True:
-        counts = (_count(rows), _count(cols))
         cols = split(cols, rows, *by_col)
         if _count(cols) == cols.size:
             return rows, cols
+        count = _count(rows)
         rows = split(rows, cols, *by_row)
-        if (_count(rows), _count(cols)) == counts:
+        if _count(rows) == count:
             return rows, cols
 
 
 def _first(cls: np.ndarray) -> np.ndarray:
     """The first member of each class."""
-    return np.unique(cls, return_index=True)[1]
+    first = np.full(_count(cls), cls.size)
+    np.minimum.at(first, cls, np.arange(cls.size))
+    return first
 
 
 def _indicator(cls: np.ndarray) -> sp.csr_matrix:
