@@ -172,6 +172,18 @@ class TestQuotient:
             assert r[np.isinf(model.ub)].min() >= -1e-9
             assert model.b_ub @ y == pytest.approx(sol.objective, rel=1e-9)
 
+    def test_equality_rows_lift(self):
+        # the quotient keeps x0 + x1 = 1 as 2 y0 = 1, and its lifted x and
+        # dual meet the model's equality row
+        m = _pair_model(16.0, 16.0)
+        small, rows, cols = lp._quotient(m)
+        assert small.a_eq.shape == (1, 2) and small.b_eq == pytest.approx([1.0])
+        assert small.a_eq.toarray()[0] == pytest.approx([2.0, 0.0])
+        q = lp._lift(m, lp._linprog(small, "highs"), rows, cols)
+        assert m.a_eq @ q.x == pytest.approx(m.b_eq, rel=1e-9)
+        assert q.duals_eq == pytest.approx([8.0], rel=1e-7)
+        assert solve_lp(m).duals_eq == pytest.approx([8.0], rel=1e-7)
+
     def test_vertex_solves_refine(self):
         # the 2-column quotient's vertex lifts to x and duals on the model,
         # equality rows included
