@@ -136,7 +136,10 @@ def _linprog(model: LpModel, method: str) -> LpSolution:
     status = {0: OPTIMAL, 1: ITERATION_LIMIT, 2: INFEASIBLE, 3: UNBOUNDED,
               4: NUMERICAL}.get(res.status, f"highs-status-{res.status}")
     x = np.asarray(res.x) if res.x is not None else None
-    obj = float(model.c @ x) if (x is not None and status == OPTIMAL) else math.nan
+    # summed elementwise: a BLAS dot product of 10,000+ entries wakes
+    # OpenBLAS's worker threads, which then spin for ~0.1 s of CPU
+    obj = (float(np.sum(model.c * x)) if (x is not None and status == OPTIMAL)
+           else math.nan)
     duals_ub = duals_eq = None
     if status == OPTIMAL:
         if model.a_ub is not None:
@@ -308,7 +311,8 @@ def _lift(model: LpModel, sol: LpSolution, rows: np.ndarray,
     """The quotient's solution `sol` on `model`: x_j = y[class of j], and
     row i's dual z[class of i] / |class of i|. Each reduced cost of `model`
     is the quotient's divided by its column's class size, so the lifted
-    duals are dual-feasible with the same objective."""
+    duals are dual-feasible with the same objective. The objective is kept:
+    the quotient's c is the model's summed over each class, so it is c.x."""
     if sol.x is None:
         return sol
     x = sol.x[cols]
@@ -324,9 +328,7 @@ def _lift(model: LpModel, sol: LpSolution, rows: np.ndarray,
         y = (z / np.bincount(rows))[rows]
         duals_ub = y[:n_ub] if model.a_ub is not None else None
         duals_eq = y[n_ub:] if model.a_eq is not None else None
-    return dataclasses.replace(
-        sol, x=x, duals_ub=duals_ub, duals_eq=duals_eq,
-        objective=float(model.c @ x) if sol.optimal else math.nan)
+    return dataclasses.replace(sol, x=x, duals_ub=duals_ub, duals_eq=duals_eq)
 
 
 def solve_ilp(model: LpModel, alpha: float = 0.0) -> LpSolution:
@@ -358,7 +360,7 @@ def solve_ilp(model: LpModel, alpha: float = 0.0) -> LpSolution:
         return LpSolution(status, math.nan, None, message=res.message,
                           solved_vars=model.n_vars)
     x = np.asarray(res.x)
-    obj = float(model.c @ x)
+    obj = float(np.sum(model.c * x))
     # without integer variables HiGHS solves the LP and reports no MIP bound
     bound = sign * (res.mip_dual_bound if res.mip_dual_bound is not None
                     else res.fun)

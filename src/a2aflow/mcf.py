@@ -235,7 +235,8 @@ def _bracket(g: Digraph, comms: list[Commodity], rows, x: sp.csr_matrix,
     dist = shortest_path(
         sp.csr_matrix((ell, (tails, heads)), shape=(g.n, g.n)),
         directed=True, indices=sources)
-    total = demand @ dist[si, dst]
+    # summed elementwise, not by a BLAS dot (see ``lp._linprog``)
+    total = np.sum(demand * dist[si, dst])
     F_lo = float(F_lo)
     F_hi = float(cap @ ell / total) if total > 0 else math.inf
     if F_lo > F_hi:
@@ -573,7 +574,12 @@ def solve_master(
     (``_solve_flows``). ``lp_solves`` is 1, or 0 with no LP, and
     ``lp_vars`` the column count HiGHS solved.
     """
-    comms = _commodities(g, commodities)
+    return _master(g, _commodities(g, commodities), want_flows)
+
+
+def _master(g: Digraph, comms: list[Commodity],
+            want_flows: bool) -> SourceFlowSolution:
+    """``solve_master`` on commodities ``_commodities`` has checked."""
     sources = sorted({c.src for c in comms})
     sidx = {s: si for si, s in enumerate(sources)}
     return _solve_flows(g, sources, [sidx[c.src] for c in comms], comms,
@@ -595,7 +601,7 @@ def mcf_decomposed(
     (``solve_master``).
     """
     comms = _commodities(g, commodities)
-    master = solve_master(g, comms, want_flows=want_flows)
+    master = _master(g, comms, want_flows)
     if not want_flows:
         return LinkFlowSolution(F=master.F, commodities=list(comms), paths=[],
                                 graph=g, F_lo=master.F_lo, F_hi=master.F_hi,

@@ -164,6 +164,8 @@ class TestQuotient:
             # the lifted x is feasible
             assert (model.a_ub @ x <= model.b_ub + 1e-9).all()
             assert ((x >= -1e-9) & (x <= model.ub + 1e-9)).all()
+            # the quotient's objective is the model's c.x
+            assert sol.objective == pytest.approx(model.c @ x, rel=1e-12)
             # the lifted duals are dual-feasible (<= 0 when minimizing,
             # reduced costs >= 0 on the columns without an upper bound; lb
             # is 0 and ub 0 or inf) with the same objective
