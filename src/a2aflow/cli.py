@@ -5,7 +5,9 @@ bench. Every command that writes an artifact also writes a sidecar
 `<artifact>.manifest.json` recording the argument vector, seed, version, and
 sha256 digests of inputs and outputs, so runs can be reproduced exactly.
 `solve --algo link|decomp` adds a `quality` block: the certified bracket
-[F_lo, F_hi] on F, its relative gap and the `verify_flow` residuals.
+[F_lo, F_hi] on F, its relative gap and the `verify_flow` residuals;
+`solve --algo ts` adds the certified bracket [U_lo, U_hi] on sum U_t and its
+gap.
 
 Exit codes: 0 success, 1 domain error (the package's errors and OSError),
 2 usage error. Any other exception is a bug and propagates.
@@ -215,7 +217,9 @@ def _cmd_solve(args) -> list[str]:
     elif args.algo == "ts":
         lmax = args.lmax if args.lmax else diameter(g)
         sol = mcf.mcf_timestepped(g, lmax)
-        print(f"l_max = {lmax}, sum U_t = {sol.total_utilization:.9g}")
+        print(f"l_max = {lmax}, sum U_t = {sol.total_utilization:.9g} in "
+              f"[{sol.U_lo:.9g}, {sol.U_hi:.9g}] (gap {sol.gap:.2g})")
+        args.quality = {"U_lo": sol.U_lo, "U_hi": sol.U_hi, "gap": sol.gap}
     else:
         if args.paths == "disjoint":
             ps = disjoint_paths(g)

@@ -1,30 +1,32 @@
 """Max-concurrent multi-commodity flow formulations over a Digraph.
 
-Four formulations, all assembled as sparse matrices. Link-based and
-source-decomposed are one static LP (``_build_master_model``) with the flows
-grouped two ways: one flow per commodity (link) or one per source, which
-carries all of that source's commodities (decomposed, the master LP).
-Time-stepped is one flow per source on the time-expanded graph with holdover
-arcs for buffering; path-based is the path model it shares with the
-congestion ILP (``paths._path_model``). All four fix the demands and minimize
-the edge-utilization scale U (F is 1 / U), so U sits only in the capacity
-rows.
+Four formulations, all assembled as sparse matrices. Link-based,
+source-decomposed and time-stepped are one LP (``_build_master_model``) with
+the flows grouped two ways: one flow per commodity (link) or one per source,
+which carries all of that source's commodities (decomposed, the master LP;
+time-stepped is the master LP on the time-expanded graph, whose holdover
+arcs model buffering and have no capacity row, with one U per step).
+Path-based is the path model it shares with the congestion ILP
+(``paths._path_model``). All four fix the demands and minimize the
+edge-utilization scale U, or the sum of the per-step U_t (F is 1 / U), so U
+sits only in the capacity rows.
 
 One flow decomposition (``_peel``) splits each solved flow into
 per-commodity paths or time-stepped trajectories that deliver exactly their
 demand. Solutions keep them, sum their ``flows`` from them, and route
 extraction and the time-stepped lowering read them as they are.
 
-Every static solve certifies F without trusting the solver: F_lo comes from
-the returned primal flow, F_hi from the capacity-row duals as edge lengths
-over the whole graph (``_bracket``). So an F-only solve needs no LP when a
-flow it can build is certified optimal: the even split of every commodity
-over its fewest-hop paths, with hop lengths, closes on tori and hypercubes.
-Otherwise it is the flow solve without the decomposition. Every solve runs
-on the LP's quotient by colour refinement (``lp.solve_lp``): where sources
-see the graph alike, one column stands for a class of interchangeable flow
-variables, as one flow per source stands for its commodities.
-``verify_flow`` rechecks a link solution.
+Every static and time-stepped solve certifies its F or sum U_t without
+trusting the solver: F_lo comes from the returned primal flow, F_hi from the
+capacity-row duals as arc lengths over the whole graph, with one capacity
+group per step on the time-expanded one (``_bracket``). So an F-only solve
+needs no LP when a flow it can build is certified optimal: the even split of
+every commodity over its fewest-hop paths, with hop lengths, closes on tori
+and hypercubes. Otherwise it is the flow solve without the decomposition.
+Every solve runs on the LP's quotient by colour refinement
+(``lp.solve_lp``): where sources see the graph alike, one column stands for
+a class of interchangeable flow variables, as one flow per source stands for
+its commodities. ``verify_flow`` rechecks a link solution.
 """
 from __future__ import annotations
 
@@ -140,7 +142,8 @@ class LinkFlowSolution:
 
 @dataclass
 class SourceFlowSolution:
-    F: float
+    F: float                               # 1 / U.sum()
+    U: np.ndarray                          # per-step utilization scale
     sources: list[int]                     # root of each flow
     flows: dict[tuple[int, int], float]    # (flow index, edge index) -> rate
     graph: Digraph = field(repr=False)
@@ -159,6 +162,9 @@ class TimeExpandedSolution:
     # transport hops of one path up to its first arrival; waiting is implicit
     trajectories: list[list[tuple[tuple[tuple[int, int], ...], float]]]
     graph: Digraph = field(repr=False)
+    # certified bracket on the optimal sum of U (NaN when loaded)
+    U_lo: float = math.nan
+    U_hi: float = math.nan
 
     @property
     def flows(self) -> dict[tuple[int, int, int], float]:
@@ -173,6 +179,11 @@ class TimeExpandedSolution:
     @property
     def total_utilization(self) -> float:
         return float(self.U.sum())
+
+    @property
+    def gap(self) -> float:
+        """Relative width (U_hi - U_lo) / U_hi of the certified bracket."""
+        return 1.0 - self.U_lo / self.U_hi
 
 
 # ---------------------------------------------------------------------------
@@ -196,17 +207,22 @@ def _net_inflow(g: Digraph, x: sp.csr_matrix) -> sp.csr_matrix:
 
 
 def _bracket(g: Digraph, comms: list[Commodity], rows, x: sp.csr_matrix,
-             ell: np.ndarray) -> tuple[float, float]:
-    """Certified [F_lo, F_hi] on the optimal concurrent rate.
+             ell: np.ndarray, step: np.ndarray) -> tuple[float, float]:
+    """Certified [F_lo, F_hi] on the optimal F = 1 / min sum_k U_k.
 
-    Row ``rows[ci]`` of ``x`` (rows x edges) is a flow out of commodity ci's
+    Arc e's load is at most c_e * U_step[e] (with every step 0, F is the
+    concurrent rate); an arc whose step is -1 is uncapacitated.
+    Row ``rows[ci]`` of ``x`` (rows x arcs) is a flow out of commodity ci's
     source; several commodities of one source may share a row. F_lo: clip x
     to >= 0; if every commodity receives at least delta per unit demand at
-    its destination, x / max_e(load_e / c_e) is a feasible concurrent flow
-    of rate delta / max_e(load_e / c_e). A deficit at a node that is neither
-    the row's source nor one of its destinations is flow from elsewhere, so
-    it is taken off. F_hi: for any edge lengths ell >= 0, every concurrent
-    flow of rate F has sum_e c_e ell_e >= F sum_c demand_c dist_ell(c)
+    its destination, x / delta delivers the demands with U_k = max over the
+    arcs of step k of load_e / (c_e delta), so F_lo = delta / sum_k of those
+    maxima of load_e / c_e. A deficit at a node that is neither the row's
+    source nor one of its destinations is flow from elsewhere, so it is
+    taken off. F_hi: for any lengths ell >= 0, 0 on uncapacitated arcs,
+    every flow that delivers the demands has sum_c demand_c dist_ell(c) <=
+    sum_e ell_e load_e <= sum_k U_k w_k with w_k = sum of c_e ell_e over
+    step k's arcs, so F <= max_k w_k / sum_c demand_c dist_ell(c)
     (Shahrokhi-Matula, JACM 1990); the LP's capacity-row duals make the two
     sides meet. Where they meet, rounding may put F_lo above F_hi: F_hi is
     raised to F_lo within 1e-12 relative, and a larger excess is an error.
@@ -214,7 +230,9 @@ def _bracket(g: Digraph, comms: list[Commodity], rows, x: sp.csr_matrix,
     from scipy.sparse.csgraph import shortest_path
 
     tails, heads = _node_edge_templates(g)
-    cap = np.asarray(g.capacities, dtype=float)
+    capped = step >= 0
+    steps = step.max(initial=0) + 1
+    cap = np.asarray(g.capacities, dtype=float)[capped]
     rows = np.asarray(rows)
     src, dst = np.array([(c.src, c.dst) for c in comms]).T
     demand = np.array([c.demand for c in comms])
@@ -226,10 +244,13 @@ def _bracket(g: Digraph, comms: list[Commodity], rows, x: sp.csr_matrix,
     end[rows, src] = end[rows, dst] = True
     stray = np.where(end, 0.0, np.maximum(-net, 0.0)).sum(axis=1)
     delta = ((net[rows, dst] - stray[rows]) / demand).min()
-    util = (np.asarray(x.sum(axis=0)).ravel() / cap).max(initial=0.0)
+    util = np.zeros(steps)
+    np.maximum.at(util, step[capped],
+                  np.asarray(x.sum(axis=0)).ravel()[capped] / cap)
+    util = util.sum()
     F_lo = delta / util if delta > 0 else 0.0
 
-    ell = np.maximum(ell, 0.0)
+    ell = np.where(capped, np.maximum(ell, 0.0), 0.0)
     # sparse input keeps zero-length edges as edges
     sources, si = np.unique(src, return_inverse=True)
     dist = shortest_path(
@@ -237,8 +258,9 @@ def _bracket(g: Digraph, comms: list[Commodity], rows, x: sp.csr_matrix,
         directed=True, indices=sources)
     # summed elementwise, not by a BLAS dot (see ``lp._linprog``)
     total = np.sum(demand * dist[si, dst])
+    w = np.bincount(step[capped], weights=cap * ell[capped], minlength=steps)
     F_lo = float(F_lo)
-    F_hi = float(cap @ ell / total) if total > 0 else math.inf
+    F_hi = float(w.max() / total) if total > 0 else math.inf
     if F_lo > F_hi:
         if F_lo > F_hi * (1.0 + 1e-12):
             raise McfError(f"certificate failed: F_lo {F_lo!r} above F_hi "
@@ -423,51 +445,57 @@ def _even_split(g: Digraph, roots: list[int], group,
 
 
 def _build_master_model(g: Digraph, roots: list[int], group,
-                        comms: list[Commodity]) -> LpModel:
-    """min U over flows x[k, e] out of ``roots[k]``, and U.
+                        comms: list[Commodity], step=None) -> LpModel:
+    """min sum_k U_k over flows x[k, e] out of ``roots[k]``, and U.
 
     Commodity ci travels in flow ``group[ci]``. Columns are the x[k, e] in
-    row-major order, then U. Rows 0..E-1 are sum_k x[k, e] - cap_e * U <= 0;
-    then per flow k and node u != roots[k], out - in <= -(demand of the
-    flow's commodities to u), 0 elsewhere.
+    row-major order, then U_0, U_1, ... (one U, step 0 for every arc, unless
+    ``step`` is given). First, in arc order, a capacity row sum_k x[k, e] -
+    cap_e * U_step[e] <= 0 for each arc e with step[e] >= 0; then per flow k
+    and node u != roots[k], out - in <= -(demand of the flow's commodities
+    to u), 0 elsewhere.
     """
     N, E, K = g.n, g.num_edges, len(roots)
     n = K * E
     tails, heads = _node_edge_templates(g)
-    eidx = np.arange(E)
+    step = np.zeros(E, dtype=np.int64) if step is None else step
+    capped = step >= 0
+    R = int(capped.sum())
     src = np.asarray(roots)[:, None]
     cols = np.arange(n).reshape(K, E)
     # flow k's row of node u (its root's row is left out)
-    base = E + np.arange(K)[:, None] * (N - 1)
+    base = R + np.arange(K)[:, None] * (N - 1)
     keep_out, keep_in = tails != src, heads != src
     a_ub = sp.csr_matrix(
-        (np.concatenate([np.ones(n), -np.asarray(g.capacities, dtype=float),
+        (np.concatenate([np.ones(K * R),
+                         -np.asarray(g.capacities, dtype=float)[capped],
                          np.ones(keep_out.sum()), -np.ones(keep_in.sum())]),
-         (np.concatenate([np.tile(eidx, K), eidx,
+         (np.concatenate([np.tile(np.arange(R), K), np.arange(R),
                           (base + tails - (tails > src))[keep_out],
                           (base + heads - (heads > src))[keep_in]]),
-          np.concatenate([cols.ravel(), np.full(E, n),
+          np.concatenate([cols[:, capped].ravel(), n + step[capped],
                           cols[keep_out], cols[keep_in]]))),
-        shape=(E + K * (N - 1), n + 1),
+        shape=(R + K * (N - 1), n + step.max(initial=0) + 1),
     )
     k = np.asarray(group)
     s = src[k, 0]
     d = np.array([c.dst for c in comms])
-    b_ub = np.zeros(E + K * (N - 1))
-    np.add.at(b_ub, E + k * (N - 1) + d - (d > s), [-c.demand for c in comms])
+    b_ub = np.zeros(R + K * (N - 1))
+    np.add.at(b_ub, R + k * (N - 1) + d - (d > s), [-c.demand for c in comms])
     # flow back into its own root never helps; pin it to zero
-    ub = np.full(n + 1, np.inf)
+    ub = np.full(a_ub.shape[1], np.inf)
     ub[cols[~keep_in]] = 0.0
-    return LpModel(c=np.r_[np.zeros(n), 1.0], sense="min", a_ub=a_ub,
-                   b_ub=b_ub, ub=ub)
+    return LpModel(c=np.r_[np.zeros(n), np.ones(a_ub.shape[1] - n)],
+                   sense="min", a_ub=a_ub, b_ub=b_ub, ub=ub)
 
 
 def _solve_flows(g: Digraph, roots: list[int], group, comms: list[Commodity],
-                 want_flows: bool = True) -> SourceFlowSolution:
+                 want_flows: bool = True, step=None) -> SourceFlowSolution:
     """Solve ``_build_master_model`` and certify its F by ``_bracket``.
 
-    Returns F = 1 / U and, unless ``want_flows=False``, the flows x * F
-    keyed (flow index, edge). ``solve_lp`` solves the LP on its
+    Returns U and F = 1 / sum(U) and, unless ``want_flows=False``, the flows
+    x * F keyed (flow index, arc). ``step`` groups the capacity rows as in
+    ``_build_master_model``. ``solve_lp`` solves the LP on its
     colour-refined quotient and lifts the vertex and duals back. An F-only
     solve first tries the even shortest-path split (``_even_split``),
     certified with hop lengths: it closes when it loads every arc alike, as
@@ -476,32 +504,36 @@ def _solve_flows(g: Digraph, roots: list[int], group, comms: list[Commodity],
     flow, so a flow that needs no LP is as good as its certificate.
     """
     K, E = len(roots), g.num_edges
+    step = np.zeros(E, dtype=np.int64) if step is None else step
     if not want_flows:
-        F_lo, F_hi = _bracket(g, comms, group,
-                              _even_split(g, roots, group, comms), np.ones(E))
+        x = _even_split(g, roots, group, comms)
+        F_lo, F_hi = _bracket(g, comms, group, x, np.ones(E), step)
         # a graph that is not strongly connected gives F_lo = F_hi = 0
         if F_lo > 0 and F_lo >= (1.0 - F_ONLY_GAP) * F_hi:
-            return SourceFlowSolution(F=F_lo, sources=list(roots), flows={},
+            return SourceFlowSolution(F=F_lo, U=np.array([1.0 / F_lo]),
+                                      sources=list(roots), flows={},
                                       graph=g, F_lo=F_lo, F_hi=F_hi,
                                       lp_solves=0, lp_vars=0)
-    sol = solve_lp(_build_master_model(g, roots, group, comms))
+    sol = solve_lp(_build_master_model(g, roots, group, comms, step))
     if sol.status == "infeasible":
         raise McfError("master LP infeasible: a commodity has no path "
                        "(graph not strongly connected)")
     if not sol.optimal:
         raise McfError(f"master LP did not solve: {sol.status} {sol.message}")
-    x = sol.x[:-1]
+    x, U = sol.x[:K * E], np.asarray(sol.x[K * E:])
     # minimizing U, the capacity rows' duals are <= 0
-    F_lo, F_hi = _bracket(g, comms, group, x.reshape(K, E),
-                          -sol.duals_ub[:E])
-    F = 1.0 / float(sol.x[-1])
+    capped = step >= 0
+    ell = np.zeros(E)
+    ell[capped] = -sol.duals_ub[:capped.sum()]
+    F_lo, F_hi = _bracket(g, comms, group, x.reshape(K, E), ell, step)
+    F = 1.0 / float(U.sum())
     flows = {}
     if want_flows:
         x = x * F
         nz = np.flatnonzero(x > FLOW_EPS)
         flows = {divmod(i, E): v for i, v in zip(nz.tolist(), x[nz].tolist())}
-    return SourceFlowSolution(F=F, sources=list(roots), flows=flows, graph=g,
-                              F_lo=F_lo, F_hi=F_hi, lp_solves=1,
+    return SourceFlowSolution(F=F, U=U, sources=list(roots), flows=flows,
+                              graph=g, F_lo=F_lo, F_hi=F_hi, lp_solves=1,
                               lp_vars=sol.solved_vars)
 
 
@@ -613,6 +645,23 @@ def mcf_decomposed(
 # ---------------------------------------------------------------------------
 # time-stepped MCF
 
+def _time_expanded(g: Digraph, T: int) -> tuple[Digraph, np.ndarray]:
+    """The time-expanded DAG of ``g`` over T steps, and each arc's step.
+
+    Node (u, k) is k * N + u for k = 0..T. Transport arc k * E + e runs
+    (u, k) -> (v, k+1) for edge e = u -> v, with its capacity, at step k;
+    then holdover arc E * T + k * N + u runs (u, k) -> (u, k+1), models
+    buffering, and has no capacity (step -1).
+    """
+    N = g.n
+    edges = [(k * N + u, (k + 1) * N + v, c)
+             for k in range(T) for u, v, c in g.edges]
+    edges += [(k * N + u, (k + 1) * N + u, math.inf)
+              for k in range(T) for u in range(N)]
+    step = np.r_[np.repeat(np.arange(T), g.num_edges), np.full(N * T, -1)]
+    return Digraph(n=N * (T + 1), edges=tuple(edges)), step
+
+
 def mcf_timestepped(
     g: Digraph,
     l_max: int,
@@ -620,112 +669,51 @@ def mcf_timestepped(
 ) -> TimeExpandedSolution:
     """Minimal total per-step utilization delivering every commodity's demand.
 
-    One flow per source on the time-expanded DAG: nodes (u, k) for
-    k = 0..l_max, a transport arc (u, k) -> (v, k+1) per edge and step, and a
-    holdover arc (u, k) -> (u, k+1) per node and step that models buffering.
-    Source s supplies its total demand at (s, 0) and each destination d
-    absorbs demand(s, d) at (d, l_max); per step k, the sources together may
-    use at most cap_e * U_k of edge e, and the LP minimizes sum U_k.
-    Per-commodity trajectories are peeled from each source's flow
-    (``_peel``) and cut at their first arrival at the destination.
-    Infeasible when l_max < diameter.
+    The master LP (``_solve_flows``) on the time-expanded DAG
+    (``_time_expanded``), one flow per source: source s supplies its
+    commodities at (s, 0) and each destination d absorbs demand(s, d) at
+    (d, l_max); per step k, the sources together may use at most cap_e * U_k
+    of edge e, and the LP minimizes sum U_k. ``[U_lo, U_hi]`` certifies that
+    sum (``_bracket`` with one capacity group per step). Per-commodity
+    trajectories are peeled from each source's flow (``_split_flows``) and
+    cut at their first arrival at the destination. Infeasible when some
+    commodity needs more than l_max hops, as when l_max < diameter.
     """
     if l_max < 1:
         raise McfError("l_max must be >= 1")
     comms = _commodities(g, commodities)
     N, E, T = g.n, g.num_edges, l_max
     sources = sorted({c.src for c in comms})
-    S = len(sources)
-    tails, heads = _node_edge_templates(g)
-
-    # TE node (u, k) is k*N + u. Arcs: transport k*E + e, then holdover
-    # E*T + k*N + u. Variables: source block si*A + arc, then U_k at S*A + k.
-    NT, A = N * (T + 1), (E + N) * T
-    steps = np.arange(T)
-    arc_tail = np.concatenate([(steps[:, None] * N + tails).ravel(),
-                               (steps[:, None] * N + np.arange(N)).ravel()])
-    arc_head = arc_tail + N
-    arc_head[:E * T] = ((steps[:, None] + 1) * N + heads).ravel()
-    n_vars = S * A + T
-
-    # balance per (s, u, k): out - in = supply at (s, 0), -demand at (d, T)
-    blk_rows = np.arange(S)[:, None] * NT
-    blk_cols = np.arange(S)[:, None] * A + np.arange(A)
-    a_eq = sp.csr_matrix(
-        (np.concatenate([np.ones(S * A), -np.ones(S * A)]),
-         (np.concatenate([(blk_rows + arc_tail).ravel(),
-                          (blk_rows + arc_head).ravel()]),
-          np.concatenate([blk_cols.ravel(), blk_cols.ravel()]))),
-        shape=(S * NT, n_vars),
-    )
     sidx = {s: si for si, s in enumerate(sources)}
-    row0, src, dst = np.array([(sidx[c.src] * NT, c.src, c.dst) for c in comms]).T
-    demand = np.array([c.demand for c in comms])
-    b_eq = np.zeros(S * NT)
-    np.add.at(b_eq, row0 + src, demand)
-    np.add.at(b_eq, row0 + T * N + dst, -demand)
-
-    # capacity per (e, k): sum_s x[s, e, k] - cap_e * U_k <= 0
-    cap_rows = np.arange(E * T)
-    a_ub = sp.csr_matrix(
-        (np.concatenate([np.ones(S * E * T),
-                         -np.tile(np.asarray(g.capacities, dtype=float), T)]),
-         (np.concatenate([np.tile(cap_rows, S), cap_rows]),
-          np.concatenate([blk_cols[:, :E * T].ravel(),
-                          S * A + np.repeat(steps, E)]))),
-        shape=(E * T, n_vars),
-    )
-
-    # flow back into its own source never helps; pin it to zero
-    ub = np.full(n_vars, np.inf)
-    into_src = arc_head[:E * T] % N == np.asarray(sources)[:, None]
-    ub[blk_cols[:, :E * T][into_src]] = 0.0
-    c_obj = np.zeros(n_vars)
-    c_obj[S * A:] = 1.0
-    model = LpModel(c=c_obj, sense="min", a_ub=a_ub, b_ub=np.zeros(E * T),
-                    a_eq=a_eq, b_eq=b_eq, ub=ub)
-    sol = solve_lp(model)
-    if sol.status == "infeasible":
-        raise McfError(
-            f"time-stepped MCF infeasible at l_max={l_max}; "
-            "l_max must be >= diameter(G)"
-        )
-    if not sol.optimal:
-        raise McfError(f"time-stepped MCF LP did not solve: {sol.status}")
-
-    arc_tail, arc_head = arc_tail.tolist(), arc_head.tolist()
-    heads = heads.tolist()
-    by_src: dict[int, list[int]] = {s: [] for s in sources}
-    for ci, c in enumerate(comms):
-        by_src[c.src].append(ci)
-    trajectories = [[] for _ in comms]
-    for si, s in enumerate(sources):
-        x = sol.x[si * A:(si + 1) * A]
-        nz = np.flatnonzero(x > FLOW_EPS)
-        cis = by_src[s]
-        peeled = _peel(arc_tail, arc_head, dict(zip(nz.tolist(), x[nz].tolist())),
-                       s, [(T * N + comms[ci].dst, comms[ci].demand) for ci in cis])
-        for ci, paths in zip(cis, peeled):
-            d = comms[ci].dst
-            merged: dict[tuple[tuple[int, int], ...], float] = {}
-            for arcs, w in paths:
-                # holdover arcs are implicit waiting. A path may reach d
-                # before step T, leave and return; the commodity's share ends
-                # at its first arrival, or d would receive more than its
-                # demand. Paths that differ only after it are one trajectory
-                hops = []
-                for a in arcs:
-                    if a >= E * T:
-                        continue
-                    k, e = divmod(a, E)
-                    hops.append((k, e))
-                    if heads[e] == d:
-                        break
-                merged[tuple(hops)] = merged.get(tuple(hops), 0.0) + w
-            trajectories[ci] = list(merged.items())
-    return TimeExpandedSolution(l_max=T, U=np.asarray(sol.x[S * A:]),
-                                commodities=list(comms),
-                                trajectories=trajectories, graph=g)
+    group = [sidx[c.src] for c in comms]
+    if _hops(g, sources)[group, [c.dst for c in comms]].max() > T:
+        raise McfError(f"time-stepped MCF infeasible at l_max={l_max}; "
+                       "l_max must be >= diameter(G)")
+    te, step = _time_expanded(g, T)
+    te_comms = [Commodity(c.src, T * N + c.dst, c.demand) for c in comms]
+    master = _solve_flows(te, sources, group, te_comms, step=step)
+    trajectories = []
+    for c, paths in zip(comms, _split_flows(te_comms, group, master).paths):
+        merged: dict[tuple[tuple[int, int], ...], float] = {}
+        for arcs, w in paths:
+            # holdover arcs are implicit waiting. A path may reach d before
+            # step T, leave and return; the commodity's share ends at its
+            # first arrival, or d would receive more than its demand. Paths
+            # that differ only after it are one trajectory
+            hops = []
+            for a in arcs:
+                if a >= E * T:
+                    continue
+                k, e = divmod(a, E)
+                hops.append((k, e))
+                if g.edges[e][1] == c.dst:
+                    break
+            merged[tuple(hops)] = merged.get(tuple(hops), 0.0) + w / master.F
+        trajectories.append(list(merged.items()))
+    return TimeExpandedSolution(l_max=T, U=master.U, commodities=list(comms),
+                                trajectories=trajectories, graph=g,
+                                U_lo=1.0 / master.F_hi,
+                                U_hi=1.0 / master.F_lo)
 
 
 # ---------------------------------------------------------------------------

@@ -194,6 +194,14 @@ class TestCompileEval:
         rc, stdout, _ = run(capsys, "solve", "--algo", "ts", "--graph", g,
                             "--out", sol)
         assert rc == 0 and "sum U_t" in stdout
+        # "l_max = <l>, sum U_t = <U> in [<U_lo>, <U_hi>] (gap <gap>)"
+        assert "in [" in stdout and "(gap " in stdout
+        sum_u = json.loads(open(sol).read())["U"]
+        quality = json.loads(open(sol + ".manifest.json").read())["quality"]
+        assert set(quality) == {"U_lo", "U_hi", "gap"}
+        assert (quality["U_lo"] * (1 - 1e-12) <= sum(sum_u)
+                <= quality["U_hi"] * (1 + 1e-12))
+        assert quality["gap"] <= 1e-9
         rc, stdout, _ = run(capsys, "compile", "--mode", "ts", "--graph", g,
                             "--sol", sol, "--out", xml)
         assert rc == 0 and "nsteps" in stdout

@@ -1,6 +1,7 @@
 """MCF formulation tests: oracles, conservation, and serialization."""
 from __future__ import annotations
 
+import functools
 import json
 import warnings
 
@@ -41,9 +42,11 @@ def check_conservation(g, sol, tol=1e-9):
 
 
 def check_timestepped(g, ts, tol=1e-9):
-    """Per-commodity checks of a TimeExpandedSolution's trajectories, and of
-    the flows summed from them against its U_t."""
+    """Per-commodity checks of a TimeExpandedSolution's trajectories, of the
+    flows summed from them against its U_t, and of its certified bracket."""
     T = ts.l_max
+    assert (ts.U_lo * (1 - 1e-12) <= ts.total_utilization
+            <= ts.U_hi * (1 + 1e-12))
     for com, trs in zip(ts.commodities, ts.trajectories):
         assert sum(w for _, w in trs) == pytest.approx(com.demand, abs=tol)
         assert len({hops for hops, _ in trs}) == len(trs)
@@ -641,6 +644,26 @@ class TestHostBottleneck:
         assert F == pytest.approx(2 / 27, abs=1e-6)
 
 
+@functools.lru_cache(maxsize=None)
+def timestepped_master(case):
+    """The master LP that ``mcf_timestepped`` solves at l_max = diameter,
+    and its flows as a (sources x arcs) matrix."""
+    g = {"ring5": lambda: gen_torus([5], bidirectional=False),
+         "torus3x3": lambda: gen_torus([3, 3]),
+         "punctured9": lambda: puncture(gen_torus([3, 3]), "edges", 2,
+                                        seed=1)}[case]()
+    T = diameter(g)
+    te, step = mcf._time_expanded(g, T)
+    comms = [Commodity(c.src, T * g.n + c.dst)
+             for c in all_to_all_commodities(range(g.n))]
+    group = [c.src for c in comms]
+    master = mcf._solve_flows(te, list(range(g.n)), group, comms, step=step)
+    keys = np.array(list(master.flows)).reshape(-1, 2)
+    x = sp.csr_matrix((list(master.flows.values()), (keys[:, 0], keys[:, 1])),
+                      shape=(g.n, te.num_edges))
+    return te, step, comms, group, master, x
+
+
 class TestTimestepped:
     def test_ring3(self):
         g = gen_torus([3], bidirectional=False)
@@ -657,9 +680,18 @@ class TestTimestepped:
         assert len(recv) == len(ts.commodities)
         assert all(v == pytest.approx(1.0, abs=1e-6) for v in recv.values())
 
-    def test_infeasible_below_diameter(self):
+    def test_infeasible_below_diameter(self, monkeypatch):
+        # told from hop counts, before any LP
+        def no_lp(model):
+            raise AssertionError("solve_lp called")
+
+        monkeypatch.setattr(mcf, "solve_lp", no_lp)
         with pytest.raises(McfError, match="l_max must be >= diameter"):
             mcf_timestepped(gen_torus([5], bidirectional=False), l_max=2)
+        # a commodity with no path at all
+        with pytest.raises(McfError, match="l_max must be >= diameter"):
+            mcf_timestepped(Digraph.from_edges(3, [(0, 1, 1.0), (1, 0, 1.0)]),
+                            l_max=2)
 
     def test_numerical_difficulties_not_blamed_on_l_max(self, monkeypatch):
         import scipy.optimize
@@ -690,6 +722,26 @@ class TestTimestepped:
     def test_reference_total_utilization(self, name, make, l_max, sum_u):
         ts = mcf_timestepped(make(), l_max=l_max)
         assert ts.total_utilization == pytest.approx(sum_u, abs=1e-6)
+        assert (ts.U_lo * (1 - 1e-12) <= ts.total_utilization
+                <= ts.U_hi * (1 + 1e-12))
+        assert ts.gap <= 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=st.sampled_from(["ring5", "torus3x3", "punctured9"]),
+           seed=st.integers(0, 10_000))
+    def test_bracket_bounds_any_lengths(self, case, seed):
+        # any lengths >= 0 on the transport arcs give a lower bound
+        # sum_c demand_c dist / max_k w_k on sum U_t, where w_k sums
+        # cap * length over step k's arcs; holdover arcs count as length 0
+        # whatever length they are given
+        te, step, comms, group, master, x = timestepped_master(case)
+        rng = np.random.default_rng(seed)
+        ell = rng.exponential(size=te.num_edges) * (rng.random(te.num_edges)
+                                                    < 0.8)
+        ell[step < 0] = rng.exponential(size=(step < 0).sum())
+        F_lo, F_hi = mcf._bracket(te, comms, group, x, ell, step)
+        assert F_lo == pytest.approx(master.F, rel=1e-9)
+        assert 1 / F_hi <= master.U.sum() * (1 + 1e-12)
 
     def test_gk27_revisited_destination_replays(self):
         # at l_max = 4 a peeled source path reaches a destination, leaves it
