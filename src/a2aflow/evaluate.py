@@ -162,12 +162,12 @@ def _solve_time(g: Digraph, algo: str) -> tuple[float, float | None, dict]:
     """(alltoall time 1/F or max load, F or None, extra report fields) for
     one algorithm; the MCF solvers add their certified gap, how many LP
     solves it took and the column count HiGHS solved."""
-    from .mcf import mcf_decomposed, mcf_link, mcf_path
+    from .mcf import mcf_link, mcf_path, solve_master
     from .paths import (disjoint_paths, eval_link_load, ilp_min_congestion,
                         sssp_routes)
 
     if algo in ("decomp", "link"):
-        sol = (mcf_decomposed(g, want_flows=False) if algo == "decomp"
+        sol = (solve_master(g, want_flows=False) if algo == "decomp"
                else mcf_link(g, force=True))
         return 1.0 / sol.F, sol.F, {"gap": sol.gap,
                                     "lp_solves": sol.lp_solves,

@@ -27,6 +27,10 @@ Every solve runs on the LP's quotient by colour refinement
 (``lp.solve_lp``): where sources see the graph alike, one column stands for
 a class of interchangeable flow variables, as one flow per source stands for
 its commodities. ``verify_flow`` rechecks a link solution.
+
+Inside the module a commodity set is three arrays (src, dst, demand), built
+and checked once (``_commodities``); ``Commodity`` lists are built only for
+the solutions that return one.
 """
 from __future__ import annotations
 
@@ -65,6 +69,8 @@ FLOW_EPS = 1e-12
 F_ONLY_GAP = 2e-7
 LINK_SIZE_WARN = 150
 LINK_SIZE_HARD = 400
+# a commodity set inside the module: (src, dst, demand), one entry each
+CommodityArrays = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 class McfError(RuntimeError):
@@ -152,6 +158,8 @@ class SourceFlowSolution:
     lp_solves: int           # 0 when the even shortest-path split certified F
     lp_vars: int             # columns HiGHS solved, or 0
 
+    gap = LinkFlowSolution.gap            # 1 - F_lo / F_hi
+
 
 @dataclass
 class TimeExpandedSolution:
@@ -206,7 +214,7 @@ def _net_inflow(g: Digraph, x: sp.csr_matrix) -> sp.csr_matrix:
     return (x @ incidence).tocsr()
 
 
-def _bracket(g: Digraph, comms: list[Commodity], rows, x: sp.csr_matrix,
+def _bracket(g: Digraph, comms: CommodityArrays, rows, x: sp.csr_matrix,
              ell: np.ndarray, step: np.ndarray) -> tuple[float, float]:
     """Certified [F_lo, F_hi] on the optimal F = 1 / min sum_k U_k.
 
@@ -234,8 +242,7 @@ def _bracket(g: Digraph, comms: list[Commodity], rows, x: sp.csr_matrix,
     steps = step.max(initial=0) + 1
     cap = np.asarray(g.capacities, dtype=float)[capped]
     rows = np.asarray(rows)
-    src, dst = np.array([(c.src, c.dst) for c in comms]).T
-    demand = np.array([c.demand for c in comms])
+    src, dst, demand = comms
 
     x = sp.csr_matrix(x)
     x.data = np.maximum(x.data, 0.0)
@@ -256,8 +263,9 @@ def _bracket(g: Digraph, comms: list[Commodity], rows, x: sp.csr_matrix,
     dist = shortest_path(
         sp.csr_matrix((ell, (tails, heads)), shape=(g.n, g.n)),
         directed=True, indices=sources)
-    # summed elementwise, not by a BLAS dot (see ``lp._linprog``)
-    total = np.sum(demand * dist[si, dst])
+    # summed elementwise, not by a BLAS dot (see ``lp._linprog``), in (src,
+    # dst) order, so that the bound does not depend on the commodity order
+    total = np.sum((demand * dist[si, dst])[np.argsort(src * g.n + dst)])
     w = np.bincount(step[capped], weights=cap * ell[capped], minlength=steps)
     F_lo = float(F_lo)
     F_hi = float(w.max() / total) if total > 0 else math.inf
@@ -365,12 +373,34 @@ def _path_sum(paths: list[tuple[list[int], float]]) -> dict[int, float]:
 # (decomposed)
 
 def _commodities(g: Digraph,
-                 commodities: list[Commodity] | None) -> list[Commodity]:
-    comms = commodities if commodities is not None else all_to_all_commodities(range(g.n))
-    if not comms:
+                 commodities: list[Commodity] | None) -> CommodityArrays:
+    """The commodities as (src, dst, demand) arrays; by default all-to-all,
+    in the order of ``all_to_all_commodities``. McfError if there are none,
+    an endpoint is not a node of ``g`` or a (src, dst) pair repeats."""
+    n = g.n
+    if commodities is None:
+        src, dst = np.divmod(np.arange(n * n), n)
+        src, dst = src[src != dst], dst[src != dst]
+        demand = np.ones(src.size)
+    else:
+        src, dst = np.array([(c.src, c.dst) for c in commodities],
+                            dtype=np.int64).reshape(-1, 2).T
+        demand = np.array([c.demand for c in commodities], dtype=float)
+    if not src.size:
         raise McfError("no commodities")
-    _check_distinct(comms)
-    return comms
+    bad = np.flatnonzero((np.minimum(src, dst) < 0)
+                         | (np.maximum(src, dst) >= n))
+    if bad.size:
+        raise McfError(f"commodity ({src[bad[0]]}, {dst[bad[0]]}) has an "
+                       f"endpoint outside [0, {n})")
+    pairs = np.sort(src * n + dst)
+    if (pairs[1:] == pairs[:-1]).any():
+        _check_distinct(commodities)
+    return src, dst, demand
+
+
+def _commodity_list(comms: CommodityArrays) -> list[Commodity]:
+    return [Commodity(*c) for c in zip(*(a.tolist() for a in comms))]
 
 
 def _check_distinct(comms: list[Commodity], where: str = "") -> None:
@@ -404,8 +434,8 @@ def _hops(g: Digraph, roots: list[int]) -> np.ndarray:
                          directed=True, unweighted=True, indices=roots)
 
 
-def _even_split(g: Digraph, roots: list[int], group,
-                comms: list[Commodity]) -> np.ndarray:
+def _even_split(g: Digraph, roots: np.ndarray, group,
+                comms: CommodityArrays) -> np.ndarray:
     """(K, E) flows x[k, e] that split each commodity of flow ``group[ci]``
     evenly over all its fewest-hop paths out of ``roots[k]``.
 
@@ -434,8 +464,7 @@ def _even_split(g: Digraph, roots: list[int], group,
                       out=np.zeros((K, E)), where=dag)
     # demand at each node plus, once its layer is done, the flow leaving it
     through = np.zeros((K, N))
-    np.add.at(through, (np.asarray(group), [c.dst for c in comms]),
-              [c.demand for c in comms])
+    np.add.at(through, (np.asarray(group), comms[1]), comms[2])
     x = np.zeros((K, E))
     for h in range(depth, 0, -1):
         xh = np.where(layer == h, through[:, heads] * share, 0.0)
@@ -444,8 +473,8 @@ def _even_split(g: Digraph, roots: list[int], group,
     return x
 
 
-def _build_master_model(g: Digraph, roots: list[int], group,
-                        comms: list[Commodity], step=None) -> LpModel:
+def _build_master_model(g: Digraph, roots: np.ndarray, group,
+                        comms: CommodityArrays, step=None) -> LpModel:
     """min sum_k U_k over flows x[k, e] out of ``roots[k]``, and U.
 
     Commodity ci travels in flow ``group[ci]``. Columns are the x[k, e] in
@@ -479,9 +508,9 @@ def _build_master_model(g: Digraph, roots: list[int], group,
     )
     k = np.asarray(group)
     s = src[k, 0]
-    d = np.array([c.dst for c in comms])
+    _, d, demand = comms
     b_ub = np.zeros(R + K * (N - 1))
-    np.add.at(b_ub, R + k * (N - 1) + d - (d > s), [-c.demand for c in comms])
+    np.add.at(b_ub, R + k * (N - 1) + d - (d > s), -demand)
     # flow back into its own root never helps; pin it to zero
     ub = np.full(a_ub.shape[1], np.inf)
     ub[cols[~keep_in]] = 0.0
@@ -489,7 +518,7 @@ def _build_master_model(g: Digraph, roots: list[int], group,
                    sense="min", a_ub=a_ub, b_ub=b_ub, ub=ub)
 
 
-def _solve_flows(g: Digraph, roots: list[int], group, comms: list[Commodity],
+def _solve_flows(g: Digraph, roots: np.ndarray, group, comms: CommodityArrays,
                  want_flows: bool = True, step=None) -> SourceFlowSolution:
     """Solve ``_build_master_model`` and certify its F by ``_bracket``.
 
@@ -511,7 +540,7 @@ def _solve_flows(g: Digraph, roots: list[int], group, comms: list[Commodity],
         # a graph that is not strongly connected gives F_lo = F_hi = 0
         if F_lo > 0 and F_lo >= (1.0 - F_ONLY_GAP) * F_hi:
             return SourceFlowSolution(F=F_lo, U=np.array([1.0 / F_lo]),
-                                      sources=list(roots), flows={},
+                                      sources=roots.tolist(), flows={},
                                       graph=g, F_lo=F_lo, F_hi=F_hi,
                                       lp_solves=0, lp_vars=0)
     sol = solve_lp(_build_master_model(g, roots, group, comms, step))
@@ -532,35 +561,37 @@ def _solve_flows(g: Digraph, roots: list[int], group, comms: list[Commodity],
         x = x * F
         nz = np.flatnonzero(x > FLOW_EPS)
         flows = {divmod(i, E): v for i, v in zip(nz.tolist(), x[nz].tolist())}
-    return SourceFlowSolution(F=F, U=U, sources=list(roots), flows=flows,
+    return SourceFlowSolution(F=F, U=U, sources=roots.tolist(), flows=flows,
                               graph=g, F_lo=F_lo, F_hi=F_hi, lp_solves=1,
                               lp_vars=sol.solved_vars)
 
 
-def _split_flows(comms: list[Commodity], group,
-                 master: SourceFlowSolution) -> LinkFlowSolution:
-    """Peel each flow of ``master`` into its commodities (``_peel``).
-
-    Commodity ci is peeled from flow ``group[ci]``, with F * demand; within
-    a flow, destinations are peeled in sorted order.
-    """
-    g = master.graph
+def _split_flows(comms: CommodityArrays, group, master: SourceFlowSolution
+                 ) -> list[list[tuple[list[int], float]]]:
+    """Peel each flow of ``master`` into its commodities (``_peel``): the
+    paths of commodity ci, peeled from flow ``group[ci]`` with F * demand;
+    within a flow, destinations are peeled in sorted order."""
     per_flow: dict[int, dict[int, float]] = {}
     for (k, e), v in master.flows.items():
         per_flow.setdefault(k, {})[e] = v
+    group, dst, demand = (np.asarray(a).tolist() for a in (group, *comms[1:]))
     members: dict[int, list[int]] = {}
-    for ci in sorted(range(len(comms)), key=lambda ci: comms[ci].dst):
+    for ci in np.argsort(comms[1], kind="stable").tolist():
         members.setdefault(group[ci], []).append(ci)
-    tails, heads = (t.tolist() for t in _node_edge_templates(g))
+    tails, heads = (t.tolist() for t in _node_edge_templates(master.graph))
     peeled = {}
     for k, cis in members.items():
         peeled.update(zip(cis, _peel(
             tails, heads, per_flow.get(k, {}), master.sources[k],
-            [(comms[ci].dst, master.F * comms[ci].demand) for ci in cis])))
-    return LinkFlowSolution(F=master.F, commodities=list(comms),
-                            paths=[peeled[ci] for ci in range(len(comms))],
-                            graph=g, F_lo=master.F_lo, F_hi=master.F_hi,
-                            lp_solves=master.lp_solves,
+            [(dst[ci], master.F * demand[ci]) for ci in cis])))
+    return [peeled[ci] for ci in range(len(dst))]
+
+
+def _link_solution(comms: CommodityArrays, master: SourceFlowSolution,
+                   paths) -> LinkFlowSolution:
+    return LinkFlowSolution(F=master.F, commodities=_commodity_list(comms),
+                            paths=paths, graph=master.graph, F_lo=master.F_lo,
+                            F_hi=master.F_hi, lp_solves=master.lp_solves,
                             lp_vars=master.lp_vars)
 
 
@@ -580,9 +611,9 @@ def mcf_link(
     """
     _check_size(g, force)
     comms = _commodities(g, commodities)
-    group = range(len(comms))
-    return _split_flows(comms, group,
-                        _solve_flows(g, [c.src for c in comms], group, comms))
+    group = np.arange(comms[0].size)
+    master = _solve_flows(g, comms[0], group, comms)
+    return _link_solution(comms, master, _split_flows(comms, group, master))
 
 
 def solve_master(
@@ -606,16 +637,10 @@ def solve_master(
     (``_solve_flows``). ``lp_solves`` is 1, or 0 with no LP, and
     ``lp_vars`` the column count HiGHS solved.
     """
-    return _master(g, _commodities(g, commodities), want_flows)
-
-
-def _master(g: Digraph, comms: list[Commodity],
-            want_flows: bool) -> SourceFlowSolution:
-    """``solve_master`` on commodities ``_commodities`` has checked."""
-    sources = sorted({c.src for c in comms})
-    sidx = {s: si for si, s in enumerate(sources)}
-    return _solve_flows(g, sources, [sidx[c.src] for c in comms], comms,
-                        want_flows)
+    comms = _commodities(g, commodities)
+    # the sorted distinct sources, and each commodity's index among them
+    sources, group = np.unique(comms[0], return_inverse=True)
+    return _solve_flows(g, sources, group, comms, want_flows)
 
 
 def mcf_decomposed(
@@ -628,19 +653,14 @@ def mcf_decomposed(
     Returns the same F as mcf_link. Per-commodity flows are recovered by
     peeling each source's master flow into its destinations (``_peel``), with
     no further LP. ``want_flows=False`` skips the recovery when only F is
-    needed (topology studies); F is the same, and on graphs where the even
-    shortest-path split is certified optimal no LP is solved
-    (``solve_master``).
+    needed; F is the same, and on graphs where the even shortest-path split
+    is certified optimal no LP is solved (``solve_master``).
     """
     comms = _commodities(g, commodities)
-    master = _master(g, comms, want_flows)
-    if not want_flows:
-        return LinkFlowSolution(F=master.F, commodities=list(comms), paths=[],
-                                graph=g, F_lo=master.F_lo, F_hi=master.F_hi,
-                                lp_solves=master.lp_solves,
-                                lp_vars=master.lp_vars)
-    sidx = {s: si for si, s in enumerate(master.sources)}
-    return _split_flows(comms, [sidx[c.src] for c in comms], master)
+    sources, group = np.unique(comms[0], return_inverse=True)
+    master = _solve_flows(g, sources, group, comms, want_flows)
+    return _link_solution(comms, master, _split_flows(comms, group, master)
+                          if want_flows else [])
 
 # ---------------------------------------------------------------------------
 # time-stepped MCF
@@ -682,18 +702,17 @@ def mcf_timestepped(
     if l_max < 1:
         raise McfError("l_max must be >= 1")
     comms = _commodities(g, commodities)
+    src, dst, demand = comms
     N, E, T = g.n, g.num_edges, l_max
-    sources = sorted({c.src for c in comms})
-    sidx = {s: si for si, s in enumerate(sources)}
-    group = [sidx[c.src] for c in comms]
-    if _hops(g, sources)[group, [c.dst for c in comms]].max() > T:
+    sources, group = np.unique(src, return_inverse=True)
+    if _hops(g, sources)[group, dst].max() > T:
         raise McfError(f"time-stepped MCF infeasible at l_max={l_max}; "
                        "l_max must be >= diameter(G)")
     te, step = _time_expanded(g, T)
-    te_comms = [Commodity(c.src, T * N + c.dst, c.demand) for c in comms]
+    te_comms = (src, T * N + dst, demand)
     master = _solve_flows(te, sources, group, te_comms, step=step)
     trajectories = []
-    for c, paths in zip(comms, _split_flows(te_comms, group, master).paths):
+    for d, paths in zip(dst.tolist(), _split_flows(te_comms, group, master)):
         merged: dict[tuple[tuple[int, int], ...], float] = {}
         for arcs, w in paths:
             # holdover arcs are implicit waiting. A path may reach d before
@@ -706,11 +725,12 @@ def mcf_timestepped(
                     continue
                 k, e = divmod(a, E)
                 hops.append((k, e))
-                if g.edges[e][1] == c.dst:
+                if g.edges[e][1] == d:
                     break
             merged[tuple(hops)] = merged.get(tuple(hops), 0.0) + w / master.F
         trajectories.append(list(merged.items()))
-    return TimeExpandedSolution(l_max=T, U=master.U, commodities=list(comms),
+    return TimeExpandedSolution(l_max=T, U=master.U,
+                                commodities=_commodity_list(comms),
                                 trajectories=trajectories, graph=g,
                                 U_lo=1.0 / master.F_hi,
                                 U_hi=1.0 / master.F_lo)

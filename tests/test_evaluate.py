@@ -149,6 +149,7 @@ class TestCompare:
         assert [r.extra["lp_solves"] for r in reports] == [1, 0]
         # GK27's 2,809 columns solve as their quotient's 1,405
         assert [r.extra["lp_vars"] for r in reports] == [1_405, 0]
+        assert all(0.0 <= r.extra["gap"] <= 2e-7 for r in reports)
 
     def test_generator_failure_recorded(self):
         from a2aflow.graphs import Digraph
@@ -165,7 +166,7 @@ class TestCompare:
         def broken(*args, **kwargs):
             raise TypeError("bug")
 
-        monkeypatch.setattr(mcf, "mcf_decomposed", broken)
+        monkeypatch.setattr(mcf, "solve_master", broken)
         with pytest.raises(TypeError, match="bug"):
             compare_topologies([("t9", gen_torus([3, 3]))], d=4)
 
@@ -193,7 +194,7 @@ class TestBench:
         def broken(*args, **kwargs):
             raise TypeError("bug in solver")
 
-        monkeypatch.setattr(mcf, "mcf_decomposed", broken)
+        monkeypatch.setattr(mcf, "solve_master", broken)
         monkeypatch.setattr(evaluate, "multiprocessing",
                             multiprocessing.get_context("fork"))
         with pytest.raises(RuntimeError,

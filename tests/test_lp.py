@@ -10,7 +10,7 @@ from a2aflow import lp
 from a2aflow.graphs import gen_gen_kautz, gen_torus
 from a2aflow.lp import (INFEASIBLE, ITERATION_LIMIT, NUMERICAL, OPTIMAL,
                         LpModel, solve_ilp, solve_lp)
-from a2aflow.mcf import _build_master_model, all_to_all_commodities
+from a2aflow.mcf import _build_master_model, _commodities
 from a2aflow.paths import RouteError, disjoint_paths, ilp_min_congestion
 
 
@@ -128,9 +128,8 @@ class TestHighsStatus:
 
 
 def _master(g):
-    comms = all_to_all_commodities(range(g.n))
-    return _build_master_model(g, list(range(g.n)), [c.src for c in comms],
-                               comms)
+    comms = _commodities(g, None)
+    return _build_master_model(g, np.arange(g.n), comms[0], comms)
 
 
 def _pair_model(a: float, b: float):

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import functools
 import json
+import random
 import warnings
 
 import numpy as np
@@ -19,7 +20,7 @@ from a2aflow.graphs import (Digraph, augment_host_bottleneck,
 from a2aflow import mcf
 from a2aflow.lp import INFEASIBLE, ITERATION_LIMIT, LpSolution, solve_lp
 from a2aflow.mcf import (F_ONLY_GAP, Commodity, LinkFlowSolution, McfError,
-                         _build_master_model, _even_split,
+                         _build_master_model, _commodities, _even_split,
                          _net_inflow, _path_sum, _peel, _split_flows,
                          all_to_all_commodities, load_solution,
                          mcf_decomposed, mcf_link, mcf_path, mcf_timestepped,
@@ -145,6 +146,22 @@ class TestLinkMcf:
         g = gen_torus([3], bidirectional=False)
         with pytest.raises(McfError, match=r"repeated commodity \(0, 2\)"):
             solve(g, [Commodity(0, 2), Commodity(0, 2)])
+        # apart, the first repeat is named: (0, 1) sorts first, but (1, 2)
+        # repeats first
+        with pytest.raises(McfError, match=r"repeated commodity \(1, 2\)"):
+            solve(g, [Commodity(s, d) for s, d in
+                      [(1, 2), (0, 1), (2, 0), (1, 2), (0, 1)]])
+
+    @pytest.mark.parametrize("solve", [
+        mcf_link, solve_master, lambda g, comms: mcf_timestepped(g, 2, comms),
+    ], ids=["link", "master", "timestepped"])
+    @pytest.mark.parametrize("com", [Commodity(-1, 3), Commodity(0, 9)],
+                             ids=["negative", "past-n"])
+    def test_endpoint_outside_graph_rejected(self, solve, com):
+        # unchecked, a negative index wraps around and one past n raises a
+        # bare IndexError
+        with pytest.raises(McfError, match=r"outside \[0, 8\)"):
+            solve(gen_gen_kautz(8, 2), [com])
 
 
 class TestDecomposed:
@@ -180,6 +197,28 @@ class TestDecomposed:
         for sol in (lk, dc):
             assert sol.commodities == comms
             assert max(verify_flow(g, sol).values()) <= 1e-9
+
+    @pytest.mark.parametrize("make", [
+        lambda: gen_gen_kautz(27, 4), lambda: gen_torus([3, 3]),
+    ], ids=["genkautz27", "torus3x3"])
+    def test_commodity_order_changes_nothing(self, make):
+        # the default set, the same set as a list and shuffled copies give
+        # bit-identical answers and paths
+        g = make()
+        comms = all_to_all_commodities(range(g.n))
+        orders = [comms]
+        for seed in range(3):
+            orders.append(list(comms))
+            random.Random(seed).shuffle(orders[-1])
+        master = solve_master(g)
+        paths = dict(zip(comms, mcf_decomposed(g).paths))
+        for order in orders:
+            sol = solve_master(g, order)
+            assert (sol.F, sol.F_lo, sol.F_hi) == (master.F, master.F_lo,
+                                                   master.F_hi)
+            dc = mcf_decomposed(g, order)
+            assert dc.commodities == order
+            assert dict(zip(order, dc.paths)) == paths
 
     def test_master_only_fast_path(self):
         g = gen_torus([3, 3])
@@ -250,9 +289,8 @@ class TestMaster:
         # sum cap * l = 1, and 1 / sum_(s,d) dist_l(s, d) bounds F from
         # above (Shahrokhi-Matula); equality proves the LP optimal
         g = make()
-        comms = all_to_all_commodities(range(g.n))
-        sol = solve_lp(_build_master_model(
-            g, list(range(g.n)), [c.src for c in comms], comms))
+        comms = _commodities(g, None)
+        sol = solve_lp(_build_master_model(g, np.arange(g.n), comms[0], comms))
         E = g.num_edges
         ell = -sol.duals_ub[:E]
         assert ell.min() >= -1e-12
@@ -264,7 +302,7 @@ class TestMaster:
         dist = shortest_path(
             sp.csr_matrix((ell, (tails, heads)), shape=(g.n, g.n)),
             directed=True)
-        F_hi = 1.0 / sum(dist[c.src, c.dst] for c in comms)
+        F_hi = 1.0 / sum(dist[s, d] for s, d in zip(*comms[:2]))
         master = solve_master(g)
         assert F_hi == pytest.approx(master.F, rel=1e-9)
         assert master.F_hi == pytest.approx(F_hi, rel=1e-9)
@@ -447,8 +485,8 @@ class TestCertificate:
     def test_even_split_delivers(self, kind, seed, k, cap_seed, mixed):
         g = (mixed_graph(kind, seed, k, cap_seed) if mixed
              else small_graph(kind, seed, k))
-        comms = all_to_all_commodities(range(g.n))
-        x = _even_split(g, list(range(g.n)), [c.src for c in comms], comms)
+        comms = _commodities(g, None)
+        x = _even_split(g, np.arange(g.n), comms[0], comms)
         assert x.min() >= 0.0
         # each root sends 1 to every other node: net inflow -(N - 1) at the
         # root and 1 everywhere else
@@ -549,9 +587,12 @@ class TestPeel:
     def test_exact_split_of_master_flow(self, kind, seed, k):
         g = small_graph(kind, seed, k)
         master = solve_master(g)
-        comms = all_to_all_commodities(range(g.n))
+        arrays = _commodities(g, None)
         sidx = {s: si for si, s in enumerate(master.sources)}
-        sol = _split_flows(comms, [sidx[c.src] for c in comms], master)
+        sol = mcf._link_solution(arrays, master, _split_flows(
+            arrays, [sidx[s] for s in arrays[0].tolist()], master))
+        comms = sol.commodities
+        assert comms == all_to_all_commodities(range(g.n))
         heads = [v for _, v, _ in g.edges]
         total = np.zeros((len(master.sources), g.num_edges))
         for ci, com in enumerate(comms):
@@ -654,10 +695,10 @@ def timestepped_master(case):
                                         seed=1)}[case]()
     T = diameter(g)
     te, step = mcf._time_expanded(g, T)
-    comms = [Commodity(c.src, T * g.n + c.dst)
-             for c in all_to_all_commodities(range(g.n))]
-    group = [c.src for c in comms]
-    master = mcf._solve_flows(te, list(range(g.n)), group, comms, step=step)
+    src, dst, demand = _commodities(g, None)
+    comms = (src, T * g.n + dst, demand)
+    group = src
+    master = mcf._solve_flows(te, np.arange(g.n), group, comms, step=step)
     keys = np.array(list(master.flows)).reshape(-1, 2)
     x = sp.csr_matrix((list(master.flows.values()), (keys[:, 0], keys[:, 1])),
                       shape=(g.n, te.num_edges))
