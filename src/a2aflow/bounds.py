@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Digraph, GraphError, all_pairs_distances
+from .graphs import Digraph, GraphError, _strong_hops
 
 __all__ = [
     "BoundReport",
@@ -78,16 +78,7 @@ def alltoall_time_lower_bound(d: int, n: int) -> float:
 
 def graph_distance_bound(g: Digraph) -> float:
     """Distance-weighted bound: 1/F >= sum of pairwise distances / total capacity."""
-    dist = all_pairs_distances(g)
-    total = 0
-    for s in range(g.n):
-        for d in range(g.n):
-            if s == d:
-                continue
-            if dist[s][d] < 0:
-                raise GraphError(f"graph is not strongly connected ({s}->{d})")
-            total += dist[s][d]
-    return total / sum(g.capacities)
+    return float(_strong_hops(g).sum()) / sum(g.capacities)
 
 
 def bound_report(d: int, n: int) -> BoundReport:

@@ -27,7 +27,7 @@ __all__ = [
     "gen_shortest_path_expander",
     "puncture",
     "augment_host_bottleneck",
-    "all_pairs_distances",
+    "hops",
     "diameter",
     "is_strongly_connected",
     "load_graph",
@@ -475,57 +475,55 @@ def augment_host_bottleneck(
 # ---------------------------------------------------------------------------
 # metrics
 
-def all_pairs_distances(g: Digraph) -> list[list[int]]:
-    """BFS hop-count distance matrix; -1 marks unreachable pairs."""
-    from collections import deque
+def _node_edge_templates(g: Digraph):
+    """Per-edge (tail, head) node arrays, for sparse incidence and adjacency."""
+    import numpy as np
 
-    dist = [[-1] * g.n for _ in range(g.n)]
-    for s in range(g.n):
-        row = dist[s]
-        row[s] = 0
-        dq = deque([s])
-        while dq:
-            u = dq.popleft()
-            for v, _ in g.out_adj[u]:
-                if row[v] < 0:
-                    row[v] = row[u] + 1
-                    dq.append(v)
+    tails = np.fromiter((u for u, _, _ in g.edges), dtype=np.int64, count=g.num_edges)
+    heads = np.fromiter((v for _, v, _ in g.edges), dtype=np.int64, count=g.num_edges)
+    return tails, heads
+
+
+def _adjacency(g: Digraph):
+    """(N, N) CSR matrix with a 1 at (u, v) for each edge u -> v."""
+    import numpy as np
+    import scipy.sparse as sp
+
+    return sp.csr_matrix((np.ones(g.num_edges), _node_edge_templates(g)),
+                         shape=(g.n, g.n))
+
+
+def hops(g: Digraph, roots=None):
+    """(K, N) hop counts from each of ``roots`` (all N nodes when None);
+    inf where unreachable."""
+    from scipy.sparse.csgraph import shortest_path
+
+    return shortest_path(_adjacency(g), directed=True, unweighted=True,
+                         indices=roots)
+
+
+def _strong_hops(g: Digraph):
+    """``hops(g)``; GraphError naming the first unreachable pair."""
+    import numpy as np
+
+    dist = hops(g)
+    unreachable = np.argwhere(np.isinf(dist))
+    if unreachable.size:
+        s, t = unreachable[0].tolist()
+        raise GraphError(f"graph is not strongly connected: "
+                         f"{t} unreachable from {s}")
     return dist
 
 
 def diameter(g: Digraph) -> int:
-    dist = all_pairs_distances(g)
-    worst = -1
-    for s in range(g.n):
-        for t in range(g.n):
-            if dist[s][t] < 0:
-                raise GraphError(f"graph is not strongly connected: "
-                                 f"{t} unreachable from {s}")
-            worst = max(worst, dist[s][t])
-    return worst
+    return int(_strong_hops(g).max())
 
 
 def is_strongly_connected(g: Digraph) -> bool:
-    from collections import deque
+    from scipy.sparse.csgraph import connected_components
 
-    if g.n == 1:
-        return True
-
-    def reach(adj):
-        seen = [False] * g.n
-        seen[0] = True
-        dq = deque([0])
-        k = 1
-        while dq:
-            u = dq.popleft()
-            for v, _ in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    k += 1
-                    dq.append(v)
-        return k == g.n
-
-    return reach(g.out_adj) and reach(g.in_adj)
+    return connected_components(_adjacency(g), connection="strong",
+                                return_labels=False) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .graphs import Digraph, _json_field, _read_json
+from .graphs import Digraph, _json_field, _node_edge_templates, _read_json
+from .graphs import hops as _hop_counts
 from .lp import LpModel, solve_lp
 
 __all__ = [
@@ -196,13 +197,6 @@ class TimeExpandedSolution:
 
 # ---------------------------------------------------------------------------
 # flow certificate, residuals and decomposition
-
-def _node_edge_templates(g: Digraph):
-    """Per-edge (tail, head) arrays used to assemble conservation rows fast."""
-    tails = np.fromiter((u for u, _, _ in g.edges), dtype=np.int64, count=g.num_edges)
-    heads = np.fromiter((v for _, v, _ in g.edges), dtype=np.int64, count=g.num_edges)
-    return tails, heads
-
 
 def _net_inflow(g: Digraph, x: sp.csr_matrix) -> sp.csr_matrix:
     """Net inflow per node of each row of the flows ``x`` (rows x edges)."""
@@ -424,16 +418,6 @@ def _check_size(g: Digraph, force: bool):
         )
 
 
-def _hops(g: Digraph, roots: list[int]) -> np.ndarray:
-    """(K, N) hop counts from each of ``roots``; inf where unreachable."""
-    from scipy.sparse.csgraph import shortest_path
-
-    tails, heads = _node_edge_templates(g)
-    return shortest_path(sp.csr_matrix((np.ones(g.num_edges), (tails, heads)),
-                                       shape=(g.n, g.n)),
-                         directed=True, unweighted=True, indices=roots)
-
-
 def _even_split(g: Digraph, roots: np.ndarray, group,
                 comms: CommodityArrays) -> np.ndarray:
     """(K, E) flows x[k, e] that split each commodity of flow ``group[ci]``
@@ -451,7 +435,7 @@ def _even_split(g: Digraph, roots: np.ndarray, group,
     eidx = np.arange(E)
     into = sp.csr_matrix((np.ones(E), (eidx, heads)), shape=(E, N))
     out_of = sp.csr_matrix((np.ones(E), (eidx, tails)), shape=(E, N))
-    hop = _hops(g, roots)
+    hop = _hop_counts(g, roots)
     layer = hop[:, heads]
     dag = np.isfinite(layer) & (layer == hop[:, tails] + 1)
     layer = np.where(dag, layer, 0)
@@ -705,7 +689,7 @@ def mcf_timestepped(
     src, dst, demand = comms
     N, E, T = g.n, g.num_edges, l_max
     sources, group = np.unique(src, return_inverse=True)
-    if _hops(g, sources)[group, dst].max() > T:
+    if _hop_counts(g, sources)[group, dst].max() > T:
         raise McfError(f"time-stepped MCF infeasible at l_max={l_max}; "
                        "l_max must be >= diameter(G)")
     te, step = _time_expanded(g, T)

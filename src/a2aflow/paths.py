@@ -20,7 +20,8 @@ from fractions import Fraction
 import numpy as np
 import scipy.sparse as sp
 
-from .graphs import Digraph, _json_field, _read_json
+from .graphs import (Digraph, _json_field, _node_edge_templates, _read_json,
+                     hops)
 from .lp import LpModel, solve_ilp
 from .mcf import McfError, _peel
 
@@ -97,21 +98,6 @@ class RouteTable:
 # ---------------------------------------------------------------------------
 # enumeration
 
-def _reverse_dists(g: Digraph, d: int) -> list[int]:
-    """BFS hop counts to d, +inf where unreachable."""
-    INF = 10 ** 9
-    dist = [INF] * g.n
-    dist[d] = 0
-    dq = deque([d])
-    while dq:
-        v = dq.popleft()
-        for u, _ in g.in_adj[v]:
-            if dist[u] == INF:
-                dist[u] = dist[v] + 1
-                dq.append(u)
-    return dist
-
-
 def enum_paths_bounded(
     g: Digraph,
     l_max: int,
@@ -129,8 +115,8 @@ def enum_paths_bounded(
     out: dict[tuple[int, int], list] = {}
     truncated = set()
     nbrs = [sorted(v for v, _ in g.out_adj[u]) for u in range(g.n)]
-    for d in range(g.n):
-        rdist = _reverse_dists(g, d)
+    # rdist[v]: hops from v to d, inf where unreachable
+    for d, rdist in enumerate(hops(g).T.tolist()):
         for s in range(g.n):
             if s == d:
                 continue
@@ -139,7 +125,7 @@ def enum_paths_bounded(
                 out[(s, d)] = found
                 continue
             # iterative lengthening keeps shortest-first order exact
-            for L in range(rdist[s], l_max + 1):
+            for L in range(int(rdist[s]), l_max + 1):
                 if len(found) >= cap:
                     break
                 stack = [(s, (s,), {s})]
@@ -172,8 +158,7 @@ def enum_paths_bounded(
 def disjoint_paths(g: Digraph) -> WeightedPathSet:
     """Maximal link-disjoint path set per commodity: a unit-capacity max-flow
     split by the MCF solvers' peel (``_peel``), shortest first, weights 0."""
-    tails = [u for u, _, _ in g.edges]
-    heads = [v for _, v, _ in g.edges]
+    tails, heads = (t.tolist() for t in _node_edge_templates(g))
     out: dict[tuple[int, int], list] = {}
     for s in range(g.n):
         for d in range(g.n):
@@ -288,11 +273,12 @@ def sssp_routes(g: Digraph, seed: int = 0) -> RouteTable:
 def ewsp_routes(g: Digraph) -> WeightedPathSet:
     """Every shortest path per commodity, equal weights summing to 1."""
     out: dict[tuple[int, int], list] = {}
-    for d in range(g.n):
-        rdist = _reverse_dists(g, d)
+    for d, rdist in enumerate(hops(g).T.tolist()):
         for s in range(g.n):
             if s == d:
                 continue
+            if rdist[s] == math.inf:
+                raise RouteError(f"no path {s} -> {d}")
             paths: list[tuple[int, ...]] = []
             stack = [(s, (s,))]
             while stack:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from a2aflow.bounds import (alltoall_time_lower_bound, bound_report,
                             full_tree_distance_sum_closed,
                             graph_distance_bound, tree_distance_sum)
-from a2aflow.graphs import Digraph, gen_torus
+from a2aflow.graphs import Digraph, GraphError, gen_torus
 from a2aflow.mcf import solve_master
 
 
@@ -79,6 +79,12 @@ class TestGraphDistanceBound:
     def test_disconnected_rejected(self):
         g = Digraph.from_edges(3, [(0, 1, 1.0), (1, 0, 1.0)])
         with pytest.raises(ValueError):
+            graph_distance_bound(g)
+
+    def test_node_no_one_reaches_rejected(self):
+        # 0 reaches every node, but no node reaches 0
+        g = Digraph.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0), (2, 1, 1.0)])
+        with pytest.raises(GraphError, match="0 unreachable from 1"):
             graph_distance_bound(g)
 
 

@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from a2aflow.graphs import (Digraph, GraphError, all_pairs_distances,
-                            augment_host_bottleneck, diameter,
-                            gen_complete_bipartite, gen_de_bruijn,
+from a2aflow.graphs import (Digraph, GraphError, augment_host_bottleneck,
+                            diameter, gen_complete_bipartite, gen_de_bruijn,
                             gen_gen_kautz, gen_hypercube, gen_random_regular,
                             gen_shortest_path_expander, gen_torus,
-                            gen_twisted_hypercube, is_strongly_connected,
+                            gen_twisted_hypercube, hops, is_strongly_connected,
                             load_graph, puncture, save_graph)
 
 
@@ -195,7 +194,7 @@ class TestAugment:
 class TestMetrics:
     def test_distances_ring(self):
         g = gen_torus([5], bidirectional=False)
-        dist = all_pairs_distances(g)
+        dist = hops(g)
         assert dist[0][4] == 4 and dist[4][0] == 1
 
     def test_diameter_torus(self):
@@ -204,6 +203,16 @@ class TestMetrics:
     def test_disconnected_detected(self):
         g = Digraph.from_edges(3, [(0, 1, 1.0), (1, 0, 1.0)])
         assert not is_strongly_connected(g)
+
+    def test_node_no_one_reaches(self):
+        # 0 reaches every node, but no node reaches 0
+        g = Digraph.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0), (2, 1, 1.0)])
+        inf = float("inf")
+        assert hops(g).tolist() == [[0, 1, 2], [inf, 0, 1], [inf, 1, 0]]
+        assert hops(g, [2]).tolist() == [[inf, 1, 0]]
+        assert not is_strongly_connected(g)
+        with pytest.raises(GraphError, match="0 unreachable from 1"):
+            diameter(g)
 
 
 class TestJson:

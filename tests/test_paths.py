@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from a2aflow.graphs import (Digraph, diameter, gen_complete_bipartite,
-                            gen_gen_kautz, gen_hypercube, gen_torus)
-from a2aflow.mcf import (Commodity, LinkFlowSolution, McfError,
-                         mcf_decomposed, mcf_link, solve_master)
+                            gen_gen_kautz, gen_hypercube, gen_torus, hops)
+from a2aflow.mcf import (Commodity, LinkFlowSolution, McfError, _commodities,
+                         _even_split, mcf_decomposed, mcf_link, solve_master)
 from a2aflow.paths import (RouteError, RouteTable, WeightedPathSet,
                            disjoint_paths, dor_routes, enum_paths_bounded,
                            eval_link_load, ewsp_routes, extract_widest_paths,
@@ -61,6 +61,14 @@ class TestEnumPaths:
     def test_genkautz_polynomial_at_diam_plus_1(self):
         g = gen_gen_kautz(50, 4)
         ps = enum_paths_bounded(g, diameter(g) + 1, per_commodity_cap=2048)
+        assert not ps.truncated
+
+    def test_unreachable_pairs_empty(self):
+        # 0 reaches every node, but no node reaches 0
+        g = Digraph.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0), (2, 1, 1.0)])
+        ps = enum_paths_bounded(g, 3)
+        assert ps.paths[(1, 0)] == [] and ps.paths[(2, 0)] == []
+        assert ps.paths[(0, 2)] == [((0, 1, 2), 0.0)]
         assert not ps.truncated
 
     def test_exhaustive_cap_guard(self):
@@ -177,6 +185,23 @@ class TestEwsp:
         for plist in ew.paths.values():
             assert sum(w for _, w in plist) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("g", [gen_gen_kautz(27, 4), gen_torus([4, 4]),
+                                   gen_hypercube(4)],
+                             ids=["gk27", "torus4x4", "hypercube4"])
+    def test_loads_match_even_split(self, g):
+        # two independent even shortest-path splits: explicit paths here,
+        # per-root path counting in the master LP's no-LP shortcut
+        comms = _commodities(g, None)
+        x = _even_split(g, np.arange(g.n), comms[0], comms)
+        want = x.sum(axis=0) / np.asarray(g.capacities)
+        _, load = eval_link_load(g, ewsp_routes(g))
+        np.testing.assert_allclose(load, want, rtol=1e-12, atol=0.0)
+
+    def test_unreachable_pair_rejected(self):
+        g = Digraph.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0), (2, 1, 1.0)])
+        with pytest.raises(RouteError, match="no path 1 -> 0"):
+            ewsp_routes(g)
+
 
 class TestDor:
     def test_spec_walk(self):
@@ -188,8 +213,7 @@ class TestDor:
     def test_path_length_is_lattice_distance(self):
         g = gen_torus([3, 3])
         rt = dor_routes(g)
-        from a2aflow.graphs import all_pairs_distances
-        dist = all_pairs_distances(g)
+        dist = hops(g)
         for (s, d), p in rt.routes.items():
             assert len(p) - 1 == dist[s][d]
 
