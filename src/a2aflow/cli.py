@@ -215,7 +215,7 @@ def _cmd_solve(args) -> list[str]:
         args.quality = {"F_lo": sol.F_lo, "F_hi": sol.F_hi, "gap": sol.gap,
                         "residuals": mcf.verify_flow(g, sol)}
     elif args.algo == "ts":
-        lmax = args.lmax if args.lmax else diameter(g)
+        lmax = args.lmax if args.lmax is not None else diameter(g)
         sol = mcf.mcf_timestepped(g, lmax)
         print(f"l_max = {lmax}, sum U_t = {sol.total_utilization:.9g} in "
               f"[{sol.U_lo:.9g}, {sol.U_hi:.9g}] (gap {sol.gap:.2g})")
@@ -431,6 +431,10 @@ def main(argv: list[str] | None = None) -> int:
     started = time.time()
     inputs = [getattr(args, name, None)
               for name in ("graph", "sol", "routes", "sched")]
+    # solve --algo path reads --paths as a route file unless it is a keyword
+    if (args.command == "solve" and args.algo == "path"
+            and args.paths not in ("disjoint", "bounded")):
+        inputs.append(args.paths)
     try:
         outputs = _COMMANDS[args.command](args)
     except domain_errors() as ex:

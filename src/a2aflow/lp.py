@@ -1,5 +1,7 @@
 """Sparse LP model container and the one engine that solves it, HiGHS.
 
+Every model has one form: min c.x subject to a_ub @ x <= b_ub and
+0 <= x <= ub. An equality row is written as two opposite <= rows.
 ``solve_lp`` solves a continuous model with ``scipy.optimize.linprog`` and
 returns its duals; ``solve_ilp`` solves a mixed-integer model with
 ``scipy.optimize.milp``. Both run HiGHS with its own tolerances and limits
@@ -43,38 +45,31 @@ class LpError(RuntimeError):
 
 @dataclass
 class LpModel:
-    """min/max c.x subject to a_ub @ x <= b_ub, a_eq @ x == b_eq, lb <= x <= ub."""
+    """min c.x subject to a_ub @ x <= b_ub and 0 <= x <= ub."""
 
     c: np.ndarray
-    sense: str = "min"
     a_ub: sp.csr_matrix | None = None
     b_ub: np.ndarray | None = None
-    a_eq: sp.csr_matrix | None = None
-    b_eq: np.ndarray | None = None
-    lb: np.ndarray | None = None          # defaults to 0
     ub: np.ndarray | None = None          # defaults to +inf
     integrality: np.ndarray | None = None  # bool mask
+
+    # not a field: no model has equality rows, but a2abench's span tracer
+    # reads model.a_eq when it counts rows
+    a_eq = None
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float)
         n = self.c.size
-        if self.sense not in ("min", "max"):
-            raise LpError(f"bad sense {self.sense!r}")
-        if self.lb is None:
-            self.lb = np.zeros(n)
-        if self.ub is None:
-            self.ub = np.full(n, np.inf)
-        self.lb = np.asarray(self.lb, dtype=float)
-        self.ub = np.asarray(self.ub, dtype=float)
-        if np.any(self.lb > self.ub):
-            raise LpError("lb > ub for some variable")
-        for a, b, name in ((self.a_ub, self.b_ub, "ub"), (self.a_eq, self.b_eq, "eq")):
-            if (a is None) != (b is None):
-                raise LpError(f"a_{name} and b_{name} must be given together")
-            if a is not None and a.shape[1] != n:
-                raise LpError(f"a_{name} has {a.shape[1]} columns, expected {n}")
-            if b is not None and not np.all(np.isfinite(b)):
-                raise LpError("right-hand sides must be finite")
+        self.ub = (np.full(n, np.inf) if self.ub is None
+                   else np.asarray(self.ub, dtype=float))
+        if not np.all(self.ub >= 0):
+            raise LpError("ub < 0 for some variable")
+        if (self.a_ub is None) != (self.b_ub is None):
+            raise LpError("a_ub and b_ub must be given together")
+        if self.a_ub is not None and self.a_ub.shape[1] != n:
+            raise LpError(f"a_ub has {self.a_ub.shape[1]} columns, expected {n}")
+        if self.b_ub is not None and not np.all(np.isfinite(self.b_ub)):
+            raise LpError("right-hand sides must be finite")
 
     @property
     def n_vars(self) -> int:
@@ -87,7 +82,6 @@ class LpSolution:
     objective: float
     x: np.ndarray | None
     duals_ub: np.ndarray | None = None
-    duals_eq: np.ndarray | None = None
     iterations: int = 0
     gap: float | None = None       # only set by solve_ilp
     message: str = ""
@@ -124,12 +118,9 @@ def solve_lp(model: LpModel) -> LpSolution:
 def _linprog(model: LpModel, method: str) -> LpSolution:
     from scipy.optimize import linprog
 
-    sign = 1.0 if model.sense == "min" else -1.0
     res = linprog(
-        sign * model.c,
-        A_ub=model.a_ub, b_ub=model.b_ub,
-        A_eq=model.a_eq, b_eq=model.b_eq,
-        bounds=np.column_stack([model.lb, model.ub]),
+        model.c, A_ub=model.a_ub, b_ub=model.b_ub,
+        bounds=np.column_stack([np.zeros(model.n_vars), model.ub]),
         method=method,
     )
     # an unknown code is not evidence of infeasibility; report it as is
@@ -140,15 +131,10 @@ def _linprog(model: LpModel, method: str) -> LpSolution:
     # OpenBLAS's worker threads, which then spin for ~0.1 s of CPU
     obj = (float(np.sum(model.c * x)) if (x is not None and status == OPTIMAL)
            else math.nan)
-    duals_ub = duals_eq = None
-    if status == OPTIMAL:
-        if model.a_ub is not None:
-            duals_ub = sign * np.asarray(res.ineqlin.marginals)
-        if model.a_eq is not None:
-            duals_eq = sign * np.asarray(res.eqlin.marginals)
+    duals_ub = (np.asarray(res.ineqlin.marginals)
+                if status == OPTIMAL and model.a_ub is not None else None)
     return LpSolution(
-        status=status, objective=obj, x=x,
-        duals_ub=duals_ub, duals_eq=duals_eq,
+        status=status, objective=obj, x=x, duals_ub=duals_ub,
         iterations=int(getattr(res, "nit", 0) or 0),
         message=res.message, solved_vars=model.n_vars,
     )
@@ -238,66 +224,43 @@ def _indicator(cls: np.ndarray) -> sp.csr_matrix:
                          shape=(cls.size, _count(cls)))
 
 
-def _stack(model: LpModel):
-    """([a_ub; a_eq], is-equality mask, [b_ub; b_eq])."""
-    blocks = [(sp.csr_matrix(a), np.asarray(b, dtype=float), eq)
-              for a, b, eq in ((model.a_ub, model.b_ub, False),
-                               (model.a_eq, model.b_eq, True))
-              if a is not None]
-    a = sp.vstack([m for m, _, _ in blocks], format="csr")
-    kind = np.concatenate([np.full(b.size, eq) for _, b, eq in blocks])
-    return a, kind, np.concatenate([b for _, b, _ in blocks])
-
-
 def _quotient(model: LpModel):
     """(quotient model, row classes, column classes) of `model`, or None.
 
-    Columns start in classes by (c, lb, ub) and rows by (kind, rhs), and
-    ``_refine`` splits them over the stacked ``[a_ub; a_eq]``. The quotient
-    has one column per column class, with c summed over the class, and one
-    row per row class: a representative row with its coefficients summed
-    over each column class. When the partition is equitable, the mean of a
-    feasible x over each class is feasible with the same objective, so the
-    quotient has the model's optimum. None when the partition is discrete
-    (nothing to gain) or ``_equitable`` rejects it; then the model is solved
-    as it is.
+    Columns start in classes by (c, ub) and rows by rhs, and ``_refine``
+    splits them over ``a_ub``. The quotient has one column per column class,
+    with c summed over the class, and one row per row class: a
+    representative row with its coefficients summed over each column class.
+    When the partition is equitable, the mean of a feasible x over each
+    class is feasible with the same objective, so the quotient has the
+    model's optimum. None when the partition is discrete (nothing to gain)
+    or ``_equitable`` rejects it; then the model is solved as it is.
     """
-    if model.a_ub is None and model.a_eq is None:
+    if model.a_ub is None:
         return None
-    a, kind, rhs = _stack(model)
-    rows, cols = _refine(a, _classes(kind, rhs),
-                         _classes(model.c, model.lb, model.ub))
+    a, rhs = sp.csr_matrix(model.a_ub), np.asarray(model.b_ub, dtype=float)
+    rows, cols = _refine(a, _classes(rhs), _classes(model.c, model.ub))
     if (_count(cols) == model.n_vars
-            or not _equitable(model, a, kind, rhs, rows, cols)):
+            or not _equitable(model, a, rhs, rows, cols)):
         return None
     rep_row, rep_col = _first(rows), _first(cols)
     p = _indicator(cols)
-    b = (a @ p).tocsr()[rep_row]
-    eq, rhs = kind[rep_row], rhs[rep_row]
-    ub_rows = model.a_ub is not None
-    eq_rows = model.a_eq is not None
-    small = LpModel(c=p.T @ model.c, sense=model.sense,
-                    a_ub=b[~eq] if ub_rows else None,
-                    b_ub=rhs[~eq] if ub_rows else None,
-                    a_eq=b[eq] if eq_rows else None,
-                    b_eq=rhs[eq] if eq_rows else None,
-                    lb=model.lb[rep_col], ub=model.ub[rep_col])
+    small = LpModel(c=p.T @ model.c, a_ub=(a @ p).tocsr()[rep_row],
+                    b_ub=rhs[rep_row], ub=model.ub[rep_col])
     return small, rows, cols
 
 
-def _equitable(model: LpModel, a: sp.csr_matrix, kind: np.ndarray,
-               rhs: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> bool:
-    """Whether (rows, cols) is an equitable partition of ``a`` (``_stack``)
-    that keeps c, lb, ub, each row's kind and its rhs constant on classes.
+def _equitable(model: LpModel, a: sp.csr_matrix, rhs: np.ndarray,
+               rows: np.ndarray, cols: np.ndarray) -> bool:
+    """Whether (rows, cols) is an equitable partition of ``a`` that keeps
+    c, ub and each row's rhs constant on classes.
 
     Checked exactly: A @ P must be constant on row classes and A.T @ Q on
     column classes, where P and Q are the column and row class indicators.
     """
     rep_row, rep_col = _first(rows)[rows], _first(cols)[cols]
-    if not (np.array_equal(kind, kind[rep_row])
-            and np.array_equal(rhs, rhs[rep_row])
-            and all(np.array_equal(v, v[rep_col])
-                    for v in (model.c, model.lb, model.ub))):
+    if not (np.array_equal(rhs, rhs[rep_row])
+            and all(np.array_equal(v, v[rep_col]) for v in (model.c, model.ub))):
         return False
     for sums, rep in (((a @ _indicator(cols)).tocsr(), rep_row),
                       ((a.T @ _indicator(rows)).tocsr(), rep_col)):
@@ -315,44 +278,28 @@ def _lift(model: LpModel, sol: LpSolution, rows: np.ndarray,
     the quotient's c is the model's summed over each class, so it is c.x."""
     if sol.x is None:
         return sol
-    x = sol.x[cols]
-    duals_ub = duals_eq = None
-    if sol.optimal:
-        n_ub = model.b_ub.size if model.a_ub is not None else 0
-        eq = np.zeros(_count(rows), dtype=bool)
-        eq[rows[n_ub:]] = True
-        z = np.empty(eq.size)
-        for mask, d in ((~eq, sol.duals_ub), (eq, sol.duals_eq)):
-            if d is not None:
-                z[mask] = d
-        y = (z / np.bincount(rows))[rows]
-        duals_ub = y[:n_ub] if model.a_ub is not None else None
-        duals_eq = y[n_ub:] if model.a_eq is not None else None
-    return dataclasses.replace(sol, x=x, duals_ub=duals_ub, duals_eq=duals_eq)
+    duals_ub = ((sol.duals_ub / np.bincount(rows))[rows] if sol.optimal
+                else None)
+    return dataclasses.replace(sol, x=sol.x[cols], duals_ub=duals_ub)
 
 
 def solve_ilp(model: LpModel, alpha: float = 0.0) -> LpSolution:
     """Solve a mixed-integer model with HiGHS branch-and-cut.
 
     Stops once the incumbent is within a (1 + alpha) factor of the proven
-    bound. ``gap`` is (incumbent - bound) / |bound|, oriented so that it is
-    nonnegative for both senses; ``x`` is the incumbent, also when a limit
-    stopped the search (status ``ITERATION_LIMIT``).
+    bound. ``gap`` is max(0, incumbent - bound) / |bound|; ``x`` is the
+    incumbent, also when a limit stopped the search (status
+    ``ITERATION_LIMIT``).
     """
     from scipy.optimize import Bounds, LinearConstraint, milp
 
-    sign = 1.0 if model.sense == "min" else -1.0
-    constraints = []
-    if model.a_ub is not None:
-        constraints.append(LinearConstraint(model.a_ub, -np.inf, model.b_ub))
-    if model.a_eq is not None:
-        constraints.append(LinearConstraint(model.a_eq, model.b_eq, model.b_eq))
+    constraints = ([LinearConstraint(model.a_ub, -np.inf, model.b_ub)]
+                   if model.a_ub is not None else [])
     # HiGHS stops at |incumbent - bound| / |incumbent| <= gap; this value
-    # gives incumbent <= (1 + alpha) bound when minimizing and bound <=
-    # (1 + alpha) incumbent when maximizing. Its default gap is 1e-4, so the
+    # gives incumbent <= (1 + alpha) bound. Its default gap is 1e-4, so the
     # value is passed at alpha = 0 too.
-    res = milp(sign * model.c, integrality=model.integrality,
-               bounds=Bounds(model.lb, model.ub), constraints=constraints,
+    res = milp(model.c, integrality=model.integrality,
+               bounds=Bounds(0, model.ub), constraints=constraints,
                options={"mip_rel_gap": alpha / (1 + alpha)})
     status = {0: OPTIMAL, 1: ITERATION_LIMIT, 2: INFEASIBLE,
               3: UNBOUNDED}.get(res.status, f"highs-status-{res.status}")
@@ -362,8 +309,7 @@ def solve_ilp(model: LpModel, alpha: float = 0.0) -> LpSolution:
     x = np.asarray(res.x)
     obj = float(np.sum(model.c * x))
     # without integer variables HiGHS solves the LP and reports no MIP bound
-    bound = sign * (res.mip_dual_bound if res.mip_dual_bound is not None
-                    else res.fun)
-    gap = max(0.0, sign * (obj - bound)) / max(abs(bound), 1e-12)
+    bound = res.mip_dual_bound if res.mip_dual_bound is not None else res.fun
+    gap = max(0.0, obj - bound) / max(abs(bound), 1e-12)
     return LpSolution(status, obj, x, gap=gap, message=res.message,
                       solved_vars=model.n_vars)

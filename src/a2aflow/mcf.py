@@ -499,7 +499,7 @@ def _build_master_model(g: Digraph, roots: np.ndarray, group,
     ub = np.full(a_ub.shape[1], np.inf)
     ub[cols[~keep_in]] = 0.0
     return LpModel(c=np.r_[np.zeros(n), np.ones(a_ub.shape[1] - n)],
-                   sense="min", a_ub=a_ub, b_ub=b_ub, ub=ub)
+                   a_ub=a_ub, b_ub=b_ub, ub=ub)
 
 
 def _solve_flows(g: Digraph, roots: np.ndarray, group, comms: CommodityArrays,

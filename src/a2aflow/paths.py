@@ -354,10 +354,11 @@ def _path_model(g: Digraph, pathset: WeightedPathSet,
                 integral: bool) -> LpModel:
     """min U over path weights w_p in [0, 1] and the utilization scale U.
 
-    Rows: sum of w_p over each commodity's paths = 1 (a_eq, one row per
-    commodity in sorted order) and sum of w_p over the paths crossing edge
-    e <= cap_e * U (a_ub). Columns are the paths in commodity order, each
-    commodity's in list order, then U. Its LP relaxation is the path
+    Rows: first sum of w_p over the paths crossing edge e <= cap_e * U, in
+    edge order; then, per commodity in sorted order, sum of w_p over its
+    paths <= 1; then the same sums negated, <= -1. The two commodity rows
+    hold each sum at exactly 1. Columns are the paths in commodity order,
+    each commodity's in list order, then U. Its LP relaxation is the path
     formulation of max concurrent flow with F = 1 / U (Shahrokhi-Matula);
     ``integral`` makes the path columns binary, which picks one path per
     commodity. Every path is validated; an empty path set or a commodity
@@ -375,15 +376,15 @@ def _path_model(g: Digraph, pathset: WeightedPathSet,
             hop_edge += [eidx[ab] for ab in zip(path, path[1:])]
             hop_path += [len(comm)] * (len(path) - 1)
             comm.append(k)
-    P, E = len(comm), g.num_edges
-    a_eq = sp.csr_matrix((np.ones(P), (comm, np.arange(P))),
-                         shape=(len(pathset.paths), P + 1))
-    a_ub = sp.csr_matrix(
+    P, E, K = len(comm), g.num_edges, len(pathset.paths)
+    cap = sp.csr_matrix(
         (np.r_[np.ones(len(hop_edge)), -np.asarray(g.capacities, dtype=float)],
          (np.r_[hop_edge, np.arange(E)], np.r_[hop_path, np.full(E, P)])),
         shape=(E, P + 1))
-    return LpModel(c=np.r_[np.zeros(P), 1.0], sense="min", a_ub=a_ub,
-                   b_ub=np.zeros(E), a_eq=a_eq, b_eq=np.ones(a_eq.shape[0]),
+    one = sp.csr_matrix((np.ones(P), (comm, np.arange(P))), shape=(K, P + 1))
+    return LpModel(c=np.r_[np.zeros(P), 1.0],
+                   a_ub=sp.vstack([cap, one, -one], format="csr"),
+                   b_ub=np.r_[np.zeros(E), np.ones(K), -np.ones(K)],
                    ub=np.r_[np.ones(P), np.inf],
                    integrality=np.r_[np.full(P, integral), False])
 
@@ -452,13 +453,16 @@ def save_routes(routing, path: str) -> None:
 
 
 def load_routes(path: str) -> WeightedPathSet:
-    """Inverse of save_routes. Text that is not JSON, a missing field or a
-    short record raises RouteError naming the file and the field."""
+    """Inverse of save_routes. Text that is not JSON, a missing field, a
+    short record or a weight that is negative or not finite raises
+    RouteError naming the file and the field."""
     def weight(w):
         # older files write weights as fraction strings
         w = float(Fraction(w)) if isinstance(w, str) else float(w)
         if not math.isfinite(w):
             raise ValueError(f"weight {w} is not finite")
+        if w < 0:
+            raise ValueError(f"weight {w} is negative")
         return w
 
     def record(rec):

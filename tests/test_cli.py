@@ -133,6 +133,29 @@ class TestSolveAndRoutes:
         assert rc == 0
         assert float(stdout.split("=")[1]) > 0
 
+    def test_solve_path_file_is_a_manifest_input(self, torus9, tmp_path,
+                                                  capsys, monkeypatch):
+        routes, out = str(tmp_path / "sssp.json"), str(tmp_path / "pmcf.json")
+        assert run(capsys, "routes", "--algo", "sssp", "--graph", torus9,
+                   "--out", routes)[0] == 0
+        assert run(capsys, "solve", "--algo", "path", "--graph", torus9,
+                   "--paths", routes, "--out", out)[0] == 0
+        inputs = json.loads(open(out + ".manifest.json").read())["inputs"]
+        assert set(inputs) == {torus9, routes}
+        # a keyword is not a file, even when a file of that name exists
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "disjoint").write_text("{}")
+        assert run(capsys, "solve", "--algo", "path", "--graph", torus9,
+                   "--paths", "disjoint", "--out", out)[0] == 0
+        inputs = json.loads(open(out + ".manifest.json").read())["inputs"]
+        assert set(inputs) == {torus9}
+
+    def test_solve_ts_lmax_zero_is_domain_error(self, torus9, capsys):
+        rc, stdout, err = run(capsys, "solve", "--algo", "ts",
+                              "--graph", torus9, "--lmax", "0")
+        assert rc == 1 and stdout == ""
+        assert "l_max must be >= 1" in err
+
     def test_routes_then_eval(self, torus9, tmp_path, capsys):
         routes = str(tmp_path / "routes.json")
         rc, stdout, _ = run(capsys, "routes", "--algo", "extp",

@@ -318,6 +318,8 @@ class TestRoutesJson:
          '[{"nodes": [0, 1], "weight": Infinity}]}]}', "routes"),
         ('{"routes": [{"s": 0, "d": 1, "paths": '
          '[{"nodes": [0, 1], "weight": "one"}]}]}', "routes"),
+        ('{"routes": [{"s": 0, "d": 1, "paths": [{"nodes": [0, 1], '
+         '"weight": 2}, {"nodes": [0, 2, 1], "weight": -1}]}]}', "negative"),
     ])
     def test_malformed_file_names_file_and_field(self, tmp_path, text, field):
         p = tmp_path / "bad.json"
