@@ -30,15 +30,11 @@ class DeadlockError(RuntimeError):
 class LayerAssignment:
     """route key -> layer id; layers are 0..num_layers-1."""
 
-    layers: dict[tuple[int, int], int]
+    layers: dict[tuple, int]
 
     @property
     def num_layers(self) -> int:
         return max(self.layers.values()) + 1 if self.layers else 0
-
-
-def _route_items(routes) -> dict[tuple[int, int], tuple[int, ...]]:
-    return dict(getattr(routes, "routes", routes))
 
 
 def _route_links(g: Digraph, path) -> list[int]:
@@ -146,7 +142,7 @@ def _topo_order(nodes: set[int], arcs: set[tuple[int, int]]):
 
 
 def lash_sequential(g: Digraph, routes, max_layers: int = 8) -> LayerAssignment:
-    """Greedy layer packing, longest routes first.
+    """Greedy layer packing of route key -> node path, longest routes first.
 
     Each route goes to the lowest-indexed layer whose CDG stays acyclic with
     the route's arcs added; a new layer opens when none fits. Raises once
@@ -155,11 +151,10 @@ def lash_sequential(g: Digraph, routes, max_layers: int = 8) -> LayerAssignment:
     without a search, any other searches only the links ordered between its
     ends, and a rejected route's arcs are removed again.
     """
-    items = _route_items(routes)
     layers: list[_OrderedCdg] = []
-    assignment: dict[tuple[int, int], int] = {}
-    for key in sorted(items, key=lambda k: (-len(items[k]), k)):
-        links = _route_links(g, items[key])
+    assignment: dict[tuple, int] = {}
+    for key in sorted(routes, key=lambda k: (-len(routes[k]), k)):
+        links = _route_links(g, routes[key])
         li = next((i for i, cdg in enumerate(layers) if cdg.add_route(links)),
                   len(layers))
         if li == len(layers):
@@ -175,20 +170,19 @@ def lash_sequential(g: Digraph, routes, max_layers: int = 8) -> LayerAssignment:
 
 
 def verify_layers(g: Digraph, routes, assignment: LayerAssignment):
-    """Independent recheck of a layer assignment.
+    """Independent recheck of a layer assignment of route key -> node path.
 
     Rebuilds each layer's CDG from scratch. Returns (True, certificate) with
     a topological link order per layer, or (False, cycle) with the violating
     link cycle. Unassigned routes fail verification.
     """
-    items = _route_items(routes)
-    missing = set(items) - set(assignment.layers)
+    missing = set(routes) - set(assignment.layers)
     if missing:
         return False, {"unassigned": sorted(missing)}
     per_layer: dict[int, tuple[set[int], set[tuple[int, int]]]] = {}
     for key, li in assignment.layers.items():
-        if key in items:
-            links = _route_links(g, items[key])
+        if key in routes:
+            links = _route_links(g, routes[key])
             nodes, arcs = per_layer.setdefault(li, (set(), set()))
             nodes.update(links)
             arcs.update(zip(links, links[1:]))

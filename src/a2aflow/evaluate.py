@@ -151,9 +151,6 @@ def eval_path_alltoall(g: Digraph, wps, m: float = 1.0,
     """Completion time of a path schedule in the cut-through fluid model."""
     from .paths import eval_link_load
 
-    for (s, d), plist in wps.paths.items():
-        if sum(w for _, w in plist) <= 0:
-            raise EvalError(f"commodity ({s},{d}) has zero total weight")
     max_load, _ = eval_link_load(g, wps)
     return max_load * m / b
 

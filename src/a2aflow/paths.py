@@ -1,10 +1,11 @@
 """Path generation, extraction from flows, and routing baselines.
 
-Produces two route containers: WeightedPathSet (multi-path with rates) and
-RouteTable (single path per commodity). Includes path extraction from
-link-flow solutions (the paths the MCF solvers peeled), link-disjoint paths,
-shortest-path heuristics, dimension-ordered routing for tori, and an ILP
-that picks one path per commodity minimizing edge congestion.
+Every routing is a WeightedPathSet: per-commodity paths with rates, where a
+single-path routing gives each commodity one path at weight 1. Includes path
+extraction from link-flow solutions (the paths the MCF solvers peeled),
+link-disjoint paths, shortest-path heuristics, dimension-ordered routing for
+tori, and an ILP that picks one path per commodity minimizing edge
+congestion.
 """
 from __future__ import annotations
 
@@ -27,7 +28,6 @@ from .mcf import McfError, _peel
 
 __all__ = [
     "WeightedPathSet",
-    "RouteTable",
     "RouteError",
     "validate_path",
     "enum_paths_bounded",
@@ -70,29 +70,6 @@ class WeightedPathSet:
 
     paths: dict[tuple[int, int], list[tuple[tuple[int, ...], float]]]
     truncated: set[tuple[int, int]] = field(default_factory=set)
-
-    def validate(self, g: Digraph) -> None:
-        for (s, d), plist in self.paths.items():
-            for path, w in plist:
-                validate_path(g, s, d, path)
-                if w < 0:
-                    raise RouteError(f"negative weight on {path}")
-
-
-@dataclass
-class RouteTable:
-    """Single-path routing: one node sequence per commodity."""
-
-    routes: dict[tuple[int, int], tuple[int, ...]]
-
-    def validate(self, g: Digraph) -> None:
-        for (s, d), path in self.routes.items():
-            validate_path(g, s, d, path)
-
-    def as_pathset(self) -> WeightedPathSet:
-        return WeightedPathSet(
-            paths={sd: [(path, 1.0)] for sd, path in self.routes.items()}
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +228,8 @@ def _dijkstra_lex(g: Digraph, weight: list[float], s: int, d: int):
     raise RouteError(f"no path {s} -> {d}")
 
 
-def sssp_routes(g: Digraph, seed: int = 0) -> RouteTable:
-    """Sequential load-aware shortest paths.
+def sssp_routes(g: Digraph, seed: int = 0) -> WeightedPathSet:
+    """Sequential load-aware shortest paths, one per commodity at weight 1.
 
     Link weights start at N^2 (greater than the commodity count, which makes
     the outcome insensitive to lay order) and grow by 1 per path laid across
@@ -266,8 +243,8 @@ def sssp_routes(g: Digraph, seed: int = 0) -> RouteTable:
         path = _dijkstra_lex(g, weight, s, d)
         for a, b in zip(path, path[1:]):
             weight[g.edge_index[(a, b)]] += 1.0
-        routes[(s, d)] = path
-    return RouteTable(routes=routes)
+        routes[(s, d)] = [(path, 1.0)]
+    return WeightedPathSet(paths=routes)
 
 
 def ewsp_routes(g: Digraph) -> WeightedPathSet:
@@ -297,8 +274,9 @@ def ewsp_routes(g: Digraph) -> WeightedPathSet:
 # ---------------------------------------------------------------------------
 # dimension-ordered routing
 
-def dor_routes(g: Digraph, dims: list[int] | None = None) -> RouteTable:
-    """Dimension-ordered torus routing, shorter ring direction per dim.
+def dor_routes(g: Digraph, dims: list[int] | None = None) -> WeightedPathSet:
+    """Dimension-ordered torus routing, shorter ring direction per dim, one
+    path per commodity at weight 1.
 
     Ties (even extents) resolve to the positive direction. `dims` defaults to
     the generator metadata stored on the graph.
@@ -343,8 +321,8 @@ def dor_routes(g: Digraph, dims: list[int] | None = None) -> RouteTable:
             for a, b in zip(path, path[1:]):
                 if (a, b) not in idx:
                     raise RouteError("graph is not the torus described by dims")
-            routes[(s, d)] = tuple(path)
-    return RouteTable(routes=routes)
+            routes[(s, d)] = [(tuple(path), 1.0)]
+    return WeightedPathSet(paths=routes)
 
 
 # ---------------------------------------------------------------------------
@@ -393,41 +371,43 @@ def ilp_min_congestion(
     g: Digraph,
     pathset: WeightedPathSet,
     alpha: float = 0.0,
-) -> tuple[RouteTable, float, float]:
+) -> tuple[WeightedPathSet, float, float]:
     """Pick one path per commodity minimizing max normalized link load.
 
-    Returns (table, achieved load, optimality gap). The model is the path
-    model of ``mcf.mcf_path`` with binary path columns; its U is the load.
-    HiGHS (``lp.solve_ilp``) solves it until the incumbent is within
-    (1 + alpha) of its proven bound.
+    Returns (routes, achieved load, optimality gap); each commodity's one
+    path has weight 1. The model is the path model of ``mcf.mcf_path`` with
+    binary path columns; its U is the load. HiGHS (``lp.solve_ilp``) solves
+    it until the incumbent is within (1 + alpha) of its proven bound.
     """
     sol = solve_ilp(_path_model(g, pathset, integral=True), alpha=alpha)
     if sol.x is None:
         raise RouteError(f"congestion ILP failed: {sol.status} {sol.message}")
     flat = [(sd, path) for sd, plist in sorted(pathset.paths.items())
             for path, _ in plist]
-    routes = {sd: tuple(path) for (sd, path), x in zip(flat, sol.x) if x > 0.5}
+    routes = {sd: [(tuple(path), 1.0)]
+              for (sd, path), x in zip(flat, sol.x) if x > 0.5}
     if len(routes) != len(pathset.paths):
         raise RouteError("ILP incumbent does not select one path per commodity")
-    return RouteTable(routes=routes), float(sol.x[-1]), sol.gap
+    return WeightedPathSet(paths=routes), float(sol.x[-1]), sol.gap
 
 
 # ---------------------------------------------------------------------------
 # evaluation and I/O
 
-def eval_link_load(g: Digraph, routing) -> tuple[float, np.ndarray]:
+def eval_link_load(g: Digraph, wps) -> tuple[float, np.ndarray]:
     """Max and per-link load, normalized by capacity.
 
-    Accepts a RouteTable (unit path weights) or a WeightedPathSet. Each
-    commodity's weights are rescaled to sum to 1 so the load counts demand
-    fractions; a rate-weighted set (e.g. widest-path extraction at rate F)
-    then reports max load 1/F on its saturated edge.
+    Each commodity's weights are rescaled to sum to 1 so the load counts
+    demand fractions; a rate-weighted set (e.g. widest-path extraction at
+    rate F) then reports max load 1/F on its saturated edge. A commodity
+    whose weights sum to 0 carries no demand fraction and raises RouteError.
     """
-    ps = routing.as_pathset() if isinstance(routing, RouteTable) else routing
     load = np.zeros(g.num_edges)
-    for (s, d), plist in ps.paths.items():
+    for (s, d), plist in wps.paths.items():
         tot = sum(w for _, w in plist)
-        scale = 1.0 / tot if tot > 0 else 0.0
+        if tot <= 0:
+            raise RouteError(f"commodity ({s},{d}) has zero total weight")
+        scale = 1.0 / tot
         for path, w in plist:
             validate_path(g, s, d, path)
             for a, b in zip(path, path[1:]):
@@ -436,15 +416,14 @@ def eval_link_load(g: Digraph, routing) -> tuple[float, np.ndarray]:
     return (float(norm.max()) if len(norm) else 0.0), norm
 
 
-def save_routes(routing, path: str) -> None:
+def save_routes(wps, path: str) -> None:
     """Routes as JSON, with each weight written as the exact float."""
-    ps = routing.as_pathset() if isinstance(routing, RouteTable) else routing
     doc = {
         "routes": [
             {"s": s, "d": d,
              "paths": [{"nodes": list(p), "weight": float(w)}
                        for p, w in plist]}
-            for (s, d), plist in sorted(ps.paths.items())
+            for (s, d), plist in sorted(wps.paths.items())
         ]
     }
     with open(path, "w") as fh:

@@ -17,6 +17,7 @@ from fractions import Fraction
 
 from .graphs import Digraph
 from .mcf import TimeExpandedSolution
+from .paths import validate_path
 
 __all__ = [
     "Chunking",
@@ -212,14 +213,16 @@ def compile_path_schedule(
     time-stepped lowering uses (``_chunk_counts``): Q is the LCM of the
     commodities' own denominators, capped at q_max, with largest-remainder
     counts where a commodity's own Q differs. A path of weight 0 gets no
-    chunks and no instruction. Returns (route list, ChunkedSchedule) where
-    instruction.dst indexes the route list.
+    chunks and no instruction; every path is validated (RouteError). Returns
+    (route list, ChunkedSchedule) where instruction.dst indexes the list.
     """
     items = sorted(wps.paths.items())
     weights = []
     for (s, d), plist in items:
         if not plist:
             raise ScheduleError(f"commodity ({s},{d}) has no paths")
+        for path, _ in plist:
+            validate_path(g, s, d, path)
         tot = sum(w for _, w in plist)
         if tot <= 0:
             raise ScheduleError(f"commodity ({s},{d}) has zero total weight")

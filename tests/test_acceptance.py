@@ -224,17 +224,14 @@ class TestAcceptance:
         for name in ("torus3x3x3", "genkautz27"):
             g, _ = smap[name]
             route_sets = {
-                "sssp": dict(sssp_routes(g, seed=0).routes),
-                "extp": {
-                    (s, d, i): p
-                    for (s, d), plist in extract_widest_paths(
-                        g, decomp_solutions[name]).paths.items()
-                    for i, (p, _) in enumerate(plist)
-                },
+                "sssp": sssp_routes(g, seed=0),
+                "extp": extract_widest_paths(g, decomp_solutions[name]),
             }
             if name == "torus3x3x3":
-                route_sets["dor"] = dict(dor_routes(g).routes)
-            for algo, routes in route_sets.items():
+                route_sets["dor"] = dor_routes(g)
+            for algo, wps in route_sets.items():
+                routes = {(s, d, i): p for (s, d), plist in wps.paths.items()
+                          for i, (p, _) in enumerate(plist)}
                 la = lash_sequential(g, routes, max_layers=8)
                 verified, _ = verify_layers(g, routes, la)
                 layer_counts[f"{name}/{algo}"] = la.num_layers

@@ -282,6 +282,20 @@ class TestCompileEval:
         assert rc == 0 and "routes=" in stdout
         assert json.loads(open(xml + ".routes.json").read())["routes"]
 
+    def test_path_with_nonexistent_edge_is_domain_error(self, tmp_path,
+                                                        capsys):
+        g = str(tmp_path / "t9.json")
+        bad = tmp_path / "bad.json"
+        # 0 -> 4 is a diagonal of the 3x3 torus, not a link
+        bad.write_text('{"routes": [{"s": 0, "d": 4, "paths": '
+                       '[{"nodes": [0, 4], "weight": 1.0}]}]}')
+        assert run(capsys, "gen", "--topo", "torus", "--dims", "3,3",
+                   "--out", g)[0] == 0
+        rc, _, stderr = run(capsys, "compile", "--mode", "path", "--graph", g,
+                            "--sol", str(bad), "--out",
+                            str(tmp_path / "s.xml"))
+        assert rc == 1 and "nonexistent edge (0,4)" in stderr
+
 
 class TestBoundCompare:
     def test_bound_closed_form(self, capsys):

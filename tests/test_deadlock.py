@@ -13,6 +13,13 @@ from a2aflow.mcf import mcf_decomposed
 from a2aflow.paths import dor_routes, extract_widest_paths, sssp_routes
 
 
+def route_keys(wps):
+    """Route key (s, d, i) -> path i of commodity (s, d), the mapping that
+    ``a2a layers`` layers."""
+    return {(s, d, i): p for (s, d), plist in wps.paths.items()
+            for i, (p, _) in enumerate(plist)}
+
+
 def opposing_wrap_routes():
     """Two 3-hop routes covering the 4-ring in the same direction.
 
@@ -68,16 +75,16 @@ class TestLashSequential:
 
     def test_monotone_in_routes(self):
         g = gen_torus([5, 5])
-        rt = dor_routes(g)
-        items = sorted(rt.routes.items())
+        routes = route_keys(dor_routes(g))
+        items = sorted(routes.items())
         half = dict(items[: len(items) // 2])
         l_half = lash_sequential(g, half).num_layers
-        l_full = lash_sequential(g, rt).num_layers
+        l_full = lash_sequential(g, routes).num_layers
         assert l_full >= l_half
 
     def test_dor_5x5_within_four(self):
         g = gen_torus([5, 5])
-        la = lash_sequential(g, dor_routes(g))
+        la = lash_sequential(g, route_keys(dor_routes(g)))
         assert 2 <= la.num_layers <= 4
 
     def test_missing_edge_rejected(self):
@@ -110,9 +117,8 @@ class TestLashSequential:
 
     def test_genkautz27_matches_first_fit_reference(self, decomp_solutions):
         g = gen_gen_kautz(27, 4)
-        wps = extract_widest_paths(g, decomp_solutions["genkautz27"])
-        routes = {(s, d, i): p for (s, d), plist in wps.paths.items()
-                  for i, (p, _) in enumerate(plist)}
+        routes = route_keys(
+            extract_widest_paths(g, decomp_solutions["genkautz27"]))
         assert len(routes) > 700
         la = lash_sequential(g, routes)
         assert la.layers == first_fit_reference(g, routes)
@@ -128,12 +134,8 @@ class TestLashSequential:
             g = gen_random_regular(8 + seed % 5, 2 + seed % 2, seed=seed)
         else:
             g = puncture(gen_torus([3, 4]), "edges", 1 + seed % 3, seed=seed)
-        if extracted:
-            wps = extract_widest_paths(g, mcf_decomposed(g))
-            routes = {(s, d, i): p for (s, d), plist in wps.paths.items()
-                      for i, (p, _) in enumerate(plist)}
-        else:
-            routes = sssp_routes(g, seed=seed).routes
+        routes = route_keys(extract_widest_paths(g, mcf_decomposed(g))
+                            if extracted else sssp_routes(g, seed=seed))
         expected = first_fit_reference(g, routes, max_layers)
         if expected is None:
             with pytest.raises(DeadlockError, match="does not fit within"):
@@ -145,9 +147,9 @@ class TestLashSequential:
 class TestVerifyLayers:
     def test_lash_output_verifies(self):
         g = gen_torus([3, 3, 3])
-        rt = sssp_routes(g, seed=0)
-        la = lash_sequential(g, rt)
-        ok, cert = verify_layers(g, rt, la)
+        routes = route_keys(sssp_routes(g, seed=0))
+        la = lash_sequential(g, routes)
+        ok, cert = verify_layers(g, routes, la)
         assert ok
         # certificate is a topological order covering each layer's links
         for li, order in cert.items():

@@ -11,7 +11,8 @@ from a2aflow.evaluate import (EvalError, _add_range, _first_missing,
                               eval_path_alltoall, replay_timestep_schedule)
 from a2aflow.graphs import gen_gen_kautz, gen_torus
 from a2aflow.mcf import mcf_decomposed, mcf_link, mcf_timestepped
-from a2aflow.paths import WeightedPathSet, extract_widest_paths, sssp_routes
+from a2aflow.paths import (RouteError, WeightedPathSet, extract_widest_paths,
+                           sssp_routes)
 from a2aflow.schedule import (ChunkedSchedule, Instruction,
                               compile_timestep_schedule)
 
@@ -115,13 +116,14 @@ class TestEvalPath:
     def test_sssp_worse(self):
         g = gen_torus([3, 3, 3])
         t_mcf = eval_path_alltoall(g, extract_widest_paths(g, mcf_link(g)))
-        t_sssp = eval_path_alltoall(g, sssp_routes(g).as_pathset())
+        t_sssp = eval_path_alltoall(g, sssp_routes(g))
         assert t_sssp >= 1.2 * t_mcf
 
     def test_zero_weight_rejected(self):
         g = gen_torus([3], bidirectional=False)
         wps = WeightedPathSet(paths={(0, 1): [((0, 1), 0.0)]})
-        with pytest.raises(EvalError):
+        with pytest.raises(RouteError,
+                           match=r"\(0,1\) has zero total weight"):
             eval_path_alltoall(g, wps)
 
     def test_removing_path_never_helps(self):

@@ -8,15 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from a2aflow.deadlock import lash_sequential, verify_layers
 from a2aflow.graphs import (Digraph, diameter, gen_complete_bipartite,
                             gen_gen_kautz, gen_hypercube, gen_torus, hops)
 from a2aflow.mcf import (Commodity, LinkFlowSolution, McfError, _commodities,
                          _even_split, mcf_decomposed, mcf_link, solve_master)
-from a2aflow.paths import (RouteError, RouteTable, WeightedPathSet,
-                           disjoint_paths, dor_routes, enum_paths_bounded,
-                           eval_link_load, ewsp_routes, extract_widest_paths,
-                           ilp_min_congestion, load_routes,
-                           save_routes, sssp_routes, validate_path)
+from a2aflow.paths import (RouteError, WeightedPathSet, disjoint_paths,
+                           dor_routes, enum_paths_bounded, eval_link_load,
+                           ewsp_routes, extract_widest_paths,
+                           ilp_min_congestion, load_routes, save_routes,
+                           sssp_routes, validate_path)
+from test_mcf import SMALL_GRAPHS, small_graph
 
 
 class TestValidatePath:
@@ -114,8 +116,9 @@ class TestExtractWidest:
         g = gen_torus([3, 3])
         sol = mcf_link(g)
         wp = extract_widest_paths(g, sol)
-        wp.validate(g)
         for (s, d), plist in wp.paths.items():
+            for p, _ in plist:
+                validate_path(g, s, d, p)
             assert sum(w for _, w in plist) == pytest.approx(sol.F, abs=1e-6)
 
     def test_load_matches_inverse_F(self):
@@ -159,7 +162,7 @@ class TestSsspRoutes:
 
     def test_same_seed_identical(self):
         g = gen_torus([3, 3])
-        assert sssp_routes(g, seed=9).routes == sssp_routes(g, seed=9).routes
+        assert sssp_routes(g, seed=9).paths == sssp_routes(g, seed=9).paths
 
     def test_order_insensitive_after_init_weight(self):
         # the N^2 initial weight keeps seed choice from changing the max load
@@ -172,9 +175,7 @@ class TestSsspRoutes:
 class TestEwsp:
     def test_ring3_matches_sssp(self):
         g = gen_torus([3], bidirectional=False)
-        ew = ewsp_routes(g)
-        rt = sssp_routes(g)
-        assert {k: v[0][0] for k, v in ew.paths.items()} == rt.routes
+        assert ewsp_routes(g).paths == sssp_routes(g).paths
 
     def test_hypercube_adjacent_single(self):
         ew = ewsp_routes(gen_hypercube(3))
@@ -208,19 +209,19 @@ class TestDor:
         g = gen_torus([3, 3, 3])
         rt = dor_routes(g)
         # (0,0,0) -> (1,2,0): one +step in dim 0, then one -step in dim 1
-        assert rt.routes[(0, 9 + 6)] == (0, 9, 15)
+        assert rt.paths[(0, 9 + 6)] == [((0, 9, 15), 1.0)]
 
     def test_path_length_is_lattice_distance(self):
         g = gen_torus([3, 3])
         rt = dor_routes(g)
         dist = hops(g)
-        for (s, d), p in rt.routes.items():
-            assert len(p) - 1 == dist[s][d]
+        for (s, d), [(p, w)] in rt.paths.items():
+            assert len(p) - 1 == dist[s][d] and w == 1.0
 
     def test_tie_positive_direction(self):
         g = gen_torus([4])
         rt = dor_routes(g)
-        assert rt.routes[(0, 2)] == (0, 1, 2)
+        assert rt.paths[(0, 2)] == [((0, 1, 2), 1.0)]
 
     def test_rejects_non_torus(self):
         with pytest.raises(RouteError):
@@ -232,7 +233,7 @@ class TestIlp:
         g = gen_torus([3], bidirectional=False)
         table, load, gap = ilp_min_congestion(g, disjoint_paths(g))
         assert load == pytest.approx(3.0, abs=1e-6)
-        assert len(table.routes) == 6
+        assert len(table.paths) == 6
 
     def test_torus9_matches_mcf(self):
         g = gen_torus([3, 3])
@@ -274,6 +275,38 @@ class TestIlp:
         assert load >= 1 / solve_master(g).F - 1e-6
 
 
+class TestSinglePath:
+    @pytest.mark.parametrize("algo", ["sssp", "ilp"])
+    @settings(max_examples=8, deadline=None)
+    @given(**SMALL_GRAPHS)
+    def test_one_path_at_weight_one(self, tmp_path_factory, algo, kind,
+                                    seed, k):
+        g = small_graph(kind, seed, k)
+        if algo == "sssp":
+            wps = sssp_routes(g, seed=seed)
+        else:
+            wps, ilp_load, _ = ilp_min_congestion(g, disjoint_paths(g))
+        assert set(wps.paths) == {(s, d) for s in range(g.n)
+                                  for d in range(g.n) if s != d}
+        assert all(len(plist) == 1 and plist[0][1] == 1.0
+                   for plist in wps.paths.values())
+        f = tmp_path_factory.mktemp("routes") / "r.json"
+        save_routes(wps, str(f))
+        assert load_routes(str(f)) == wps
+        # at weight 1 a link's load counts the paths crossing it
+        crossings = np.zeros(g.num_edges)
+        for [(p, _)] in wps.paths.values():
+            for ab in zip(p, p[1:]):
+                crossings[g.edge_index[ab]] += 1
+        max_load, load = eval_link_load(g, wps)
+        np.testing.assert_array_equal(load,
+                                      crossings / np.asarray(g.capacities))
+        if algo == "ilp":
+            assert max_load == pytest.approx(ilp_load, abs=1e-6)
+        routes = {(s, d, 0): p for (s, d), [(p, _)] in wps.paths.items()}
+        assert verify_layers(g, routes, lash_sequential(g, routes))[0]
+
+
 class TestEvalLinkLoad:
     def test_empty(self):
         g = gen_torus([3])
@@ -287,8 +320,15 @@ class TestEvalLinkLoad:
 
     def test_capacity_normalization(self):
         g = Digraph.from_edges(2, [(0, 1, 2.0), (1, 0, 2.0)])
-        rt = RouteTable(routes={(0, 1): (0, 1), (1, 0): (1, 0)})
-        assert eval_link_load(g, rt)[0] == pytest.approx(0.5)
+        wp = WeightedPathSet(paths={(0, 1): [((0, 1), 1.0)],
+                                    (1, 0): [((1, 0), 1.0)]})
+        assert eval_link_load(g, wp)[0] == pytest.approx(0.5)
+
+    def test_zero_total_weight_rejected(self):
+        # disjoint_paths leaves every weight at 0: no demand fraction to count
+        g = gen_torus([3, 3])
+        with pytest.raises(RouteError, match=r"commodity \(0,1\) has zero"):
+            eval_link_load(g, disjoint_paths(g))
 
 
 class TestRoutesJson:
@@ -348,5 +388,4 @@ class TestRoutesJson:
         rt = sssp_routes(g)
         p = tmp_path / "rt.json"
         save_routes(rt, str(p))
-        back = load_routes(str(p))
-        assert {k: v[0][0] for k, v in back.paths.items()} == rt.routes
+        assert load_routes(str(p)) == rt

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from a2aflow.graphs import diameter, gen_gen_kautz, gen_hypercube, gen_torus
 from a2aflow.mcf import (Commodity, TimeExpandedSolution, mcf_decomposed,
                          mcf_link, mcf_timestepped)
-from a2aflow.paths import WeightedPathSet, extract_widest_paths
+from a2aflow.paths import RouteError, WeightedPathSet, extract_widest_paths
 from a2aflow.schedule import (ChunkedSchedule, Instruction, ScheduleError,
                               _chunk_counts, _counts_at,
                               compile_path_schedule,
@@ -233,6 +233,18 @@ class TestCompilePath:
         wps = WeightedPathSet(paths={(0, 1): [((0, 1), 1.5),
                                               ((0, 2, 1), -0.5)]})
         with pytest.raises(ScheduleError, match="rates must lie"):
+            compile_path_schedule(g, wps)
+
+    @pytest.mark.parametrize("sd, path, why", [
+        ((0, 2), (0, 2), r"nonexistent edge \(0,2\)"),
+        ((1, 0), (1, 2, 1, 0), "not simple"),
+        ((0, 2), (0, 1), "does not join"),
+    ], ids=["missing-edge", "nonsimple", "wrong-ends"])
+    def test_invalid_path_rejected(self, sd, path, why):
+        # the 3-ring 0 -> 1 -> 2 -> 0
+        g = gen_torus([3], bidirectional=False)
+        wps = WeightedPathSet(paths={sd: [(path, 1.0)]})
+        with pytest.raises(RouteError, match=why):
             compile_path_schedule(g, wps)
 
     def test_43_57_split(self):
