@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import Digraph
+from .paths import route_links
 
 __all__ = [
     "LayerAssignment",
@@ -35,14 +36,6 @@ class LayerAssignment:
     @property
     def num_layers(self) -> int:
         return max(self.layers.values()) + 1 if self.layers else 0
-
-
-def _route_links(g: Digraph, path) -> list[int]:
-    try:
-        return [g.edge_index[ab] for ab in zip(path, path[1:])]
-    except KeyError as ex:
-        raise DeadlockError(
-            f"route {path} uses nonexistent link {ex.args[0]}") from None
 
 
 class _OrderedCdg:
@@ -144,6 +137,8 @@ def _topo_order(nodes: set[int], arcs: set[tuple[int, int]]):
 def lash_sequential(g: Digraph, routes, max_layers: int = 8) -> LayerAssignment:
     """Greedy layer packing of route key -> node path, longest routes first.
 
+    A key starts with the route's commodity (s, d), for which the route must
+    pass ``route_links``; a simple route cannot close a cycle on its own.
     Each route goes to the lowest-indexed layer whose CDG stays acyclic with
     the route's arcs added; a new layer opens when none fits. Raises once
     max_layers is exceeded, naming the offending route. A layer's CDG keeps
@@ -154,7 +149,7 @@ def lash_sequential(g: Digraph, routes, max_layers: int = 8) -> LayerAssignment:
     layers: list[_OrderedCdg] = []
     assignment: dict[tuple, int] = {}
     for key in sorted(routes, key=lambda k: (-len(routes[k]), k)):
-        links = _route_links(g, routes[key])
+        links = route_links(g, key[0], key[1], routes[key])
         li = next((i for i, cdg in enumerate(layers) if cdg.add_route(links)),
                   len(layers))
         if li == len(layers):
@@ -162,9 +157,7 @@ def lash_sequential(g: Digraph, routes, max_layers: int = 8) -> LayerAssignment:
                 raise DeadlockError(f"route {key} does not fit within "
                                     f"{max_layers} layers")
             layers.append(_OrderedCdg(g.num_edges))
-            if not layers[li].add_route(links):
-                raise DeadlockError(
-                    f"route {key} has a cyclic dependency on its own")
+            layers[li].add_route(links)
         assignment[key] = li
     return LayerAssignment(layers=assignment)
 
@@ -174,7 +167,8 @@ def verify_layers(g: Digraph, routes, assignment: LayerAssignment):
 
     Rebuilds each layer's CDG from scratch. Returns (True, certificate) with
     a topological link order per layer, or (False, cycle) with the violating
-    link cycle. Unassigned routes fail verification.
+    link cycle. Unassigned routes fail verification. Keys and routes are
+    checked as in ``lash_sequential``.
     """
     missing = set(routes) - set(assignment.layers)
     if missing:
@@ -182,7 +176,7 @@ def verify_layers(g: Digraph, routes, assignment: LayerAssignment):
     per_layer: dict[int, tuple[set[int], set[tuple[int, int]]]] = {}
     for key, li in assignment.layers.items():
         if key in routes:
-            links = _route_links(g, routes[key])
+            links = route_links(g, key[0], key[1], routes[key])
             nodes, arcs = per_layer.setdefault(li, (set(), set()))
             nodes.update(links)
             arcs.update(zip(links, links[1:]))

@@ -17,6 +17,7 @@ import warnings
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, islice
 
 import numpy as np
 import scipy.sparse as sp
@@ -29,7 +30,7 @@ from .mcf import McfError, _peel
 __all__ = [
     "WeightedPathSet",
     "RouteError",
-    "validate_path",
+    "route_links",
     "enum_paths_bounded",
     "disjoint_paths",
     "extract_widest_paths",
@@ -49,15 +50,30 @@ class RouteError(ValueError):
     pass
 
 
-def validate_path(g: Digraph, s: int, d: int, path) -> None:
-    if path[0] != s or path[-1] != d:
+def route_links(g: Digraph, s: int, d: int, path) -> list[int]:
+    """Link indices of the node route ``path``, in route order; RouteError
+    unless it joins s to d, is simple and uses only links of g."""
+    if not path or path[0] != s or path[-1] != d:
         raise RouteError(f"path {path} does not join {s} -> {d}")
     if len(set(path)) != len(path):
         raise RouteError(f"path {path} is not simple")
     idx = g.edge_index
-    for a, b in zip(path, path[1:]):
-        if (a, b) not in idx:
-            raise RouteError(f"path {path} uses nonexistent edge ({a},{b})")
+    try:
+        return [idx[ab] for ab in zip(path, path[1:])]
+    except KeyError as ex:
+        raise RouteError("path {} uses nonexistent edge ({},{})".format(
+            path, *ex.args[0])) from None
+
+
+def _total_weight(s: int, d: int, plist) -> float:
+    """A commodity's total path weight; RouteError when it has no paths or
+    the total is not positive."""
+    if not plist:
+        raise RouteError(f"commodity ({s},{d}) has no paths")
+    tot = sum(w for _, w in plist)
+    if tot <= 0:
+        raise RouteError(f"commodity ({s},{d}) has zero total weight")
+    return tot
 
 
 @dataclass
@@ -91,35 +107,18 @@ def enum_paths_bounded(
     cap = per_commodity_cap if per_commodity_cap is not None else 10 ** 9
     out: dict[tuple[int, int], list] = {}
     truncated = set()
-    nbrs = [sorted(v for v, _ in g.out_adj[u]) for u in range(g.n)]
     # rdist[v]: hops from v to d, inf where unreachable
     for d, rdist in enumerate(hops(g).T.tolist()):
         for s in range(g.n):
             if s == d:
                 continue
-            found: list[tuple[tuple[int, ...], float]] = []
-            if rdist[s] > l_max:
-                out[(s, d)] = found
-                continue
-            # iterative lengthening keeps shortest-first order exact
-            for L in range(int(rdist[s]), l_max + 1):
-                if len(found) >= cap:
-                    break
-                stack = [(s, (s,), {s})]
-                while stack:
-                    u, path, seen = stack.pop()
-                    if u == d:
-                        if len(path) - 1 == L:
-                            found.append((path, 0.0))
-                            if len(found) >= cap:
-                                truncated.add((s, d))
-                                break
-                        continue
-                    budget = L - (len(path) - 1)
-                    # reversed push so smaller neighbors pop first
-                    for v in reversed(nbrs[u]):
-                        if v not in seen and rdist[v] <= budget - 1:
-                            stack.append((v, path + (v,), seen | {v}))
+            # iterative lengthening keeps shortest-first order exact; the
+            # range is empty when d is out of reach
+            lengths = range(int(min(rdist[s], l_max + 1)), l_max + 1)
+            found = [(p, 0.0) for p in islice(chain.from_iterable(
+                _exact_paths(g, rdist, s, d, L) for L in lengths), cap)]
+            if len(found) >= cap:
+                truncated.add((s, d))
             out[(s, d)] = found
     if truncated:
         warnings.warn(
@@ -127,6 +126,24 @@ def enum_paths_bounded(
             f"{len(truncated)} commodities", stacklevel=2
         )
     return WeightedPathSet(paths=out, truncated=truncated)
+
+
+def _exact_paths(g: Digraph, rdist, s: int, d: int, L: int):
+    """Yield the simple s->d paths of exactly L hops, depth first with
+    smaller neighbors first; rdist[v] is v's hop distance to d."""
+    adj = g.out_adj
+    stack = [(s, (s,), {s})]
+    while stack:
+        u, path, seen = stack.pop()
+        if u == d:
+            if len(path) - 1 == L:
+                yield path
+            continue
+        budget = L - (len(path) - 1)
+        # reversed push so smaller neighbors pop first
+        for v, _ in reversed(adj[u]):
+            if v not in seen and rdist[v] <= budget - 1:
+                stack.append((v, path + (v,), seen | {v}))
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +169,6 @@ def disjoint_paths(g: Digraph) -> WeightedPathSet:
 def _unit_maxflow(g: Digraph, s: int, d: int) -> set[int]:
     """Edge indices carrying flow in a unit-capacity s->d max-flow."""
     used: set[int] = set()
-    idx = g.edge_index
     while True:
         # BFS in the residual graph: forward over unused edges, backward
         # along used ones
@@ -241,14 +257,15 @@ def sssp_routes(g: Digraph, seed: int = 0) -> WeightedPathSet:
     routes = {}
     for s, d in comms:
         path = _dijkstra_lex(g, weight, s, d)
-        for a, b in zip(path, path[1:]):
-            weight[g.edge_index[(a, b)]] += 1.0
+        for e in route_links(g, s, d, path):
+            weight[e] += 1.0
         routes[(s, d)] = [(path, 1.0)]
     return WeightedPathSet(paths=routes)
 
 
 def ewsp_routes(g: Digraph) -> WeightedPathSet:
-    """Every shortest path per commodity, equal weights summing to 1."""
+    """Every shortest path per commodity, equal weights summing to 1: the
+    enumeration of ``enum_paths_bounded`` at exactly the hop distance."""
     out: dict[tuple[int, int], list] = {}
     for d, rdist in enumerate(hops(g).T.tolist()):
         for s in range(g.n):
@@ -256,16 +273,7 @@ def ewsp_routes(g: Digraph) -> WeightedPathSet:
                 continue
             if rdist[s] == math.inf:
                 raise RouteError(f"no path {s} -> {d}")
-            paths: list[tuple[int, ...]] = []
-            stack = [(s, (s,))]
-            while stack:
-                u, path = stack.pop()
-                if u == d:
-                    paths.append(path)
-                    continue
-                for v, _ in sorted(g.out_adj[u], reverse=True):
-                    if rdist[v] == rdist[u] - 1:
-                        stack.append((v, path + (v,)))
+            paths = list(_exact_paths(g, rdist, s, d, int(rdist[s])))
             w = 1.0 / len(paths)
             out[(s, d)] = [(p, w) for p in paths]
     return WeightedPathSet(paths=out)
@@ -279,7 +287,8 @@ def dor_routes(g: Digraph, dims: list[int] | None = None) -> WeightedPathSet:
     path per commodity at weight 1.
 
     Ties (even extents) resolve to the positive direction. `dims` defaults to
-    the generator metadata stored on the graph.
+    the generator metadata stored on the graph; on any other graph a route
+    fails ``route_links``.
     """
     if dims is None:
         params = g.meta.get("params", {}) if g.meta else {}
@@ -302,7 +311,6 @@ def dor_routes(g: Digraph, dims: list[int] | None = None) -> WeightedPathSet:
     def index(c):
         return sum(ci * si for ci, si in zip(c, strides))
 
-    idx = g.edge_index
     routes = {}
     for s in range(g.n):
         for d in range(g.n):
@@ -318,9 +326,7 @@ def dor_routes(g: Digraph, dims: list[int] | None = None) -> WeightedPathSet:
                 while cur[i] != dst[i]:
                     cur[i] = (cur[i] + step) % e
                     path.append(index(cur))
-            for a, b in zip(path, path[1:]):
-                if (a, b) not in idx:
-                    raise RouteError("graph is not the torus described by dims")
+            route_links(g, s, d, path)
             routes[(s, d)] = [(tuple(path), 1.0)]
     return WeightedPathSet(paths=routes)
 
@@ -344,15 +350,14 @@ def _path_model(g: Digraph, pathset: WeightedPathSet,
     """
     if not pathset.paths:
         raise RouteError("empty path set")
-    eidx = g.edge_index
     comm, hop_edge, hop_path = [], [], []
     for k, ((s, d), plist) in enumerate(sorted(pathset.paths.items())):
         if not plist:
             raise RouteError(f"commodity ({s},{d}) has no paths")
         for path, _ in plist:
-            validate_path(g, s, d, path)
-            hop_edge += [eidx[ab] for ab in zip(path, path[1:])]
-            hop_path += [len(comm)] * (len(path) - 1)
+            links = route_links(g, s, d, path)
+            hop_edge += links
+            hop_path += [len(comm)] * len(links)
             comm.append(k)
     P, E, K = len(comm), g.num_edges, len(pathset.paths)
     cap = sp.csr_matrix(
@@ -400,18 +405,17 @@ def eval_link_load(g: Digraph, wps) -> tuple[float, np.ndarray]:
     Each commodity's weights are rescaled to sum to 1 so the load counts
     demand fractions; a rate-weighted set (e.g. widest-path extraction at
     rate F) then reports max load 1/F on its saturated edge. A commodity
-    whose weights sum to 0 carries no demand fraction and raises RouteError.
+    without paths or whose weights sum to 0 raises RouteError. Each link's
+    load is its contributions' exact sum, rounded once (``math.fsum``), so
+    it does not depend on the order of the commodities or the node labels.
     """
-    load = np.zeros(g.num_edges)
+    parts = [[] for _ in range(g.num_edges)]
     for (s, d), plist in wps.paths.items():
-        tot = sum(w for _, w in plist)
-        if tot <= 0:
-            raise RouteError(f"commodity ({s},{d}) has zero total weight")
-        scale = 1.0 / tot
+        scale = 1.0 / _total_weight(s, d, plist)
         for path, w in plist:
-            validate_path(g, s, d, path)
-            for a, b in zip(path, path[1:]):
-                load[g.edge_index[(a, b)]] += w * scale
+            for e in route_links(g, s, d, path):
+                parts[e].append(w * scale)
+    load = np.array([math.fsum(p) for p in parts], dtype=float)
     norm = load / np.asarray(g.capacities)
     return (float(norm.max()) if len(norm) else 0.0), norm
 

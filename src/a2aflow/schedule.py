@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .graphs import Digraph
 from .mcf import TimeExpandedSolution
-from .paths import validate_path
+from .paths import _total_weight, route_links
 
 __all__ = [
     "Chunking",
@@ -213,19 +213,16 @@ def compile_path_schedule(
     time-stepped lowering uses (``_chunk_counts``): Q is the LCM of the
     commodities' own denominators, capped at q_max, with largest-remainder
     counts where a commodity's own Q differs. A path of weight 0 gets no
-    chunks and no instruction; every path is validated (RouteError). Returns
+    chunks and no instruction. Every path must pass ``route_links`` and
+    every commodity needs paths of positive total weight (RouteError). Returns
     (route list, ChunkedSchedule) where instruction.dst indexes the list.
     """
     items = sorted(wps.paths.items())
     weights = []
     for (s, d), plist in items:
-        if not plist:
-            raise ScheduleError(f"commodity ({s},{d}) has no paths")
+        tot = _total_weight(s, d, plist)
         for path, _ in plist:
-            validate_path(g, s, d, path)
-        tot = sum(w for _, w in plist)
-        if tot <= 0:
-            raise ScheduleError(f"commodity ({s},{d}) has zero total weight")
+            route_links(g, s, d, path)
         weights.append([w / tot for _, w in plist])
     Q, counts = _chunk_counts(weights, q_max)
 

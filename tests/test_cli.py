@@ -179,6 +179,20 @@ class TestSolveAndRoutes:
         doc = json.loads(open(layers_out).read())
         assert len(doc) == 9 * 8
 
+    @pytest.mark.parametrize("sd, nodes, why", [
+        ((0, 4), [0, 1], "does not join 0 -> 4"),
+        ((1, 2), [1, 0, 1, 2], "not simple"),
+    ], ids=["wrong-ends", "nonsimple"])
+    def test_layers_rejects_invalid_route(self, torus9, tmp_path, capsys, sd,
+                                          nodes, why):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"routes": [
+            {"s": sd[0], "d": sd[1],
+             "paths": [{"nodes": nodes, "weight": 1.0}]}]}))
+        rc, stdout, stderr = run(capsys, "layers", "--graph", torus9,
+                                 "--routes", str(bad))
+        assert rc == 1 and why in stderr and "verified" not in stdout
+
     def test_extp_multipath_layers_genkautz27(self, tmp_path, capsys):
         graph, routes = str(tmp_path / "gk27.json"), str(tmp_path / "r.json")
         layers_out = str(tmp_path / "layers.json")

@@ -10,7 +10,8 @@ from a2aflow.deadlock import (DeadlockError, LayerAssignment,
 from a2aflow.graphs import (Digraph, gen_gen_kautz, gen_random_regular,
                             gen_torus, puncture)
 from a2aflow.mcf import mcf_decomposed
-from a2aflow.paths import dor_routes, extract_widest_paths, sssp_routes
+from a2aflow.paths import (RouteError, dor_routes, extract_widest_paths,
+                           sssp_routes)
 
 
 def route_keys(wps):
@@ -88,14 +89,24 @@ class TestLashSequential:
         assert 2 <= la.num_layers <= 4
 
     def test_missing_edge_rejected(self):
-        with pytest.raises(DeadlockError, match="nonexistent link"):
+        with pytest.raises(RouteError, match="nonexistent edge"):
             lash_sequential(gen_torus([4]), {(0, 2): (0, 2)})
 
     def test_route_cyclic_on_its_own(self):
+        # only a route that revisits a link can close a cycle on its own,
+        # and such a route is not simple
         g = gen_torus([3])
-        with pytest.raises(DeadlockError,
-                           match="cyclic dependency on its own"):
+        with pytest.raises(RouteError, match="not simple"):
             lash_sequential(g, {(0, 1): (0, 1, 2, 0, 1)})
+
+    def test_route_checked_against_its_commodity(self):
+        # a route key starts with its commodity (s, d)
+        g = gen_torus([3, 3])
+        routes = {(0, 4, 0): (0, 1)}
+        with pytest.raises(RouteError, match="does not join 0 -> 4"):
+            lash_sequential(g, routes)
+        with pytest.raises(RouteError, match="does not join 0 -> 4"):
+            verify_layers(g, routes, LayerAssignment({(0, 4, 0): 0}))
 
     def test_shared_arcs_stay_in_their_layer(self):
         """A route may reuse an arc its layer already holds. A rejected

@@ -1,6 +1,7 @@
 """Route generation, extraction, baselines, and load evaluation."""
 from __future__ import annotations
 
+import itertools
 import warnings
 
 import numpy as np
@@ -17,25 +18,50 @@ from a2aflow.paths import (RouteError, WeightedPathSet, disjoint_paths,
                            dor_routes, enum_paths_bounded, eval_link_load,
                            ewsp_routes, extract_widest_paths,
                            ilp_min_congestion, load_routes, save_routes,
-                           sssp_routes, validate_path)
+                           route_links, sssp_routes)
 from test_mcf import SMALL_GRAPHS, small_graph
 
 
-class TestValidatePath:
+class TestRouteLinks:
     def test_rejects_wrong_endpoints(self):
         g = gen_torus([3], bidirectional=False)
-        with pytest.raises(RouteError):
-            validate_path(g, 0, 2, (0, 1))
+        with pytest.raises(RouteError, match=r"does not join 0 -> 2"):
+            route_links(g, 0, 2, (0, 1))
 
     def test_rejects_nonsimple(self):
         g = gen_torus([4])
-        with pytest.raises(RouteError):
-            validate_path(g, 0, 2, (0, 1, 0, 1, 2))
+        with pytest.raises(RouteError, match="not simple"):
+            route_links(g, 0, 2, (0, 1, 0, 1, 2))
 
     def test_rejects_missing_edge(self):
         g = gen_complete_bipartite(4)
-        with pytest.raises(RouteError):
-            validate_path(g, 0, 1, (0, 1))
+        with pytest.raises(RouteError, match=r"nonexistent edge \(0,1\)"):
+            route_links(g, 0, 1, (0, 1))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), **SMALL_GRAPHS)
+    def test_accepts_exactly_valid_routes(self, data, kind, seed, k):
+        """A node sequence, often a walk along links, is accepted exactly
+        when it joins s to d, is simple and uses only existing links; its
+        links come back in route order."""
+        g = small_graph(kind, seed, k)
+        node = st.integers(0, g.n - 1)
+        path = [data.draw(node)]
+        for _ in range(data.draw(st.integers(0, 5))):
+            nbrs = [v for v, _ in g.out_adj[path[-1]]]
+            follow = nbrs and data.draw(st.booleans())
+            path.append(data.draw(st.sampled_from(nbrs) if follow else node))
+        s = path[0] if data.draw(st.booleans()) else data.draw(node)
+        d = path[-1] if data.draw(st.booleans()) else data.draw(node)
+        pairs = list(zip(path, path[1:]))
+        arcs = {(u, v) for u, v, _ in g.edges}
+        if (path[0] == s and path[-1] == d and len(set(path)) == len(path)
+                and all(ab in arcs for ab in pairs)):
+            links = route_links(g, s, d, tuple(path))
+            assert [g.edges[e][:2] for e in links] == pairs
+        else:
+            with pytest.raises(RouteError):
+                route_links(g, s, d, tuple(path))
 
 
 class TestEnumPaths:
@@ -118,7 +144,7 @@ class TestExtractWidest:
         wp = extract_widest_paths(g, sol)
         for (s, d), plist in wp.paths.items():
             for p, _ in plist:
-                validate_path(g, s, d, p)
+                route_links(g, s, d, p)
             assert sum(w for _, w in plist) == pytest.approx(sol.F, abs=1e-6)
 
     def test_load_matches_inverse_F(self):
@@ -197,6 +223,18 @@ class TestEwsp:
         want = x.sum(axis=0) / np.asarray(g.capacities)
         _, load = eval_link_load(g, ewsp_routes(g))
         np.testing.assert_allclose(load, want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("g", [gen_torus([3, 3]), gen_hypercube(3),
+                                   gen_gen_kautz(12, 3)],
+                             ids=["torus3x3", "hypercube3", "genkautz12"])
+    def test_is_enumeration_at_hop_distance(self, g):
+        """Each commodity's even split is over the shortest paths of the
+        exhaustive enumeration, in its order."""
+        enum = enum_paths_bounded(g, diameter(g), per_commodity_cap=None)
+        for sd, plist in ewsp_routes(g).paths.items():
+            shortest = [p for p, _ in enum.paths[sd]
+                        if len(p) == len(enum.paths[sd][0][0])]
+            assert [p for p, _ in plist] == shortest
 
     def test_unreachable_pair_rejected(self):
         g = Digraph.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0), (2, 1, 1.0)])
@@ -323,6 +361,28 @@ class TestEvalLinkLoad:
         wp = WeightedPathSet(paths={(0, 1): [((0, 1), 1.0)],
                                     (1, 0): [((1, 0), 1.0)]})
         assert eval_link_load(g, wp)[0] == pytest.approx(0.5)
+
+    def test_load_independent_of_commodity_order(self):
+        """Link 0 -> 1 carries 0.1, 0.2 and 0.3 of three commodities, whose
+        float sum depends on the order of addition; the load is their exact
+        sum rounded once."""
+        g = Digraph.from_edges(3, [(u, v, 1.0) for u in range(3)
+                                   for v in range(3) if u != v])
+        paths = {(0, 1): [((0, 1), 0.1), ((0, 2, 1), 0.9)],
+                 (0, 2): [((0, 1, 2), 0.2), ((0, 2), 0.8)],
+                 (2, 1): [((2, 0, 1), 0.3), ((2, 1), 0.7)]}
+        first = eval_link_load(g, WeightedPathSet(paths=paths))
+        assert first[1][g.edge_index[(0, 1)]] == 0.6
+        for order in itertools.permutations(paths):
+            ml, load = eval_link_load(
+                g, WeightedPathSet(paths={sd: paths[sd] for sd in order}))
+            assert ml == first[0]
+            assert load.tobytes() == first[1].tobytes()
+
+    def test_commodity_without_paths_rejected(self):
+        g = gen_torus([3])
+        with pytest.raises(RouteError, match=r"commodity \(0,1\) has no"):
+            eval_link_load(g, WeightedPathSet(paths={(0, 1): []}))
 
     def test_zero_total_weight_rejected(self):
         # disjoint_paths leaves every weight at 0: no demand fraction to count

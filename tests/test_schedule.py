@@ -247,6 +247,15 @@ class TestCompilePath:
         with pytest.raises(RouteError, match=why):
             compile_path_schedule(g, wps)
 
+    @pytest.mark.parametrize("plist, why", [
+        ([], "has no paths"),
+        ([((0, 1), 0.0)], "has zero total weight"),
+    ], ids=["no-paths", "zero-weight"])
+    def test_commodity_weights_checked(self, plist, why):
+        g = gen_torus([3], bidirectional=False)
+        with pytest.raises(RouteError, match=why):
+            compile_path_schedule(g, WeightedPathSet(paths={(0, 1): plist}))
+
     def test_43_57_split(self):
         from a2aflow.graphs import Digraph
 
