@@ -4,10 +4,11 @@ Subcommands: gen, solve, routes, bound, compile, layers, eval, compare,
 bench. Every command that writes an artifact also writes a sidecar
 `<artifact>.manifest.json` recording the argument vector, seed, version, and
 sha256 digests of inputs and outputs, so runs can be reproduced exactly.
-`solve --algo link|decomp` adds a `quality` block: the certified bracket
-[F_lo, F_hi] on F, its relative gap and the `verify_flow` residuals;
-`solve --algo ts` adds the certified bracket [U_lo, U_hi] on sum U_t and its
-gap.
+`solve --algo link|decomp` writes the solution's peeled routes, the file
+`routes --algo extp` writes, and adds a `quality` block: F, the certified
+bracket [F_lo, F_hi] on it, its relative gap and the `verify_flow`
+residuals; `solve --algo ts` writes a time-stepped solution and adds the
+certified bracket [U_lo, U_hi] on sum U_t and its gap.
 
 Exit codes: 0 success, 1 domain error (the package's errors and OSError),
 2 usage error. Any other exception is a bug and propagates.
@@ -28,7 +29,8 @@ from .graphs import (GraphError, augment_host_bottleneck, diameter,
                      gen_complete_bipartite, gen_de_bruijn, gen_gen_kautz,
                      gen_hypercube, gen_random_regular,
                      gen_shortest_path_expander, gen_torus,
-                     gen_twisted_hypercube, load_graph, puncture, save_graph)
+                     gen_twisted_hypercube, load_graph, puncture, save_graph,
+                     _write_json)
 
 # topology -> (flags it needs, generator); a missing --k is read from --d
 _GEN = {
@@ -68,9 +70,7 @@ def _write_manifest(args, inputs: list[str], outputs: list[str],
     }
     if getattr(args, "quality", None):
         manifest["quality"] = args.quality
-    with open(outputs[0] + ".manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=1)
-        fh.write("\n")
+    _write_json(outputs[0] + ".manifest.json", manifest, indent=1)
 
 
 def _parse_dims(text: str) -> list[int]:
@@ -204,7 +204,8 @@ def _cmd_gen(args) -> list[str]:
 
 def _cmd_solve(args) -> list[str]:
     from . import mcf
-    from .paths import disjoint_paths, enum_paths_bounded, load_routes
+    from .paths import (disjoint_paths, enum_paths_bounded,
+                        extract_widest_paths, load_routes, save_routes)
 
     g = load_graph(args.graph)
     if args.algo in ("link", "decomp"):
@@ -212,14 +213,15 @@ def _cmd_solve(args) -> list[str]:
                else mcf.mcf_decomposed(g))
         print(f"F = {sol.F:.9g} in [{sol.F_lo:.9g}, {sol.F_hi:.9g}] "
               f"(gap {sol.gap:.2g})")
-        args.quality = {"F_lo": sol.F_lo, "F_hi": sol.F_hi, "gap": sol.gap,
-                        "residuals": mcf.verify_flow(g, sol)}
+        args.quality = {"F": sol.F, "F_lo": sol.F_lo, "F_hi": sol.F_hi,
+                        "gap": sol.gap, "residuals": mcf.verify_flow(g, sol)}
+        out = extract_widest_paths(g, sol)
     elif args.algo == "ts":
         lmax = args.lmax if args.lmax is not None else diameter(g)
-        sol = mcf.mcf_timestepped(g, lmax)
-        print(f"l_max = {lmax}, sum U_t = {sol.total_utilization:.9g} in "
-              f"[{sol.U_lo:.9g}, {sol.U_hi:.9g}] (gap {sol.gap:.2g})")
-        args.quality = {"U_lo": sol.U_lo, "U_hi": sol.U_hi, "gap": sol.gap}
+        out = mcf.mcf_timestepped(g, lmax)
+        print(f"l_max = {lmax}, sum U_t = {out.total_utilization:.9g} in "
+              f"[{out.U_lo:.9g}, {out.U_hi:.9g}] (gap {out.gap:.2g})")
+        args.quality = {"U_lo": out.U_lo, "U_hi": out.U_hi, "gap": out.gap}
     else:
         if args.paths == "disjoint":
             ps = disjoint_paths(g)
@@ -227,17 +229,12 @@ def _cmd_solve(args) -> list[str]:
             ps = enum_paths_bounded(g, diameter(g) + 1)
         else:
             ps = load_routes(args.paths)
-        F, wps = mcf.mcf_path(g, ps)
+        F, out = mcf.mcf_path(g, ps)
         print(f"F = {F:.9g}")
-        if args.out:
-            from .paths import save_routes
-            save_routes(wps, args.out)
-            return [args.out]
+    if not args.out:
         return []
-    if args.out:
-        mcf.save_solution(sol, args.out)
-        return [args.out]
-    return []
+    (mcf.save_solution if args.algo == "ts" else save_routes)(out, args.out)
+    return [args.out]
 
 
 def _cmd_routes(args) -> list[str]:
@@ -300,9 +297,7 @@ def _cmd_compile(args) -> list[str]:
     routes, sched = compile_path_schedule(g, wps, m=args.m, q_max=args.qmax)
     emit_schedule_xml(sched, args.out)
     routes_out = args.out + ".routes.json"
-    with open(routes_out, "w") as fh:
-        json.dump({"routes": routes}, fh, indent=1)
-        fh.write("\n")
+    _write_json(routes_out, {"routes": routes}, indent=1)
     print(f"wrote {args.out} (+{routes_out}): Q={sched.Q} "
           f"routes={len(routes)}")
     return [args.out, routes_out]
@@ -324,12 +319,11 @@ def _cmd_layers(args) -> list[str]:
         raise GraphError(f"layer verification failed: {cert}")
     if args.out:
         # s-d for a single-path commodity, s-d-i for path i of several
-        doc = {"-".join(map(str, (s, d, i) if len(wps.paths[(s, d)]) > 1
-                            else (s, d))): layer
-               for (s, d, i), layer in sorted(assignment.layers.items())}
-        with open(args.out, "w") as fh:
-            json.dump(doc, fh, indent=1)
-            fh.write("\n")
+        _write_json(args.out, {
+            "-".join(map(str, (s, d, i) if len(wps.paths[(s, d)]) > 1
+                         else (s, d))): layer
+            for (s, d, i), layer in sorted(assignment.layers.items())},
+            indent=1)
         return [args.out]
     return []
 

@@ -172,12 +172,7 @@ def gen_torus(dims: list[int], bidirectional: bool = True) -> Digraph:
         raise GraphError("empty dims")
     if any(e < 2 for e in dims):
         raise GraphError(f"every extent must be >= 2, got {dims}")
-    n = 1
-    for e in dims:
-        n *= e
-    strides = [1] * len(dims)
-    for i in range(len(dims) - 2, -1, -1):
-        strides[i] = strides[i + 1] * dims[i + 1]
+    n, strides = _torus_strides(dims)
 
     def index(coord):
         return sum(c * s for c, s in zip(coord, strides))
@@ -200,6 +195,14 @@ def gen_torus(dims: list[int], bidirectional: bool = True) -> Digraph:
         {"generator": "torus",
          "params": {"dims": list(dims), "bidirectional": bidirectional}},
     )
+
+
+def _torus_strides(dims) -> tuple[int, list[int]]:
+    """Node count and row-major strides of a torus with extents ``dims``."""
+    strides = [1] * len(dims)
+    for i in range(len(dims) - 2, -1, -1):
+        strides[i] = strides[i + 1] * dims[i + 1]
+    return strides[0] * dims[0], strides
 
 
 def gen_hypercube(k: int) -> Digraph:
@@ -410,12 +413,8 @@ def puncture(g: Digraph, mode: str, count: int, seed: int,
                 raise GraphError("not enough bidirectional link pairs to remove")
             removed = set(rng.sample(pairs, count))
             drop = {(a, b) for a, b in removed} | {(b, a) for a, b in removed}
+            n = g.n
             edges = [(u, v, c) for u, v, c in g.edges if (u, v) not in drop]
-            cand = Digraph.from_edges(
-                g.n, edges,
-                {**g.meta, "punctured": {"mode": mode, "count": count,
-                                         "seed": seed}},
-            )
         else:
             if count >= g.n:
                 raise GraphError("cannot remove all nodes")
@@ -424,16 +423,17 @@ def puncture(g: Digraph, mode: str, count: int, seed: int,
             for u in range(g.n):
                 if u not in gone:
                     remap[u] = len(remap)
+            n = g.n - count
             edges = [
                 (remap[u], remap[v], c)
                 for u, v, c in g.edges
                 if u not in gone and v not in gone
             ]
-            cand = Digraph.from_edges(
-                g.n - count, edges,
-                {**g.meta, "punctured": {"mode": mode, "count": count,
-                                         "seed": seed}},
-            )
+        cand = Digraph.from_edges(
+            n, edges,
+            {**g.meta, "punctured": {"mode": mode, "count": count,
+                                     "seed": seed}},
+        )
         if is_strongly_connected(cand):
             return cand
     raise GraphError(
@@ -551,6 +551,13 @@ def _read_json(path: str, error: type[Exception]):
             raise error(f"{path}: not valid JSON: {exc}") from exc
 
 
+def _write_json(path: str, doc, indent: int | None = None) -> None:
+    """Write ``doc`` to ``path`` as JSON plus a newline, in one write;
+    ``json.dumps`` encodes in C when ``indent`` is None."""
+    with open(path, "w") as fh:
+        fh.write(json.dumps(doc, indent=indent) + "\n")
+
+
 def _json_field(path: str, doc, key: str, parse, error: type[Exception]):
     """parse(doc[key]); a missing field, or a record that parse cannot
     read, raises `error` naming the file and the field."""
@@ -568,9 +575,7 @@ def save_graph(g: Digraph, path: str) -> None:
         "edges": [[u, v, _cap_to_str(c)] for u, v, c in g.edges],
         "meta": g.meta,
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    _write_json(path, doc, indent=1)
 
 
 def load_graph(path: str) -> Digraph:

@@ -34,7 +34,6 @@ the solutions that return one.
 """
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from collections import deque
@@ -43,7 +42,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .graphs import Digraph, _json_field, _node_edge_templates, _read_json
+from .graphs import (Digraph, _json_field, _node_edge_templates, _read_json,
+                     _write_json)
 from .graphs import hops as _hop_counts
 from .lp import LpModel, solve_lp
 
@@ -101,36 +101,21 @@ class LinkFlowSolution:
     """Concurrent rate F plus each commodity's weighted paths.
 
     ``paths[ci]`` lists the (edge index list, rate) pairs that ``_peel``
-    split commodity ci's flow into, carrying F * demand; ``paths`` is empty
-    when the solve returned no flows. ``flows`` maps (ci, edge index) -> rate
-    summed from them, without entries within FLOW_EPS of 0. ``F_lo <= F <=
-    F_hi`` is the certified bracket on the optimal rate (NaN when loaded);
+    split commodity ci's flow into, carrying F * demand. ``flows`` maps (ci,
+    edge index) -> rate summed from them, without entries within FLOW_EPS of
+    0. ``F_lo <= F <= F_hi`` is the certified bracket on the optimal rate;
     ``lp_solves`` counts the LP solves behind it and ``lp_vars`` is the
-    column count HiGHS solved (None when loaded).
+    column count HiGHS solved.
     """
 
     F: float
     commodities: list[Commodity]
     paths: list[list[tuple[list[int], float]]]
     graph: Digraph = field(repr=False)
-    F_lo: float = math.nan
-    F_hi: float = math.nan
-    lp_solves: int | None = None
-    lp_vars: int | None = None
-
-    @classmethod
-    def from_flows(cls, F: float, commodities: list[Commodity],
-                   flows: dict[tuple[int, int], float],
-                   graph: Digraph) -> LinkFlowSolution:
-        """Peel each commodity's arc rates, (ci, edge) -> rate, into paths
-        carrying F * demand; flow left on a cycle is dropped."""
-        by_comm: list[dict[int, float]] = [{} for _ in commodities]
-        for (ci, e), v in flows.items():
-            by_comm[ci][e] = v
-        tails, heads = (t.tolist() for t in _node_edge_templates(graph))
-        return cls(F=F, commodities=list(commodities), graph=graph, paths=[
-            _peel(tails, heads, x, c.src, [(c.dst, F * c.demand)])[0]
-            for c, x in zip(commodities, by_comm)])
+    F_lo: float
+    F_hi: float
+    lp_solves: int
+    lp_vars: int
 
     @property
     def flows(self) -> dict[tuple[int, int], float]:
@@ -398,7 +383,7 @@ def _commodity_list(comms: CommodityArrays) -> list[Commodity]:
 
 
 def _check_distinct(comms: list[Commodity], where: str = "") -> None:
-    """Flow records are keyed (src, dst), so a repeated pair is ambiguous."""
+    """Routes are keyed (src, dst), so a repeated pair is ambiguous."""
     seen = set()
     for c in comms:
         if (c.src, c.dst) in seen:
@@ -630,21 +615,18 @@ def solve_master(
 def mcf_decomposed(
     g: Digraph,
     commodities: list[Commodity] | None = None,
-    want_flows: bool = True,
 ) -> LinkFlowSolution:
     """Master LP over source-grouped flows + per-source flow decomposition.
 
     Returns the same F as mcf_link. Per-commodity flows are recovered by
     peeling each source's master flow into its destinations (``_peel``), with
-    no further LP. ``want_flows=False`` skips the recovery when only F is
-    needed; F is the same, and on graphs where the even shortest-path split
-    is certified optimal no LP is solved (``solve_master``).
+    no further LP. When only F is needed, ``solve_master(g,
+    want_flows=False)`` solves the same LP without the recovery.
     """
     comms = _commodities(g, commodities)
     sources, group = np.unique(comms[0], return_inverse=True)
-    master = _solve_flows(g, sources, group, comms, want_flows)
-    return _link_solution(comms, master, _split_flows(comms, group, master)
-                          if want_flows else [])
+    master = _solve_flows(g, sources, group, comms)
+    return _link_solution(comms, master, _split_flows(comms, group, master))
 
 # ---------------------------------------------------------------------------
 # time-stepped MCF
@@ -750,30 +732,19 @@ def mcf_path(g: Digraph, pathset):
     return F, WeightedPathSet(paths=out)
 
 
-def save_solution(sol, path: str) -> None:
-    """Serialize a link or time-stepped solution to JSON.
-
-    A link file holds each commodity's arc rates as [s, d, u, v, rate]
-    records under ``flows``. A time-stepped file holds ``trajectories``: per
-    commodity index, [hops, shard fraction] pairs whose hops are [step, u, v].
+def save_solution(sol: TimeExpandedSolution, path: str) -> None:
+    """Serialize a time-stepped solution to JSON. Its ``trajectories`` hold,
+    per commodity index, [hops, shard fraction] pairs whose hops are [step,
+    u, v]. A static solution is saved as its routes (``paths.save_routes``).
     """
     edges = sol.graph.edges
-    comms = [[c.src, c.dst, c.demand] for c in sol.commodities]
-    if isinstance(sol, TimeExpandedSolution):
-        doc = {"kind": "ts", "l_max": sol.l_max, "U": [float(u) for u in sol.U],
-               "commodities": comms, "trajectories": {
-                   ci: [[[[t, *edges[e][:2]] for t, e in hops], w]
-                        for hops, w in trs]
-                   for ci, trs in enumerate(sol.trajectories)}}
-    elif isinstance(sol, LinkFlowSolution):
-        doc = {"kind": "link", "F": sol.F, "commodities": comms, "flows": [
-            [*comms[ci][:2], *edges[e][:2], v]
-            for (ci, e), v in sorted(sol.flows.items())]}
-    else:
-        raise McfError(f"cannot serialize {type(sol).__name__}")
-    with open(path, "w") as fh:
-        fh.write(json.dumps(doc))
-        fh.write("\n")
+    _write_json(path, {
+        "kind": "ts", "l_max": sol.l_max, "U": [float(u) for u in sol.U],
+        "commodities": [[c.src, c.dst, c.demand] for c in sol.commodities],
+        "trajectories": {
+            ci: [[[[t, *edges[e][:2]] for t, e in hops], w]
+                 for hops, w in trs]
+            for ci, trs in enumerate(sol.trajectories)}})
 
 
 def _check_causal(path: str, g: Digraph, T: int, com: Commodity,
@@ -803,13 +774,12 @@ def _check_causal(path: str, g: Digraph, T: int, com: Commodity,
                        f"demand {com.demand:.12g}")
 
 
-def load_solution(path: str, g: Digraph):
+def load_solution(path: str, g: Digraph) -> TimeExpandedSolution:
     """Inverse of save_solution; needs the graph for edge indexing.
 
-    A link file's arc rates are peeled once into paths; time-stepped
-    trajectories are checked by ``_check_causal``. Text that is not JSON, a
-    missing field, a short record or a flow that fails a check raises
-    McfError naming the file.
+    Trajectories are checked by ``_check_causal``. Text that is not JSON, a
+    kind other than ``ts``, a missing field, a short record or a trajectory
+    that fails a check raises McfError naming the file.
     """
     doc = _read_json(path, McfError)
     eidx = g.edge_index
@@ -818,32 +788,21 @@ def load_solution(path: str, g: Digraph):
         return _json_field(path, doc, key, parse, McfError)
 
     kind = get("kind", str)
-    if kind not in ("ts", "link"):
+    if kind != "ts":
         raise McfError(f"{path}: unknown solution kind {kind!r}")
-    if kind == "ts":
-        l_max = get("l_max", int)
-        U = get("U", lambda u: np.asarray(u, dtype=float))
-        if "trajectories" not in doc and "flows" in doc:
-            raise McfError(
-                f"{path}: time-stepped file holds 'flows', the format before "
-                "'trajectories'; solve it again")
-    # entries are [s, d, demand]; older files hold [s, d] for unit demand
+    l_max = get("l_max", int)
+    U = get("U", lambda u: np.asarray(u, dtype=float))
+    if "trajectories" not in doc and "flows" in doc:
+        raise McfError(
+            f"{path}: time-stepped file holds 'flows', the format before "
+            "'trajectories'; solve it again")
     comms = get("commodities", lambda cs: [Commodity(*c) for c in cs])
     _check_distinct(comms, f"{path}: ")
-    if kind == "ts":
-        trajectories = get("trajectories", lambda tr: [
-            [(tuple((int(t), eidx[(u, v)]) for t, u, v in hops), float(w))
-             for hops, w in tr[str(ci)]]
-            for ci in range(len(comms))])
-        for com, trs in zip(comms, trajectories):
-            _check_causal(path, g, l_max, com, trs)
-        return TimeExpandedSolution(l_max=l_max, U=U, commodities=comms,
-                                    trajectories=trajectories, graph=g)
-    cidx = {(c.src, c.dst): i for i, c in enumerate(comms)}
-    F = get("F", float)
-    flows = get("flows", lambda fl: {(cidx[(s, d)], eidx[(u, v)]): rate
-                                     for s, d, u, v, rate in fl})
-    try:
-        return LinkFlowSolution.from_flows(F, comms, flows, g)
-    except McfError as ex:
-        raise McfError(f"{path}: {ex}") from None
+    trajectories = get("trajectories", lambda tr: [
+        [(tuple((int(t), eidx[(u, v)]) for t, u, v in hops), float(w))
+         for hops, w in tr[str(ci)]]
+        for ci in range(len(comms))])
+    for com, trs in zip(comms, trajectories):
+        _check_causal(path, g, l_max, com, trs)
+    return TimeExpandedSolution(l_max=l_max, U=U, commodities=comms,
+                                trajectories=trajectories, graph=g)

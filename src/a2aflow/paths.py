@@ -10,7 +10,6 @@ congestion.
 from __future__ import annotations
 
 import heapq
-import json
 import math
 import random
 import warnings
@@ -23,9 +22,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from .graphs import (Digraph, _json_field, _node_edge_templates, _read_json,
-                     hops)
+                     _torus_strides, _write_json, hops)
 from .lp import LpModel, solve_ilp
-from .mcf import McfError, _peel
+from .mcf import _peel
 
 __all__ = [
     "WeightedPathSet",
@@ -203,11 +202,8 @@ def extract_widest_paths(g: Digraph, sol) -> WeightedPathSet:
     """Node paths of a LinkFlowSolution, each with the rate it carries.
 
     The paths are the ones its solver peeled off each commodity's flow
-    (``_peel``); no flow is decomposed again. Raises McfError for a solution
-    built without flows (``want_flows=False``).
+    (``_peel``); no flow is decomposed again.
     """
-    if not sol.paths:
-        raise McfError("solution has no flows to extract paths from")
     heads = [v for _, v, _ in g.edges]
     # a peel never yields one path twice for a commodity
     return WeightedPathSet(paths={
@@ -295,15 +291,10 @@ def dor_routes(g: Digraph, dims: list[int] | None = None) -> WeightedPathSet:
         dims = params.get("dims")
     if not dims:
         raise RouteError("dor_routes needs a torus with known dims")
-    total = 1
-    for e in dims:
-        total *= e
+    total, strides = _torus_strides(dims)
     if total != g.n:
         raise RouteError(f"dims {dims} do not match N={g.n}")
     k = len(dims)
-    strides = [1] * k
-    for i in range(k - 2, -1, -1):
-        strides[i] = strides[i + 1] * dims[i + 1]
 
     def coords(u):
         return [(u // strides[i]) % dims[i] for i in range(k)]
@@ -422,17 +413,10 @@ def eval_link_load(g: Digraph, wps) -> tuple[float, np.ndarray]:
 
 def save_routes(wps, path: str) -> None:
     """Routes as JSON, with each weight written as the exact float."""
-    doc = {
-        "routes": [
-            {"s": s, "d": d,
-             "paths": [{"nodes": list(p), "weight": float(w)}
-                       for p, w in plist]}
-            for (s, d), plist in sorted(wps.paths.items())
-        ]
-    }
-    with open(path, "w") as fh:
-        fh.write(json.dumps(doc))
-        fh.write("\n")
+    _write_json(path, {"routes": [
+        {"s": s, "d": d,
+         "paths": [{"nodes": list(p), "weight": float(w)} for p, w in plist]}
+        for (s, d), plist in sorted(wps.paths.items())]})
 
 
 def load_routes(path: str) -> WeightedPathSet:

@@ -156,7 +156,7 @@ def _chunk_counts(weight_lists, q_max: int):
 
 def compile_timestep_schedule(
     g: Digraph,
-    ts,
+    ts: TimeExpandedSolution,
     m: float = 1.0,
     q_max: int = DEFAULT_Q_MAX,
 ) -> ChunkedSchedule:
@@ -169,9 +169,6 @@ def compile_timestep_schedule(
     quantization affects only per-step link volumes. Every commodity must
     have unit demand: its shard is the m bytes it sends.
     """
-    if not isinstance(ts, TimeExpandedSolution):
-        raise ScheduleError("time-stepped lowering needs a time-stepped "
-                            f"solution (kind 'ts'), got {type(ts).__name__}")
     for com in ts.commodities:
         if com.demand != 1.0:
             raise ScheduleError(

@@ -43,7 +43,7 @@ class TestAcceptance:
         t0 = time.perf_counter()
         g = gen_torus([3, 3, 3])
         f_link = mcf_link(g).F
-        f_dec = mcf_decomposed(g, want_flows=False).F
+        f_dec = solve_master(g, want_flows=False).F
         aug, mapping = augment_host_bottleneck(g, 4.0)
         comms = all_to_all_commodities(mapping.host)
         f_aug_link = mcf_link(aug, commodities=comms).F

@@ -117,15 +117,37 @@ class TestSolveAndRoutes:
         rc, stdout, _ = run(capsys, "solve", "--algo", "decomp",
                             "--graph", torus9, "--out", out)
         assert rc == 0
-        doc = json.loads(open(out).read())
-        assert doc["kind"] == "link" and doc["F"] == pytest.approx(1 / 3)
+        # the solution's peeled routes, one list per commodity
+        assert len(json.loads(open(out).read())["routes"]) == 72
         quality = json.loads(open(out + ".manifest.json").read())["quality"]
+        assert quality["F"] == pytest.approx(1 / 3)
         assert quality["F_lo"] <= quality["F_hi"]
         assert quality["F_lo"] == pytest.approx(1 / 3)
         assert quality["gap"] <= 1e-9
         assert set(quality["residuals"]) == {"capacity", "conservation",
                                              "delivery"}
         assert max(quality["residuals"].values()) <= 1e-9
+
+    def test_static_solution_is_its_extracted_routes(self, torus9, tmp_path,
+                                                     capsys):
+        # a decomposed solve writes the file `routes --algo extp` writes, and
+        # every command that reads routes takes it
+        sol, extp = str(tmp_path / "sol.json"), str(tmp_path / "extp.json")
+        assert run(capsys, "solve", "--algo", "decomp", "--graph", torus9,
+                   "--out", sol)[0] == 0
+        assert run(capsys, "routes", "--algo", "extp", "--graph", torus9,
+                   "--out", extp)[0] == 0
+        assert open(sol, "rb").read() == open(extp, "rb").read()
+        rc, stdout, _ = run(capsys, "compile", "--mode", "path", "--graph",
+                            torus9, "--sol", sol, "--out",
+                            str(tmp_path / "p.xml"))
+        assert rc == 0 and "routes=" in stdout
+        rc, stdout, _ = run(capsys, "layers", "--graph", torus9, "--routes",
+                            sol)
+        assert rc == 0 and "verified = True" in stdout
+        rc, stdout, _ = run(capsys, "eval", "--graph", torus9, "--routes",
+                            sol)
+        assert rc == 0 and stdout.startswith("T = ")
 
     def test_solve_path_disjoint(self, torus9, capsys):
         rc, stdout, _ = run(capsys, "solve", "--algo", "path",
@@ -268,9 +290,8 @@ class TestCompileEval:
                    "--out", sol)[0] == 0
         rc, _, stderr = run(capsys, "compile", "--mode", "ts", "--graph", g,
                             "--sol", sol, "--out", str(tmp_path / "s.xml"))
-        assert rc == 1
-        assert "time-stepped solution (kind 'ts'), got LinkFlowSolution" \
-            in stderr
+        # a static solve writes a route file, which has no solution kind
+        assert rc == 1 and sol in stderr and "'kind'" in stderr
 
     def test_non_integer_xml_attribute_is_domain_error(self, tmp_path,
                                                        capsys):

@@ -1,6 +1,7 @@
 """MCF formulation tests: oracles, conservation, and serialization."""
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import random
@@ -19,7 +20,7 @@ from a2aflow.graphs import (Digraph, augment_host_bottleneck,
                             gen_torus, puncture)
 from a2aflow import mcf
 from a2aflow.lp import INFEASIBLE, ITERATION_LIMIT, LpSolution, solve_lp
-from a2aflow.mcf import (F_ONLY_GAP, Commodity, LinkFlowSolution, McfError,
+from a2aflow.mcf import (F_ONLY_GAP, Commodity, McfError,
                          _build_master_model, _commodities, _even_split,
                          _net_inflow, _path_sum, _peel, _split_flows,
                          all_to_all_commodities, load_solution,
@@ -222,7 +223,7 @@ class TestDecomposed:
 
     def test_master_only_fast_path(self):
         g = gen_torus([3, 3])
-        dc = mcf_decomposed(g, want_flows=False)
+        dc = solve_master(g, want_flows=False)
         assert dc.F == pytest.approx(1 / 3, abs=1e-6)
         assert dc.flows == {}
 
@@ -338,7 +339,7 @@ class TestCertificate:
         g = gen_gen_kautz(64, 4)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            interior = mcf_decomposed(g, want_flows=False)
+            interior = solve_master(g, want_flows=False)
         return mcf_decomposed(g), interior
 
     def test_f_only_matches_vertex(self, gk64):
@@ -359,7 +360,7 @@ class TestCertificate:
         vertex, _ = gk64
         g = gen_gen_kautz(64, 4)
         calls = record_solves(monkeypatch)
-        sol = mcf_decomposed(g, want_flows=False)
+        sol = solve_master(g, want_flows=False)
         # the rung-0 split misses on GenKautz; then the flow solve's LP,
         # all 64 * 252 flow columns and U, solved as its 701-column quotient
         assert calls == [16_129]
@@ -392,7 +393,7 @@ class TestCertificate:
         # by colour refinement, whose size and optimum do not depend on the
         # order of rows and columns
         g = gen_gen_kautz(64, 4)
-        sols = [mcf_decomposed(relabelled(g, seed), want_flows=False)
+        sols = [solve_master(relabelled(g, seed), want_flows=False)
                 for seed in (1, 2, 3)]
         # 16,129 columns in the model, 701 in the quotient
         assert [s.lp_vars for s in sols] == [701] * 3
@@ -500,7 +501,7 @@ class TestCertificate:
     def test_bracket_never_inverted(self):
         # rounding put F_lo one step above F_hi on this mixed-capacity
         # gen_random_regular(7, 3, seed=1) before F_hi was raised to F_lo
-        sol = mcf_decomposed(mixed_graph("rrg", 1, 1, 1), want_flows=False)
+        sol = solve_master(mixed_graph("rrg", 1, 1, 1), want_flows=False)
         assert sol.F_lo <= sol.F_hi and sol.gap >= 0.0
 
     @pytest.mark.parametrize("scale, closes", [(1 + 1e-13, True),
@@ -560,8 +561,7 @@ class TestCertificate:
             paths = list(sol.paths)
             paths[ci] = [(arcs, w * scale) for arcs, w in paths[ci]]
             paths[ci] += extra
-            return verify_flow(g, LinkFlowSolution(
-                F=sol.F, commodities=sol.commodities, paths=paths, graph=g))
+            return verify_flow(g, dataclasses.replace(sol, paths=paths))
 
         # a 2-cycle above capacity keeps every balance but overloads
         a, b, cap = g.edges[0]
@@ -854,56 +854,17 @@ class TestScaleCheck:
 
 
 class TestSolutionJson:
-    def test_link_roundtrip(self, tmp_path):
-        g = gen_complete_bipartite(4)
-        sol = mcf_link(g)
-        p = tmp_path / "sol.json"
-        save_solution(sol, str(p))
-        back = load_solution(str(p), g)
-        assert back.F == pytest.approx(sol.F)
-        assert set(back.flows) == set(sol.flows)
-
-    def test_link_roundtrip_keeps_demand(self, tmp_path):
-        g = gen_torus([3], bidirectional=False)
-        comms = [Commodity(0, 1, 2.0), Commodity(1, 2)]
-        sol = mcf_link(g, comms)
-        p = tmp_path / "sol.json"
-        save_solution(sol, str(p))
-        back = load_solution(str(p), g)
-        assert back.commodities == comms
-        paths = extract_widest_paths(g, back).paths
-        assert paths == extract_widest_paths(g, sol).paths
-        assert paths[(0, 1)] == [((0, 1), pytest.approx(1.0))]
-
-    def test_link_short_flow_rejected(self, tmp_path):
-        # the file's flow carries 0.25 of commodity (0, 1)'s F * demand 0.5
-        p = tmp_path / "short.json"
-        p.write_text(json.dumps({
-            "kind": "link", "F": 0.5, "commodities": [[0, 1, 1.0]],
-            "flows": [[0, 1, 0, 1, 0.25]]}))
-        with pytest.raises(McfError, match="recovered only 0.25") as exc:
-            load_solution(str(p), gen_torus([3], bidirectional=False))
-        assert str(p) in str(exc.value)
-
-    def test_link_two_element_commodities_load_as_unit(self, tmp_path):
-        g = gen_torus([3], bidirectional=False)
-        p = tmp_path / "old.json"
-        p.write_text(json.dumps({
-            "kind": "link", "F": 0.5, "commodities": [[0, 1], [1, 2]],
-            "flows": [[0, 1, 0, 1, 0.5], [1, 2, 1, 2, 0.5]]}))
-        back = load_solution(str(p), g)
-        assert back.commodities == [Commodity(0, 1), Commodity(1, 2)]
-
     @pytest.mark.parametrize("text, field", [
         ("{}", "kind"),
         ('{"kind": "ts", "l_max": 2, "U": [1, 1], "flows": [[0, 1, 0]]}',
          "flows"),
-        ('{"kind": "link", "F": 0.5, "commodities": [[0, 1]]}', "flows"),
-        ('{"kind": "link", "F": 0.5, "commodities": [[0, 1]], '
-         '"flows": [[0, 1, 0, 1]]}', "flows"),
         ('{"kind": "ts", "flows": [], "U": []}', "l_max"),
-        ('{"kind": "link", "F": 0.5, "commodities": [[0]], "flows": []}',
-         "commodities"),
+        ('{"kind": "ts", "l_max": 2, "U": [1, 1], "commodities": [[0]], '
+         '"trajectories": {}}', "commodities"),
+        # static solutions are saved as route files; the per-arc flow
+        # records they were once saved as are not a solution kind
+        ('{"kind": "link", "F": 0.5, "commodities": [[0, 1]], "flows": []}',
+         "unknown solution kind 'link'"),
         ("kind: ts", "not valid JSON"),
     ])
     def test_malformed_file_names_file_and_field(self, tmp_path, text, field):
@@ -914,9 +875,8 @@ class TestSolutionJson:
         assert str(p) in str(exc.value)
 
     @pytest.mark.parametrize("doc", [
-        {"kind": "link", "F": 0.5},
         {"kind": "ts", "l_max": 2, "U": [1.0, 1.0], "trajectories": {}},
-    ], ids=["link", "ts"])
+    ], ids=["ts"])
     def test_repeated_commodity_in_file_rejected(self, tmp_path, doc):
         p = tmp_path / "dup.json"
         p.write_text(json.dumps(

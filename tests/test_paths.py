@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from a2aflow.deadlock import lash_sequential, verify_layers
 from a2aflow.graphs import (Digraph, diameter, gen_complete_bipartite,
                             gen_gen_kautz, gen_hypercube, gen_torus, hops)
-from a2aflow.mcf import (Commodity, LinkFlowSolution, McfError, _commodities,
-                         _even_split, mcf_decomposed, mcf_link, solve_master)
+from a2aflow.mcf import (_commodities, _even_split, _peel, mcf_decomposed,
+                         mcf_link, solve_master)
 from a2aflow.paths import (RouteError, WeightedPathSet, disjoint_paths,
                            dor_routes, enum_paths_bounded, eval_link_load,
                            ewsp_routes, extract_widest_paths,
@@ -162,22 +162,15 @@ class TestExtractWidest:
 
     def test_cycle_beside_flow_dropped(self):
         # edges 0: 0 -> 1, 1: 1 -> 2, 2: 1 -> 3, 3: 3 -> 1; the s -> d flow
-        # 0 -> 1 -> 2 plus a circulation 1 -> 3 -> 1
-        g = Digraph.from_edges(4, [(0, 1, 1.0), (1, 2, 1.0), (1, 3, 1.0),
-                                   (3, 1, 1.0)])
-        sol = LinkFlowSolution.from_flows(
-            F=0.5, commodities=[Commodity(0, 2)],
-            flows={(0, 0): 0.5, (0, 1): 0.5, (0, 2): 0.25, (0, 3): 0.25},
-            graph=g)
+        # 0 -> 1 -> 2 plus a circulation 1 -> 3 -> 1, peeled as the solvers
+        # peel their flows
+        tails, heads = [0, 1, 1, 3], [1, 2, 3, 1]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            wp = extract_widest_paths(g, sol)
-        assert wp.paths == {(0, 2): [((0, 1, 2), 0.5)]}
-
-    def test_solution_without_flows_rejected(self):
-        g = gen_torus([3, 3])
-        with pytest.raises(McfError):
-            extract_widest_paths(g, mcf_decomposed(g, want_flows=False))
+            (peeled,) = _peel(tails, heads, {0: 0.5, 1: 0.5, 2: 0.25, 3: 0.25},
+                              0, [(2, 0.5)])
+        paths = [((0, *(heads[a] for a in arcs)), w) for arcs, w in peeled]
+        assert paths == [((0, 1, 2), 0.5)]
 
 
 class TestSsspRoutes:
