@@ -1,14 +1,17 @@
 """Command-line entry point.
 
-Subcommands: gen, solve, routes, bound, compile, layers, eval, compare,
-bench. Every command that writes an artifact also writes a sidecar
+Subcommands: gen, solve, bound, compile, layers, eval, compare. Every
+command that writes an artifact also writes a sidecar
 `<artifact>.manifest.json` recording the argument vector, seed, version, and
 sha256 digests of inputs and outputs, so runs can be reproduced exactly.
-`solve --algo link|decomp` writes the solution's peeled routes, the file
-`routes --algo extp` writes, and adds a `quality` block: F, the certified
-bracket [F_lo, F_hi] on it, its relative gap and the `verify_flow`
-residuals; `solve --algo ts` writes a time-stepped solution and adds the
-certified bracket [U_lo, U_hi] on sum U_t and its gap.
+`solve` is the one command that writes routes: every static algorithm
+(link, decomp, path, sssp, ewsp, dor, ilp) writes a route file and prints
+its max normalized link load last, which is 1/F for link, decomp and path.
+`solve --algo link|decomp` adds a `quality` block: F, the certified bracket
+[F_lo, F_hi] on it, its relative gap and the `verify_flow` residuals;
+`solve --algo ts` writes a time-stepped solution and adds the certified
+bracket [U_lo, U_hi] on sum U_t and its gap. `compare` is the one solver
+sweep.
 
 Exit codes: 0 success, 1 domain error (the package's errors and OSError),
 2 usage error. Any other exception is a bug and propagates.
@@ -25,12 +28,11 @@ import time
 
 from . import __version__, domain_errors
 from .evaluate import ALGOS
-from .graphs import (GraphError, augment_host_bottleneck, diameter,
-                     gen_complete_bipartite, gen_de_bruijn, gen_gen_kautz,
-                     gen_hypercube, gen_random_regular,
-                     gen_shortest_path_expander, gen_torus,
-                     gen_twisted_hypercube, load_graph, puncture, save_graph,
-                     _write_json)
+from .graphs import (GraphError, diameter, gen_complete_bipartite,
+                     gen_de_bruijn, gen_gen_kautz, gen_hypercube,
+                     gen_random_regular, gen_shortest_path_expander,
+                     gen_torus, gen_twisted_hypercube, load_graph, puncture,
+                     save_graph, _write_json)
 
 # topology -> (flags it needs, generator); a missing --k is read from --d
 _GEN = {
@@ -88,15 +90,6 @@ def _parse_puncture(text: str) -> tuple[str, int]:
     return mode, int(count)
 
 
-def _parse_algos(text: str) -> list[str]:
-    algos = text.split(",")
-    unknown = [a for a in algos if a not in ALGOS]
-    if unknown:
-        raise argparse.ArgumentTypeError(
-            f"unknown algorithm {unknown[0]!r}, choose from {', '.join(ALGOS)}")
-    return algos
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="a2a",
@@ -114,28 +107,20 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--k", type=int, help="hypercube dimension")
     g.add_argument("--dims", type=_parse_dims)
     g.add_argument("--eps", type=float, default=0.01)
-    g.add_argument("--augment-host", type=float, default=None,
-                   metavar="CAP", help="3-way host/NIC split at capacity CAP")
     g.add_argument("--puncture", type=_parse_puncture, metavar="MODE:COUNT",
                    help="remove COUNT random edges or nodes")
     g.add_argument("--out", required=True)
 
-    s = sub.add_parser("solve", help="solve an MCF formulation")
+    s = sub.add_parser("solve", help="solve for a schedule or routes")
     s.add_argument("--algo", required=True,
-                   choices=("link", "decomp", "ts", "path"))
+                   choices=("link", "decomp", "ts", "path", "sssp", "ewsp",
+                            "dor", "ilp"))
     s.add_argument("--graph", required=True)
     s.add_argument("--lmax", type=int, default=None)
     s.add_argument("--paths", default="disjoint",
                    help="path source for --algo path: disjoint|bounded|FILE")
-    s.add_argument("--force", action="store_true")
+    s.add_argument("--alpha", type=float, default=0.0)
     s.add_argument("--out", default=None)
-
-    r = sub.add_parser("routes", help="compute routes / path sets")
-    r.add_argument("--algo", required=True,
-                   choices=("extp", "pmcf", "sssp", "ewsp", "dor", "ilp"))
-    r.add_argument("--graph", required=True)
-    r.add_argument("--alpha", type=float, default=0.0)
-    r.add_argument("--out", required=True)
 
     b = sub.add_parser("bound", help="lower bounds")
     b.add_argument("--n", type=int)
@@ -173,15 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
     cp.add_argument("--algo", default="decomp", choices=ALGOS)
     cp.add_argument("--format", default="json", choices=("json", "csv"))
     cp.add_argument("--out", default=None)
-
-    bn = sub.add_parser("bench", help="algorithm runtime scaling")
-    bn.add_argument("--n-range", required=True, type=_parse_dims)
-    bn.add_argument("--d", type=int, required=True)
-    bn.add_argument("--algos", default="link,decomp", type=_parse_algos,
-                    help="comma list of " + ",".join(ALGOS))
-    bn.add_argument("--timeout", type=float, default=600.0)
-    bn.add_argument("--format", default="json", choices=("json", "csv"))
-    bn.add_argument("--out", default=None)
     return ap
 
 
@@ -195,70 +171,56 @@ def _cmd_gen(args) -> list[str]:
     g = generate(args)
     if args.puncture:
         g = puncture(g, *args.puncture, seed=args.seed)
-    if args.augment_host is not None:
-        g, _ = augment_host_bottleneck(g, args.augment_host)
     save_graph(g, args.out)
     print(f"wrote {args.out}: n={g.n} edges={g.num_edges}")
     return [args.out]
 
 
 def _cmd_solve(args) -> list[str]:
-    from . import mcf
-    from .paths import (disjoint_paths, enum_paths_bounded,
-                        extract_widest_paths, load_routes, save_routes)
+    from . import mcf, paths
 
     g = load_graph(args.graph)
+    if args.algo == "ts":
+        lmax = args.lmax if args.lmax is not None else diameter(g)
+        ts = mcf.mcf_timestepped(g, lmax)
+        print(f"l_max = {lmax}, sum U_t = {ts.total_utilization:.9g} in "
+              f"[{ts.U_lo:.9g}, {ts.U_hi:.9g}] (gap {ts.gap:.2g})")
+        args.quality = {"U_lo": ts.U_lo, "U_hi": ts.U_hi, "gap": ts.gap}
+        if not args.out:
+            return []
+        mcf.save_solution(ts, args.out)
+        return [args.out]
     if args.algo in ("link", "decomp"):
-        sol = (mcf.mcf_link(g, force=args.force) if args.algo == "link"
+        sol = (mcf.mcf_link(g) if args.algo == "link"
                else mcf.mcf_decomposed(g))
         print(f"F = {sol.F:.9g} in [{sol.F_lo:.9g}, {sol.F_hi:.9g}] "
               f"(gap {sol.gap:.2g})")
         args.quality = {"F": sol.F, "F_lo": sol.F_lo, "F_hi": sol.F_hi,
                         "gap": sol.gap, "residuals": mcf.verify_flow(g, sol)}
-        out = extract_widest_paths(g, sol)
-    elif args.algo == "ts":
-        lmax = args.lmax if args.lmax is not None else diameter(g)
-        out = mcf.mcf_timestepped(g, lmax)
-        print(f"l_max = {lmax}, sum U_t = {out.total_utilization:.9g} in "
-              f"[{out.U_lo:.9g}, {out.U_hi:.9g}] (gap {out.gap:.2g})")
-        args.quality = {"U_lo": out.U_lo, "U_hi": out.U_hi, "gap": out.gap}
-    else:
+        out = paths.extract_widest_paths(g, sol)
+    elif args.algo == "path":
         if args.paths == "disjoint":
-            ps = disjoint_paths(g)
+            ps = paths.disjoint_paths(g)
         elif args.paths == "bounded":
-            ps = enum_paths_bounded(g, diameter(g) + 1)
+            ps = paths.enum_paths_bounded(g, diameter(g) + 1)
         else:
-            ps = load_routes(args.paths)
+            ps = paths.load_routes(args.paths)
         F, out = mcf.mcf_path(g, ps)
         print(f"F = {F:.9g}")
-    if not args.out:
-        return []
-    (mcf.save_solution if args.algo == "ts" else save_routes)(out, args.out)
-    return [args.out]
-
-
-def _cmd_routes(args) -> list[str]:
-    from . import mcf, paths
-
-    g = load_graph(args.graph)
-    algo = args.algo
-    if algo == "extp":
-        sol = mcf.mcf_decomposed(g)
-        out = paths.extract_widest_paths(g, sol)
-    elif algo == "pmcf":
-        _, out = mcf.mcf_path(g, paths.disjoint_paths(g))
-    elif algo == "sssp":
-        out = paths.sssp_routes(g, seed=args.seed)
-    elif algo == "ewsp":
-        out = paths.ewsp_routes(g)
-    elif algo == "dor":
-        out = paths.dor_routes(g)
-    else:
+    elif args.algo == "ilp":
         out, load, gap = paths.ilp_min_congestion(
             g, paths.disjoint_paths(g), alpha=args.alpha)
         print(f"max load = {load:.9g} (gap {gap:.3g})")
+    elif args.algo == "sssp":
+        out = paths.sssp_routes(g, seed=args.seed)
+    elif args.algo == "ewsp":
+        out = paths.ewsp_routes(g)
+    else:
+        out = paths.dor_routes(g)
     max_load, _ = paths.eval_link_load(g, out)
     print(f"max normalized link load = {max_load:.9g}")
+    if not args.out:
+        return []
     paths.save_routes(out, args.out)
     return [args.out]
 
@@ -398,24 +360,14 @@ def _cmd_compare(args) -> list[str]:
     return _emit_rows([r.as_dict() for r in reports], args.format, args.out)
 
 
-def _cmd_bench(args) -> list[str]:
-    from .evaluate import bench_runtimes
-
-    rows = bench_runtimes(args.n_range, args.d, args.algos,
-                          timeout_s=args.timeout)
-    return _emit_rows(rows, args.format, args.out)
-
-
 _COMMANDS = {
     "gen": _cmd_gen,
     "solve": _cmd_solve,
-    "routes": _cmd_routes,
     "bound": _cmd_bound,
     "compile": _cmd_compile,
     "layers": _cmd_layers,
     "eval": _cmd_eval,
     "compare": _cmd_compare,
-    "bench": _cmd_bench,
 }
 
 

@@ -1,24 +1,20 @@
 """Evaluate schedules, path sets, and topologies.
 
 Replay uses a store-and-forward step model for link schedules and a
-cut-through fluid model for path schedules. Topology comparisons report
-all-to-all time against the analytical lower bound.
+cut-through fluid model for path schedules. Topology comparison, the one
+solver sweep, reports each algorithm's all-to-all time and runtime against
+the analytical lower bound.
 """
 from __future__ import annotations
 
 import bisect
-import multiprocessing
-import queue
 import time
-import traceback
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import domain_errors
 from .bounds import alltoall_time_lower_bound, graph_distance_bound
-from .graphs import Digraph, gen_gen_kautz
+from .graphs import Digraph
 
 __all__ = [
     "EvalError",
@@ -26,12 +22,12 @@ __all__ = [
     "replay_timestep_schedule",
     "eval_path_alltoall",
     "compare_topologies",
-    "bench_runtimes",
     "ALGOS",
 ]
 
-# the algorithms compare_topologies and bench_runtimes run (``_solve_time``)
-ALGOS = ("decomp", "link", "pmcf-disjoint", "sssp", "ilp")
+# the algorithms compare_topologies runs (``_solve_time``); each has the name
+# `a2a solve --algo` gives it
+ALGOS = ("decomp", "link", "path", "sssp", "ilp")
 
 
 class EvalError(RuntimeError):
@@ -165,11 +161,11 @@ def _solve_time(g: Digraph, algo: str) -> tuple[float, float | None, dict]:
 
     if algo in ("decomp", "link"):
         sol = (solve_master(g, want_flows=False) if algo == "decomp"
-               else mcf_link(g, force=True))
+               else mcf_link(g))
         return 1.0 / sol.F, sol.F, {"gap": sol.gap,
                                     "lp_solves": sol.lp_solves,
                                     "lp_vars": sol.lp_vars}
-    if algo == "pmcf-disjoint":
+    if algo == "path":
         F, _ = mcf_path(g, disjoint_paths(g))
         return 1.0 / F, F, {}
     if algo == "sssp":
@@ -214,61 +210,3 @@ def compare_topologies(
             lower_bound=lb, ratio=tval / lb,
             runtime_s=time.perf_counter() - t0, F=F, extra=extra))
     return reports
-
-
-def _bench_task(algo: str, n: int, d: int) -> float:
-    g = gen_gen_kautz(n, d)
-    t0 = time.perf_counter()
-    _solve_time(g, algo)
-    return time.perf_counter() - t0
-
-
-def _bench_child(results, algo: str, n: int, d: int) -> None:
-    try:
-        results.put(("ok", _bench_task(algo, n, d)))
-    except domain_errors() as ex:
-        results.put(("error", str(ex)))
-    except Exception:   # noqa: BLE001 - a bug, raised again in the parent
-        results.put(("bug", traceback.format_exc()))
-
-
-def bench_runtimes(
-    n_list: list[int],
-    d: int,
-    algos: list[str],
-    timeout_s: float = 600.0,
-) -> list[dict]:
-    """Wall-clock per (algo, n) on generalized Kautz graphs.
-
-    Each run executes in its own process so timeouts can be enforced;
-    timed-out runs are recorded with runtime None, runs failing with one of
-    the package's errors with that error. Any other exception is a bug and
-    is raised here as a RuntimeError holding the run's traceback.
-    """
-    rows = []
-    for algo in algos:
-        for n in n_list:
-            row = {"algo": algo, "n": n, "d": d}
-            results = multiprocessing.Queue()
-            proc = multiprocessing.Process(target=_bench_child,
-                                           args=(results, algo, n, d))
-            proc.start()
-            proc.join(timeout_s)
-            if proc.is_alive():
-                proc.terminate()
-                proc.join()
-                rows.append({**row, "runtime_s": None, "timeout": True})
-                continue
-            try:
-                kind, value = results.get(timeout=1.0)
-            except queue.Empty:
-                kind, value = "error", f"worker exited with code {proc.exitcode}"
-            if kind == "bug":
-                raise RuntimeError(
-                    f"bench run {algo} n={n} d={d} failed:\n{value}")
-            if kind == "ok":
-                rows.append({**row, "runtime_s": value, "timeout": False})
-            else:
-                rows.append({**row, "runtime_s": None, "timeout": False,
-                             "error": value})
-    return rows

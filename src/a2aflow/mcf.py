@@ -156,9 +156,9 @@ class TimeExpandedSolution:
     # transport hops of one path up to its first arrival; waiting is implicit
     trajectories: list[list[tuple[tuple[tuple[int, int], ...], float]]]
     graph: Digraph = field(repr=False)
-    # certified bracket on the optimal sum of U (NaN when loaded)
-    U_lo: float = math.nan
-    U_hi: float = math.nan
+    # certified bracket on the optimal sum of U
+    U_lo: float
+    U_hi: float
 
     @property
     def flows(self) -> dict[tuple[int, int, int], float]:
@@ -391,10 +391,11 @@ def _check_distinct(comms: list[Commodity], where: str = "") -> None:
         seen.add((c.src, c.dst))
 
 
-def _check_size(g: Digraph, force: bool):
-    if g.n > LINK_SIZE_HARD and not force:
+def _check_size(g: Digraph):
+    if g.n > LINK_SIZE_HARD:
         raise McfError(
-            f"link MCF on N={g.n} needs O(N^3) variables; pass force=True"
+            f"link MCF on N={g.n} needs O(N^3) variables, more than "
+            f"N={LINK_SIZE_HARD} allows; use the decomposed solver"
         )
     if g.n > LINK_SIZE_WARN:
         warnings.warn(
@@ -567,7 +568,6 @@ def _link_solution(comms: CommodityArrays, master: SourceFlowSolution,
 def mcf_link(
     g: Digraph,
     commodities: list[Commodity] | None = None,
-    force: bool = False,
 ) -> LinkFlowSolution:
     """Optimal concurrent rate F and per-commodity link flows.
 
@@ -576,9 +576,10 @@ def mcf_link(
     (received >= sent at intermediates) and tightened afterwards by peeling
     each commodity's flow (``_peel``), so the returned flows conserve
     exactly and deliver exactly F * demand. F is certified by ``[F_lo,
-    F_hi]`` (``_bracket``).
+    F_hi]`` (``_bracket``). A graph of more than ``LINK_SIZE_HARD`` nodes
+    raises McfError: its model would not fit in memory.
     """
-    _check_size(g, force)
+    _check_size(g)
     comms = _commodities(g, commodities)
     group = np.arange(comms[0].size)
     master = _solve_flows(g, comms[0], group, comms)
@@ -733,13 +734,15 @@ def mcf_path(g: Digraph, pathset):
 
 
 def save_solution(sol: TimeExpandedSolution, path: str) -> None:
-    """Serialize a time-stepped solution to JSON. Its ``trajectories`` hold,
-    per commodity index, [hops, shard fraction] pairs whose hops are [step,
-    u, v]. A static solution is saved as its routes (``paths.save_routes``).
+    """Serialize a time-stepped solution to JSON, with its certified
+    bracket ``U_lo``, ``U_hi``. Its ``trajectories`` hold, per commodity
+    index, [hops, shard fraction] pairs whose hops are [step, u, v]. A static
+    solution is saved as its routes (``paths.save_routes``).
     """
     edges = sol.graph.edges
     _write_json(path, {
         "kind": "ts", "l_max": sol.l_max, "U": [float(u) for u in sol.U],
+        "U_lo": sol.U_lo, "U_hi": sol.U_hi,
         "commodities": [[c.src, c.dst, c.demand] for c in sol.commodities],
         "trajectories": {
             ci: [[[[t, *edges[e][:2]] for t, e in hops], w]
@@ -805,4 +808,6 @@ def load_solution(path: str, g: Digraph) -> TimeExpandedSolution:
     for com, trs in zip(comms, trajectories):
         _check_causal(path, g, l_max, com, trs)
     return TimeExpandedSolution(l_max=l_max, U=U, commodities=comms,
-                                trajectories=trajectories, graph=g)
+                                trajectories=trajectories, graph=g,
+                                U_lo=get("U_lo", float),
+                                U_hi=get("U_hi", float))

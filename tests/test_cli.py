@@ -8,6 +8,8 @@ import pytest
 from a2aflow import cli
 from a2aflow.cli import main
 from a2aflow.graphs import load_graph
+from a2aflow.mcf import mcf_decomposed, mcf_path
+from a2aflow.paths import disjoint_paths, extract_widest_paths, save_routes
 
 
 def run(capsys, *argv):
@@ -39,9 +41,17 @@ class TestGen:
         out = str(tmp_path / "g.json")
         rc, _, _ = run(capsys, "--seed", "3", "gen", "--topo", "torus",
                        "--dims", "3,3,3", "--puncture", "edges:3",
-                       "--augment-host", "4.0", "--out", out)
+                       "--out", out)
         assert rc == 0
-        assert load_graph(out).n == 81
+        g = load_graph(out)
+        assert g.n == 27 and g.num_edges == 162 - 2 * 3   # both directions
+        # a graph file cannot say which nodes are hosts, so on a
+        # host-augmented one every later command would solve for all 3N
+        # nodes: gen has no --augment-host
+        with pytest.raises(SystemExit) as e:
+            main(["gen", "--topo", "torus", "--dims", "3,3,3",
+                  "--augment-host", "4.0", "--out", out])
+        assert e.value.code == 2
 
     def test_gen_determinism(self, tmp_path, capsys):
         a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
@@ -130,13 +140,13 @@ class TestSolveAndRoutes:
 
     def test_static_solution_is_its_extracted_routes(self, torus9, tmp_path,
                                                      capsys):
-        # a decomposed solve writes the file `routes --algo extp` writes, and
-        # every command that reads routes takes it
+        # a decomposed solve writes the solution's peeled routes, and every
+        # command that reads routes takes it
         sol, extp = str(tmp_path / "sol.json"), str(tmp_path / "extp.json")
         assert run(capsys, "solve", "--algo", "decomp", "--graph", torus9,
                    "--out", sol)[0] == 0
-        assert run(capsys, "routes", "--algo", "extp", "--graph", torus9,
-                   "--out", extp)[0] == 0
+        g = load_graph(torus9)
+        save_routes(extract_widest_paths(g, mcf_decomposed(g)), extp)
         assert open(sol, "rb").read() == open(extp, "rb").read()
         rc, stdout, _ = run(capsys, "compile", "--mode", "path", "--graph",
                             torus9, "--sol", sol, "--out",
@@ -153,12 +163,12 @@ class TestSolveAndRoutes:
         rc, stdout, _ = run(capsys, "solve", "--algo", "path",
                             "--graph", torus9, "--paths", "disjoint")
         assert rc == 0
-        assert float(stdout.split("=")[1]) > 0
+        assert float(stdout.splitlines()[0].split("=")[1]) > 0
 
     def test_solve_path_file_is_a_manifest_input(self, torus9, tmp_path,
                                                   capsys, monkeypatch):
         routes, out = str(tmp_path / "sssp.json"), str(tmp_path / "pmcf.json")
-        assert run(capsys, "routes", "--algo", "sssp", "--graph", torus9,
+        assert run(capsys, "solve", "--algo", "sssp", "--graph", torus9,
                    "--out", routes)[0] == 0
         assert run(capsys, "solve", "--algo", "path", "--graph", torus9,
                    "--paths", routes, "--out", out)[0] == 0
@@ -172,6 +182,31 @@ class TestSolveAndRoutes:
         inputs = json.loads(open(out + ".manifest.json").read())["inputs"]
         assert set(inputs) == {torus9}
 
+    @pytest.mark.parametrize("algo", ["link", "decomp", "path", "sssp",
+                                      "ewsp", "dor", "ilp"])
+    def test_every_static_algorithm_writes_routes(self, torus9, tmp_path,
+                                                  capsys, algo):
+        out = str(tmp_path / "r.json")
+        rc, stdout, _ = run(capsys, "solve", "--algo", algo,
+                            "--graph", torus9, "--out", out)
+        assert rc == 0
+        last = stdout.splitlines()[-1]
+        assert last.startswith("max normalized link load = ")
+        load = float(last.rsplit("=", 1)[1])
+        if algo in ("link", "decomp"):
+            F = json.loads(open(out + ".manifest.json").read())["quality"]["F"]
+        elif algo == "path":
+            g = load_graph(torus9)
+            F, _ = mcf_path(g, disjoint_paths(g))
+        if algo in ("link", "decomp", "path"):
+            assert load == pytest.approx(1 / F, rel=1e-9)
+        rc, stdout, _ = run(capsys, "layers", "--graph", torus9,
+                            "--routes", out)
+        assert rc == 0 and "verified = True" in stdout
+        rc, stdout, _ = run(capsys, "eval", "--graph", torus9,
+                            "--routes", out)
+        assert rc == 0 and float(stdout.split("=")[1]) == pytest.approx(load)
+
     def test_solve_ts_lmax_zero_is_domain_error(self, torus9, capsys):
         rc, stdout, err = run(capsys, "solve", "--algo", "ts",
                               "--graph", torus9, "--lmax", "0")
@@ -180,7 +215,7 @@ class TestSolveAndRoutes:
 
     def test_routes_then_eval(self, torus9, tmp_path, capsys):
         routes = str(tmp_path / "routes.json")
-        rc, stdout, _ = run(capsys, "routes", "--algo", "extp",
+        rc, stdout, _ = run(capsys, "solve", "--algo", "decomp",
                             "--graph", torus9, "--out", routes)
         assert rc == 0
         assert float(stdout.rsplit("=", 1)[1]) == pytest.approx(3.0, abs=1e-4)
@@ -192,7 +227,7 @@ class TestSolveAndRoutes:
 
     def test_routes_sssp_layers(self, torus9, tmp_path, capsys):
         routes = str(tmp_path / "routes.json")
-        assert run(capsys, "routes", "--algo", "sssp", "--graph", torus9,
+        assert run(capsys, "solve", "--algo", "sssp", "--graph", torus9,
                    "--out", routes)[0] == 0
         layers_out = str(tmp_path / "layers.json")
         rc, stdout, _ = run(capsys, "layers", "--graph", torus9,
@@ -220,7 +255,7 @@ class TestSolveAndRoutes:
         layers_out = str(tmp_path / "layers.json")
         assert run(capsys, "gen", "--topo", "genkautz", "--n", "27",
                    "--d", "4", "--out", graph)[0] == 0
-        assert run(capsys, "routes", "--algo", "extp", "--graph", graph,
+        assert run(capsys, "solve", "--algo", "decomp", "--graph", graph,
                    "--out", routes)[0] == 0
         recs = json.loads(open(routes).read())["routes"]
         assert any(len(r["paths"]) > 1 for r in recs)
@@ -237,7 +272,7 @@ class TestSolveAndRoutes:
         graph, routes = str(tmp_path / "gk27.json"), str(tmp_path / "r.json")
         assert run(capsys, "gen", "--topo", "genkautz", "--n", "27",
                    "--d", "4", "--out", graph)[0] == 0
-        rc, stdout, _ = run(capsys, "routes", "--algo", "ilp",
+        rc, stdout, _ = run(capsys, "solve", "--algo", "ilp",
                             "--graph", graph, "--out", routes)
         assert rc == 0
         assert float(stdout.rsplit("=", 1)[1]) == pytest.approx(15.0, abs=1e-6)
@@ -310,7 +345,7 @@ class TestCompileEval:
         xml = str(tmp_path / "sched.xml")
         assert run(capsys, "gen", "--topo", "torus", "--dims", "3,3",
                    "--out", g)[0] == 0
-        assert run(capsys, "routes", "--algo", "dor", "--graph", g,
+        assert run(capsys, "solve", "--algo", "dor", "--graph", g,
                    "--out", routes)[0] == 0
         rc, stdout, _ = run(capsys, "compile", "--mode", "path",
                             "--graph", g, "--sol", routes, "--out", xml)
@@ -362,8 +397,7 @@ class TestBoundCompare:
     @pytest.mark.parametrize("argv", [
         ["compare", "--topos", "torus", "--n-range", "9", "--d", "4",
          "--algo", "bogus"],
-        ["bench", "--n-range", "9", "--d", "4", "--algos", "decomp,bogus"],
-    ], ids=["compare", "bench"])
+    ], ids=["compare"])
     def test_unknown_algorithm_usage_error(self, capsys, argv):
         # a misspelt name used to run and report a NaN row with exit 0
         with pytest.raises(SystemExit) as e:
@@ -375,6 +409,17 @@ class TestBoundCompare:
         rc, stdout, _ = run(capsys, "compare", "--topos", "torus",
                             "--n-range", "9", "--d", "4", "--format", "csv")
         assert rc == 0 and "label" in stdout.splitlines()[0]
+
+    @pytest.mark.parametrize("argv", [
+        ["routes", "--algo", "extp", "--graph", "g.json", "--out", "r.json"],
+        ["bench", "--n-range", "9", "--d", "4"],
+    ], ids=["routes", "bench"])
+    def test_removed_command_usage_error(self, capsys, argv):
+        # routes come from `solve`, solver sweeps from `compare`
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as e:

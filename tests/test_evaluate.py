@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from a2aflow import mcf
 from a2aflow.evaluate import (EvalError, _add_range, _first_missing,
-                              bench_runtimes, compare_topologies,
-                              eval_path_alltoall, replay_timestep_schedule)
+                              compare_topologies, eval_path_alltoall,
+                              replay_timestep_schedule)
 from a2aflow.graphs import gen_gen_kautz, gen_torus
 from a2aflow.mcf import mcf_decomposed, mcf_link, mcf_timestepped
 from a2aflow.paths import (RouteError, WeightedPathSet, extract_widest_paths,
@@ -153,6 +153,14 @@ class TestCompare:
         assert [r.extra["lp_vars"] for r in reports] == [1_405, 0]
         assert all(0.0 <= r.extra["gap"] <= 2e-7 for r in reports)
 
+    def test_rows_for_result_and_error(self):
+        g = gen_gen_kautz(8, 2)
+        (ok,) = compare_topologies([("gk8", g)], d=2, algo="sssp")
+        (bad,) = compare_topologies([("gk8", g)], d=2, algo="nope")
+        assert ok.runtime_s >= 0 and "error" not in ok.extra
+        assert bad.runtime_s >= 0 and bad.alltoall_time != bad.alltoall_time
+        assert "unknown algorithm" in bad.extra["error"]
+
     def test_generator_failure_recorded(self):
         from a2aflow.graphs import Digraph
 
@@ -177,34 +185,3 @@ class TestCompare:
         (r,) = compare_topologies([("t9", g)], d=4)
         assert r.throughput(m=1.0, b=1.0) \
             <= (g.n - 1) * r.F * 1.0 + 1e-6
-
-
-class TestBench:
-    def test_rows_for_result_and_error(self):
-        ok, bad = bench_runtimes([8], 2, ["sssp", "nope"], timeout_s=120)
-        assert ok["runtime_s"] >= 0 and ok["timeout"] is False
-        assert bad["runtime_s"] is None and bad["timeout"] is False
-        assert "unknown algorithm" in bad["error"]
-
-    def test_bug_raises(self, monkeypatch):
-        # a worker's exception other than the package's errors is a bug,
-        # not an error row; fork so the worker inherits the patched solver
-        import multiprocessing
-
-        from a2aflow import domain_errors, evaluate
-
-        def broken(*args, **kwargs):
-            raise TypeError("bug in solver")
-
-        monkeypatch.setattr(mcf, "solve_master", broken)
-        monkeypatch.setattr(evaluate, "multiprocessing",
-                            multiprocessing.get_context("fork"))
-        with pytest.raises(RuntimeError,
-                           match="TypeError: bug in solver") as exc:
-            bench_runtimes([8], 2, ["decomp"], timeout_s=120)
-        assert not isinstance(exc.value, domain_errors())
-
-    def test_timeout_terminates_run(self):
-        (row,) = bench_runtimes([64], 4, ["decomp"], timeout_s=0.01)
-        assert row == {"algo": "decomp", "n": 64, "d": 4,
-                       "runtime_s": None, "timeout": True}

@@ -951,3 +951,18 @@ class TestSolutionJson:
         assert back.total_utilization == pytest.approx(ts.total_utilization)
         assert set(back.flows) == set(ts.flows)
         assert back.trajectories == ts.trajectories
+        # the certified bracket survives bit for bit
+        assert (back.U_lo, back.U_hi) == (ts.U_lo, ts.U_hi)
+        assert back.gap == ts.gap
+
+    @pytest.mark.parametrize("missing", ["U_lo", "U_hi"])
+    def test_ts_file_without_bracket_rejected(self, tmp_path, missing):
+        g = gen_torus([3], bidirectional=False)
+        p = tmp_path / "ts.json"
+        save_solution(mcf_timestepped(g, l_max=2), str(p))
+        doc = json.loads(p.read_text())
+        del doc[missing]
+        p.write_text(json.dumps(doc))
+        with pytest.raises(McfError, match=f"'{missing}'") as exc:
+            load_solution(str(p), g)
+        assert str(p) in str(exc.value)

@@ -187,7 +187,7 @@ class TestCompileTimestep:
         g = gen_torus([3], bidirectional=False)
         ts = TimeExpandedSolution(
             l_max=1, U=np.ones(1), commodities=[Commodity(0, 1, 2.0)],
-            trajectories=[[(((0, 0),), 2.0)]], graph=g)
+            trajectories=[[(((0, 0),), 2.0)]], graph=g, U_lo=1.0, U_hi=1.0)
         with pytest.raises(ScheduleError, match="unit demands"):
             compile_timestep_schedule(g, ts)
 
