@@ -4,14 +4,16 @@ Subcommands: gen, solve, bound, compile, layers, eval, compare. Every
 command that writes an artifact also writes a sidecar
 `<artifact>.manifest.json` recording the argument vector, seed, version, and
 sha256 digests of inputs and outputs, so runs can be reproduced exactly.
-`solve` is the one command that writes routes: every static algorithm
-(link, decomp, path, sssp, ewsp, dor, ilp) writes a route file and prints
-its max normalized link load last, which is 1/F for link, decomp and path.
-`solve --algo link|decomp` adds a `quality` block: F, the certified bracket
-[F_lo, F_hi] on it, its relative gap and the `verify_flow` residuals;
-`solve --algo ts` writes a time-stepped solution and adds the certified
-bracket [U_lo, U_hi] on sum U_t and its gap. `compare` is the one solver
-sweep.
+Every static `solve` algorithm (link, decomp, path, sssp, ewsp, dor, ilp)
+writes a route file of rates and prints its max normalized link load last,
+which is 1/F for link, decomp and path. `solve --algo link|decomp` adds a
+`quality` block: F, its certified bracket [F_lo, F_hi] and relative gap,
+and the `verify_flow` residuals; `solve --algo ts` writes a time-stepped
+solution and adds the certified bracket [U_lo, U_hi] on sum U_t and its gap.
+`compile --mode ts` writes an XML schedule, and `compile --mode path` a
+route file whose weights are chunk counts: each route that carries chunks,
+in chunk order, so a commodity's counts sum to Q. `eval --routes` and
+`layers` read either route file. `compare` is the one solver sweep.
 
 Exit codes: 0 success, 1 domain error (the package's errors and OSError),
 2 usage error. Any other exception is a bug and propagates.
@@ -132,7 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--graph", required=True)
     c.add_argument("--sol", required=True,
                    help="solution JSON (ts) or route JSON (path)")
-    c.add_argument("--m", type=float, default=1.0, help="shard bytes")
+    c.add_argument("--m", type=float, default=1.0,
+                   help="shard bytes of a time-stepped schedule (--mode ts)")
     c.add_argument("--qmax", type=int, default=1024)
     c.add_argument("--out", required=True)
 
@@ -146,7 +149,8 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--graph", required=True)
     e.add_argument("--sched", default=None, help="XML schedule (ts mode)")
     e.add_argument("--routes", default=None, help="route JSON (path mode)")
-    e.add_argument("--m", type=float, default=1.0)
+    e.add_argument("--m", type=float, default=None,
+                   help="shard bytes of --routes (default 1.0)")
     e.add_argument("--b", type=float, default=1.0)
     e.add_argument("--sync", type=float, default=0.0)
 
@@ -254,15 +258,17 @@ def _cmd_compile(args) -> list[str]:
         emit_schedule_xml(sched, args.out)
         print(f"wrote {args.out}: nsteps={sched.nsteps} Q={sched.Q}")
         return [args.out]
-    from .paths import load_routes
-    wps = load_routes(args.sol)
-    routes, sched = compile_path_schedule(g, wps, m=args.m, q_max=args.qmax)
-    emit_schedule_xml(sched, args.out)
-    routes_out = args.out + ".routes.json"
-    _write_json(routes_out, {"routes": routes}, indent=1)
-    print(f"wrote {args.out} (+{routes_out}): Q={sched.Q} "
-          f"routes={len(routes)}")
-    return [args.out, routes_out]
+    from .paths import WeightedPathSet, load_routes, save_routes
+    routes, sched = compile_path_schedule(g, load_routes(args.sol),
+                                          q_max=args.qmax)
+    # each route that carries chunks, at its chunk count, in chunk order
+    counts: dict[tuple[int, int], list] = {}
+    for ins in sched.instructions:
+        counts.setdefault((ins.s, ins.d), []).append(
+            (routes[ins.dst]["nodes"], ins.c1 - ins.c0))
+    save_routes(WeightedPathSet(paths=counts), args.out)
+    print(f"wrote {args.out}: Q={sched.Q} routes={len(sched.instructions)}")
+    return [args.out]
 
 
 def _cmd_layers(args) -> list[str]:
@@ -291,19 +297,22 @@ def _cmd_layers(args) -> list[str]:
 
 
 def _cmd_eval(args) -> list[str]:
-    from .evaluate import eval_path_alltoall, replay_timestep_schedule
+    from .evaluate import (EvalError, eval_path_alltoall,
+                           replay_timestep_schedule)
 
     g = load_graph(args.graph)
     if args.sched:
         from .schedule import parse_schedule_xml
-        sched = parse_schedule_xml(args.sched)
-        T, ok = replay_timestep_schedule(g, sched, m=args.m, b=args.b,
-                                         sync_latency=args.sync)
+        if args.m is not None:
+            raise EvalError("--m applies to --routes: a schedule carries its "
+                            "own shard size")
+        T, ok = replay_timestep_schedule(g, parse_schedule_xml(args.sched),
+                                         b=args.b, sync_latency=args.sync)
         print(f"T = {T:.9g}, delivered = {ok}")
     elif args.routes:
         from .paths import load_routes
-        wps = load_routes(args.routes)
-        T = eval_path_alltoall(g, wps, m=args.m, b=args.b)
+        T = eval_path_alltoall(g, load_routes(args.routes), b=args.b,
+                               m=1.0 if args.m is None else args.m)
         print(f"T = {T:.9g}")
     else:
         raise GraphError("eval needs --sched or --routes")

@@ -75,23 +75,23 @@ def _first_missing(bounds: list[int], c0: int, c1: int) -> int | None:
 def replay_timestep_schedule(
     g: Digraph,
     sched,
-    m: float = 1.0,
     b: float = 1.0,
     sync_latency: float = 0.0,
 ) -> tuple[float, bool]:
     """Simulate a link schedule; returns (completion time, delivered).
 
     Store-and-forward: a step costs max over links of bytes/(cap*b), plus
-    sync_latency. Verifies that every chunk sent is present at its source at
-    the start of the step and that each shard arrives at its destination
-    exactly once. Holdings are tracked as chunk intervals per (node, shard);
-    a shard's source holds all of [0, Q).
+    sync_latency, where a chunk is the schedule's own ``chunk_bytes``.
+    Verifies that every chunk sent is present at its source at the start of
+    the step and that each shard arrives at its destination exactly once.
+    Holdings are tracked as chunk intervals per (node, shard); a shard's
+    source holds all of [0, Q).
     """
     if sched.mode != "ts":
         raise EvalError("replay_timestep_schedule expects a ts-mode schedule")
     if g.n != sched.n:
         raise EvalError(f"graph has {g.n} nodes, schedule says {sched.n}")
-    chunk_bytes = m / sched.Q
+    chunk_bytes = sched.chunk_bytes
     holdings: dict[tuple[int, int, int], list[int]] = defaultdict(list)
     arrivals: dict[tuple[int, int], list[tuple[int, int]]] = defaultdict(list)
     by_step = defaultdict(list)

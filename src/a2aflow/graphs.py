@@ -39,6 +39,13 @@ class GraphError(ValueError):
     """Malformed graph input or an unsatisfiable generator request."""
 
 
+def _check_edge(n: int, u: int, v: int, c: float) -> None:
+    if not (0 <= u < n and 0 <= v < n):
+        raise GraphError(f"edge ({u},{v}) out of range for n={n}")
+    if c < 0:
+        raise GraphError(f"negative capacity on edge ({u},{v}): {c}")
+
+
 @dataclass(frozen=True)
 class Digraph:
     """Capacitated directed graph.
@@ -56,10 +63,7 @@ class Digraph:
             raise GraphError(f"node count must be >= 1, got {self.n}")
         seen = set()
         for u, v, c in self.edges:
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise GraphError(f"edge ({u},{v}) out of range for n={self.n}")
-            if c < 0:
-                raise GraphError(f"negative capacity on edge ({u},{v}): {c}")
+            _check_edge(self.n, u, v, c)
             if (u, v) in seen:
                 raise GraphError(f"duplicate edge ({u},{v}); merge capacities first")
             seen.add((u, v))
@@ -68,9 +72,9 @@ class Digraph:
     def from_edges(cls, n, edges, meta=None) -> "Digraph":
         merged: dict[tuple[int, int], float] = {}
         for u, v, c in edges:
+            _check_edge(n, u, v, c)
             merged[(u, v)] = merged.get((u, v), 0.0) + float(c)
-        # self-links cannot carry useful traffic; drop them with zero-capacity
-        # entries
+        # self-links carry no traffic; drop them and zero capacities
         clean = tuple(
             (u, v, c) for (u, v), c in sorted(merged.items())
             if c > 0 and u != v
@@ -579,21 +583,14 @@ def save_graph(g: Digraph, path: str) -> None:
 
 
 def load_graph(path: str) -> Digraph:
+    """Inverse of save_graph. Text that is not JSON, a missing field, a
+    malformed edge record or an edge ``Digraph`` rejects raises GraphError
+    naming the file."""
     doc = _read_json(path, GraphError)
+    n = _json_field(path, doc, "n", int, GraphError)
+    edges = _json_field(path, doc, "edges", lambda es: [
+        (int(u), int(v), _cap_from_str(c)) for u, v, c in es], GraphError)
     try:
-        n = int(doc["n"])
-        raw = doc["edges"]
-    except (KeyError, TypeError) as exc:
-        raise GraphError(f"{path}: missing required field: {exc}") from exc
-    edges = []
-    for k, item in enumerate(raw):
-        try:
-            u, v, c = int(item[0]), int(item[1]), _cap_from_str(item[2])
-        except (ValueError, IndexError, TypeError, ZeroDivisionError) as exc:
-            raise GraphError(f"{path}: bad edge record #{k}: {item!r}") from exc
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphError(f"{path}: edge #{k} ({u},{v}) out of range for n={n}")
-        if c < 0:
-            raise GraphError(f"{path}: edge #{k} ({u},{v}) has capacity {c} < 0")
-        edges.append((u, v, c))
-    return Digraph.from_edges(n, edges, doc.get("meta", {}))
+        return Digraph.from_edges(n, edges, doc.get("meta", {}))
+    except GraphError as exc:
+        raise GraphError(f"{path}: {exc}") from exc

@@ -795,10 +795,6 @@ def load_solution(path: str, g: Digraph) -> TimeExpandedSolution:
         raise McfError(f"{path}: unknown solution kind {kind!r}")
     l_max = get("l_max", int)
     U = get("U", lambda u: np.asarray(u, dtype=float))
-    if "trajectories" not in doc and "flows" in doc:
-        raise McfError(
-            f"{path}: time-stepped file holds 'flows', the format before "
-            "'trajectories'; solve it again")
     comms = get("commodities", lambda cs: [Commodity(*c) for c in cs])
     _check_distinct(comms, f"{path}: ")
     trajectories = get("trajectories", lambda tr: [

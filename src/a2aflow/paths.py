@@ -15,7 +15,6 @@ import random
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import chain, islice
 
 import numpy as np
@@ -421,16 +420,14 @@ def save_routes(wps, path: str) -> None:
 
 def load_routes(path: str) -> WeightedPathSet:
     """Inverse of save_routes. Text that is not JSON, a missing field, a
-    short record or a weight that is negative or not finite raises
-    RouteError naming the file and the field."""
+    short record or a weight that is a string, negative or not finite
+    raises RouteError naming the file and the field."""
     def weight(w):
-        # older files write weights as fraction strings
-        w = float(Fraction(w)) if isinstance(w, str) else float(w)
-        if not math.isfinite(w):
-            raise ValueError(f"weight {w} is not finite")
+        if isinstance(w, str) or not math.isfinite(w):
+            raise ValueError(f"weight {w!r} is not a finite number")
         if w < 0:
             raise ValueError(f"weight {w} is negative")
-        return w
+        return float(w)
 
     def record(rec):
         return (rec["s"], rec["d"]), [

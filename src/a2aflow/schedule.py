@@ -5,7 +5,8 @@ time-expanded graph, and weighted path sets become chunk-to-route
 assignments. Both quantize fractional rates into integer chunk counts at one
 shared Q by the same rule (``_chunk_counts``, which quantizes each distinct
 weight list once) and serialize to a small XML dialect, written line by line
-and read back with ElementTree.
+and read back with ElementTree. `a2a compile` writes the XML of time-stepped
+schedules only; it writes a path schedule as a route file of chunk counts.
 """
 from __future__ import annotations
 

@@ -207,7 +207,7 @@ class TestAcceptance:
         for name, g in cases:
             ts = mcf_timestepped(g, l_max=diameter(g))
             sched = compile_timestep_schedule(g, ts, m=1.0)
-            T, delivered = replay_timestep_schedule(g, sched, m=1.0, b=1.0)
+            T, delivered = replay_timestep_schedule(g, sched, b=1.0)
             bound = (1 + 2 / sched.Q) * ts.total_utilization
             if not (delivered and T <= bound + 1e-9):
                 ok = False

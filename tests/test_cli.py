@@ -9,7 +9,9 @@ from a2aflow import cli
 from a2aflow.cli import main
 from a2aflow.graphs import load_graph
 from a2aflow.mcf import mcf_decomposed, mcf_path
-from a2aflow.paths import disjoint_paths, extract_widest_paths, save_routes
+from a2aflow.paths import (WeightedPathSet, disjoint_paths, eval_link_load,
+                           extract_widest_paths, load_routes, save_routes)
+from a2aflow.schedule import compile_path_schedule
 
 
 def run(capsys, *argv):
@@ -150,7 +152,7 @@ class TestSolveAndRoutes:
         assert open(sol, "rb").read() == open(extp, "rb").read()
         rc, stdout, _ = run(capsys, "compile", "--mode", "path", "--graph",
                             torus9, "--sol", sol, "--out",
-                            str(tmp_path / "p.xml"))
+                            str(tmp_path / "p.json"))
         assert rc == 0 and "routes=" in stdout
         rc, stdout, _ = run(capsys, "layers", "--graph", torus9, "--routes",
                             sol)
@@ -339,18 +341,81 @@ class TestCompileEval:
         rc, _, stderr = run(capsys, "eval", "--graph", g, "--sched", str(bad))
         assert rc == 1 and "attribute n='x' on <schedule>" in stderr
 
+    def test_ts_replay_uses_the_schedules_shard_size(self, tmp_path,
+                                                     capsys):
+        g = str(tmp_path / "t9.json")
+        sol, xml = str(tmp_path / "ts.json"), str(tmp_path / "sched.xml")
+        assert run(capsys, "gen", "--topo", "torus", "--dims", "3,3",
+                   "--out", g)[0] == 0
+        assert run(capsys, "solve", "--algo", "ts", "--graph", g,
+                   "--out", sol)[0] == 0
+        assert run(capsys, "compile", "--mode", "ts", "--graph", g, "--sol",
+                   sol, "--m", "2.0", "--out", xml)[0] == 0
+        # sum U_t is 3 at unit shards, so 2-byte shards take 6
+        rc, stdout, _ = run(capsys, "eval", "--graph", g, "--sched", xml)
+        assert rc == 0 and stdout == "T = 6, delivered = True\n"
+        rc, stdout, stderr = run(capsys, "eval", "--graph", g,
+                                 "--sched", xml, "--m", "2.0")
+        assert rc == 1 and stdout == "" and "--m applies to --routes" in stderr
+
     def test_path_pipeline(self, tmp_path, capsys):
         g = str(tmp_path / "t9.json")
         routes = str(tmp_path / "routes.json")
-        xml = str(tmp_path / "sched.xml")
+        out = str(tmp_path / "compiled.json")
         assert run(capsys, "gen", "--topo", "torus", "--dims", "3,3",
                    "--out", g)[0] == 0
         assert run(capsys, "solve", "--algo", "dor", "--graph", g,
                    "--out", routes)[0] == 0
         rc, stdout, _ = run(capsys, "compile", "--mode", "path",
-                            "--graph", g, "--sol", routes, "--out", xml)
+                            "--graph", g, "--sol", routes, "--out", out)
         assert rc == 0 and "routes=" in stdout
-        assert json.loads(open(xml + ".routes.json").read())["routes"]
+        # each route is weighted by its chunk count; a commodity's sum to Q
+        Q = int(stdout.split("Q=")[1].split()[0])
+        compiled = load_routes(out)
+        assert len(compiled.paths) == 72
+        for plist in compiled.paths.values():
+            assert all(w > 0 and w == int(w) for _, w in plist)
+            assert sum(w for _, w in plist) == Q
+        # one artifact and its manifest, no XML and no .routes.json sidecar
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "compiled.json", "compiled.json.manifest.json", "routes.json",
+            "routes.json.manifest.json", "t9.json", "t9.json.manifest.json"]
+
+    @pytest.mark.parametrize("topo", [
+        ("torus", "--dims", "3,3"), ("genkautz", "--n", "27", "--d", "4"),
+    ], ids=["t9", "gk27"])
+    def test_compiled_path_schedule_is_its_chunk_counts(self, tmp_path,
+                                                        capsys, topo):
+        g, sol = str(tmp_path / "g.json"), str(tmp_path / "sol.json")
+        out, again = str(tmp_path / "c.json"), str(tmp_path / "c2.json")
+        assert run(capsys, "gen", "--topo", *topo, "--out", g)[0] == 0
+        assert run(capsys, "solve", "--algo", "decomp", "--graph", g,
+                   "--out", sol)[0] == 0
+        rc, stdout, _ = run(capsys, "compile", "--mode", "path",
+                            "--graph", g, "--sol", sol, "--out", out)
+        assert rc == 0
+        # the load the schedule delivers: each instruction's route at
+        # (c1 - c0) / Q of its commodity
+        graph = load_graph(g)
+        routes, sched = compile_path_schedule(graph, load_routes(sol))
+        delivered: dict = {}
+        for ins in sched.instructions:
+            delivered.setdefault((ins.s, ins.d), []).append(
+                (tuple(routes[ins.dst]["nodes"]),
+                 (ins.c1 - ins.c0) / sched.Q))
+        load, _ = eval_link_load(graph, WeightedPathSet(paths=delivered))
+        assert eval_link_load(graph, load_routes(out))[0] == load
+        assert stdout == (f"wrote {out}: Q={sched.Q} "
+                          f"routes={len(sched.instructions)}\n")
+        rc, stdout, _ = run(capsys, "eval", "--graph", g, "--routes", out)
+        assert rc == 0 and stdout == f"T = {load:.9g}\n"
+        rc, stdout, _ = run(capsys, "layers", "--graph", g, "--routes", out)
+        assert rc == 0 and "verified = True" in stdout
+        # the compiled file compiles to itself
+        rc, stdout, _ = run(capsys, "compile", "--mode", "path",
+                            "--graph", g, "--sol", out, "--out", again)
+        assert rc == 0 and f"Q={sched.Q} " in stdout
+        assert open(again, "rb").read() == open(out, "rb").read()
 
     def test_path_with_nonexistent_edge_is_domain_error(self, tmp_path,
                                                         capsys):
@@ -363,7 +428,7 @@ class TestCompileEval:
                    "--out", g)[0] == 0
         rc, _, stderr = run(capsys, "compile", "--mode", "path", "--graph", g,
                             "--sol", str(bad), "--out",
-                            str(tmp_path / "s.xml"))
+                            str(tmp_path / "s.json"))
         assert rc == 1 and "nonexistent edge (0,4)" in stderr
 
 

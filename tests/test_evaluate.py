@@ -27,7 +27,7 @@ def ring3_sched():
 class TestReplay:
     def test_ring3_time(self, ring3_sched):
         g, ts, sched = ring3_sched
-        T, ok = replay_timestep_schedule(g, sched, m=1.0, b=1.0)
+        T, ok = replay_timestep_schedule(g, sched, b=1.0)
         assert ok and T == pytest.approx(3.0)
 
     def test_bandwidth_scaling(self, ring3_sched):

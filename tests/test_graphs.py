@@ -38,6 +38,21 @@ class TestDigraph:
         with pytest.raises(GraphError):
             Digraph.from_edges(2, [(0, 5, 1.0)])
 
+    @pytest.mark.parametrize("edges", [
+        [(0, 1, -1.0), (1, 0, 1.0)],
+        # a negative entry may not cancel part of a parallel edge
+        [(0, 1, 2.0), (0, 1, -1.0), (1, 0, 1.0)],
+    ], ids=["dropped", "merged"])
+    def test_negative_capacity_rejected_before_merging(self, edges):
+        with pytest.raises(GraphError, match=r"edge \(0,1\): -1.0"):
+            Digraph.from_edges(2, edges)
+
+    def test_dropped_edge_still_checked(self):
+        # a self-link or zero capacity out of range is an error, not dropped
+        for edge in [(5, 5, 1.0), (0, 5, 0.0)]:
+            with pytest.raises(GraphError, match="out of range"):
+                Digraph.from_edges(2, [edge, (0, 1, 1.0)])
+
 
 class TestGenKautz:
     def test_formula(self):
@@ -232,3 +247,26 @@ class TestJson:
         assert any("/" in e[2] for e in doc["edges"])
         g2 = load_graph(str(p))
         assert g2.capacities[g2.edge_index[(0, 1)]] == pytest.approx(1 / 3)
+
+    @pytest.mark.parametrize("edge, match", [
+        ([0, 5, "1"], r"edge \(0,5\) out of range for n=2"),
+        ([0, 1, "-1"], r"negative capacity on edge \(0,1\)"),
+    ], ids=["out-of-range", "negative"])
+    def test_bad_edge_names_file_and_edge(self, tmp_path, edge, match):
+        p = tmp_path / "g.json"
+        p.write_text(json.dumps({"n": 2, "edges": [edge, [1, 0, "1"]]}))
+        with pytest.raises(GraphError, match=match) as exc:
+            load_graph(str(p))
+        assert str(exc.value).startswith(f"{p}: ")
+
+    @pytest.mark.parametrize("doc, field", [
+        ({"edges": []}, "'n'"), ({"n": 2}, "'edges'"),
+        ({"n": 2, "edges": [[0, 1]]}, "'edges'"),
+        ({"n": 2, "edges": [[0, 1, "1/0"]]}, "'edges'"),
+    ], ids=["no-n", "no-edges", "short-edge", "bad-capacity"])
+    def test_malformed_file_names_file_and_field(self, tmp_path, doc, field):
+        p = tmp_path / "g.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(GraphError, match=field) as exc:
+            load_graph(str(p))
+        assert str(p) in str(exc.value)

@@ -856,8 +856,9 @@ class TestScaleCheck:
 class TestSolutionJson:
     @pytest.mark.parametrize("text, field", [
         ("{}", "kind"),
+        # the format before trajectories fails on its first missing field
         ('{"kind": "ts", "l_max": 2, "U": [1, 1], "flows": [[0, 1, 0]]}',
-         "flows"),
+         "commodities"),
         ('{"kind": "ts", "flows": [], "U": []}', "l_max"),
         ('{"kind": "ts", "l_max": 2, "U": [1, 1], "commodities": [[0]], '
          '"trajectories": {}}', "commodities"),
@@ -906,7 +907,8 @@ class TestSolutionJson:
         assert back.flows == ts.flows
 
     @pytest.mark.parametrize("doc", [
-        {"flows": [[1, 2, 1, 2, 1.0, 1], [0, 1, 0, 1, 1.0, 0]]},
+        {"commodities": [[0, 1, 1.0]],
+         "flows": [[1, 2, 1, 2, 1.0, 1], [0, 1, 0, 1, 1.0, 0]]},
         {"commodities": [[0, 1, 1.0]]},
     ], ids=["summed-flows", "nothing"])
     def test_ts_file_without_trajectories_rejected(self, tmp_path, doc):

@@ -428,13 +428,17 @@ class TestRoutesJson:
         save_routes(wp, str(p))
         assert load_routes(str(p)).paths == wp.paths
 
-    def test_fraction_string_weights_load(self, tmp_path):
+    @pytest.mark.parametrize("weight", ['"1/3"', '"0.5"'],
+                             ids=["fraction", "decimal"])
+    def test_string_weights_rejected(self, tmp_path, weight):
+        # save_routes writes floats; a weight is a number, never a string
         p = tmp_path / "old.json"
         p.write_text('{"routes": [{"s": 0, "d": 1, "paths": ['
-                     '{"nodes": [0, 1], "weight": "1/3"}, '
-                     '{"nodes": [0, 2, 1], "weight": "2/3"}]}]}')
-        assert load_routes(str(p)).paths == {
-            (0, 1): [((0, 1), 1 / 3), ((0, 2, 1), 2 / 3)]}
+                     f'{{"nodes": [0, 1], "weight": {weight}}}]}}]}}')
+        with pytest.raises(RouteError, match="'routes'.*not a finite number"
+                           ) as exc:
+            load_routes(str(p))
+        assert str(p) in str(exc.value)
 
     def test_route_table_roundtrip(self, tmp_path):
         g = gen_torus([3], bidirectional=False)
